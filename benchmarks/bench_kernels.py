@@ -1,12 +1,15 @@
-"""Timing comparison of the compiled kernels against the pure-Python fallback.
+"""Timing comparison of the compiled kernels against the pure-Python fallback,
+and timing of the significance bound.
 
 Run from the repository root:
 
-    python3 benchmarks/bench_kernels.py [--quick]
+    python3 benchmarks/bench_kernels.py [--quick] [--case {words,recursion,bound}]...
 
 Times the two backends on word counting across series lengths, word lengths,
-and strides, and on the sequential lag recursion.  Reports best-of-5 wall
-time and the speedup of the compiled extension.
+and strides, and on the sequential lag recursion, reporting best-of-5 wall
+time and the speedup of the compiled extension.  The `bound` case times one
+`significance_bound` call at lag counts L = 7, 12, 16 and 20 (Gamma shape
+2**(L-1)).  With no --case given, all three run.
 """
 
 import argparse
@@ -15,6 +18,7 @@ import time
 import numpy as np
 
 import mktinfo._kernels_py as kpy
+from mktinfo.information import significance_bound
 
 try:
     import mktinfo._kernels as kc
@@ -79,15 +83,28 @@ def bench_recursion(quick):
         print(f"{label:<28}{fmt(t_py):>12}{fmt(t_c):>12}{t_py / t_c:>8.1f}x")
 
 
+def bench_bound(quick):
+    print(f"\n{'significance_bound':<28}{'per call':>12}")
+    for lags in (7, 12, 16, 20):
+        t = best_of(lambda: significance_bound(1_000_000, lags, 1, 0.95))
+        print(f"{f'L={lags:<3} shape=2^{lags - 1}':<28}{fmt(t):>12}")
+
+
+CASES = {"words": bench_word_counts, "recursion": bench_recursion, "bound": bench_bound}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
                         help="skip the million-point cases")
+    parser.add_argument("--case", dest="cases", action="append", choices=list(CASES),
+                        help="run only this timing; repeatable (default: all)")
     args = parser.parse_args()
-    if kc is None:
+    cases = args.cases or list(CASES)
+    if kc is None and {"words", "recursion"} & set(cases):
         print("compiled extension not available; timing the fallback only\n")
-    bench_word_counts(args.quick)
-    bench_recursion(args.quick)
+    for name in cases:
+        CASES[name](args.quick)
 
 
 if __name__ == "__main__":

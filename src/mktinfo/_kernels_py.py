@@ -20,10 +20,11 @@ def word_counts(bits, word_length, stride, n_windows):
 
 def ar_lagged_recursion(shocks, feedback, lag, innovation_scale):
     """out[i] = shocks[i] for i < lag, else feedback*out[i-lag] + innovation_scale*shocks[i]."""
-    n = len(shocks)
-    out = np.empty(n, dtype=np.float64)
-    out[:lag] = shocks[:lag]
-    # sequential by construction; n is small enough for a plain loop
-    for i in range(lag, n):
-        out[i] = feedback * out[i - lag] + innovation_scale * shocks[i]
-    return out
+    # sequential by construction; Python floats are the same IEEE doubles as
+    # numpy's but far cheaper to index one at a time
+    shocks = np.asarray(shocks, dtype=np.float64).tolist()
+    feedback, innovation_scale = float(feedback), float(innovation_scale)
+    out = shocks[:lag]
+    for i in range(lag, len(shocks)):
+        out.append(feedback * out[i - lag] + innovation_scale * shocks[i])
+    return np.array(out, dtype=np.float64)

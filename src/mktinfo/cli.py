@@ -44,6 +44,16 @@ def _load(path: str, mode: str):
     return load_prices(path, mode)
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     prices = _load(args.input, args.price_mode)
     ep, ip = profile_from_prices(prices, args.L_max, args.m_values, args.confidence)
@@ -150,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--m", type=float, default=1.0)
     pt.add_argument("--hurst-min", dest="hurst_min", type=float, default=0.05)
     pt.add_argument("--hurst-max", dest="hurst_max", type=float, default=0.95)
-    pt.add_argument("--hurst-step", dest="hurst_step", type=float, default=0.05)
+    pt.add_argument("--hurst-step", dest="hurst_step", type=_positive_float, default=0.05)
     pt.add_argument("--format", choices=("json", "csv"), default="csv")
     pt.add_argument("--output", "-o", default=None)
     pt.set_defaults(func=cmd_theory)

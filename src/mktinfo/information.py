@@ -22,6 +22,11 @@ from .series import IndicatorSeries, PriceSeries, WordDistribution, compute_retu
 
 LN2 = math.log(2.0)
 
+# Deepest supported lag count: word codes of order MAX_L + 1 fit in int64 with
+# room to spare, and the bound's Gamma shape 2**(MAX_L - 1) still takes only
+# tens of milliseconds.
+MAX_L = 30
+
 
 def _entropy_bits(counts: np.ndarray, total: int) -> float:
     """Plug-in Shannon entropy in bits; zero-count cells contribute nothing."""
@@ -42,6 +47,21 @@ def empirical_entropy(j: IndicatorSeries, word_length: int) -> float:
     """Plug-in entropy of length-L words over the maximal window range."""
     counts, n_windows = _word_count_array(j, word_length)
     return _entropy_bits(counts, n_windows)
+
+
+def _word_counts(codes: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Counts of the order-`order` word codes and of their prefixes (code >> 1).
+
+    Both are in code order.  When there are fewer windows than possible words
+    only the codes that occur are counted (zero cells carry no entropy), so
+    memory stays O(len(codes)) at any order.
+    """
+    if (1 << order) <= len(codes):
+        counts = np.bincount(codes, minlength=1 << order)
+        return counts, counts.reshape(-1, 2).sum(axis=1)
+    words, counts = np.unique(codes, return_counts=True)
+    starts = np.flatnonzero(np.diff(words >> 1, prepend=-1))
+    return counts, np.add.reduceat(counts, starts)
 
 
 def _pair_entropies(j: IndicatorSeries, lags: int) -> tuple[float, float, int]:
@@ -68,12 +88,79 @@ def market_information(j: IndicatorSeries, lags: int) -> float:
     return 1.0 + h_prefix - h_full
 
 
+def _log_poisson_pmf(j: int, y: float) -> float:
+    """log(exp(-y) * y**j / j!), accurate to rounding even when j and y are huge.
+
+    For large j the direct form cancels terms of size j*log(y); Stirling's
+    series with log1p keeps only the small difference.
+    """
+    if j < 30:
+        return -y + j * math.log(y) - math.lgamma(j + 1)
+    d = y - j
+    stirling = 1.0 / (12.0 * j) - 1.0 / (360.0 * j ** 3) + 1.0 / (1260.0 * j ** 5)
+    return j * math.log1p(d / j) - d - 0.5 * math.log(2.0 * math.pi * j) - stirling
+
+
+def _log_erlang_survival(shape: int, y: float) -> float:
+    """log P(Gamma(shape, 1) > y) = log sum_{j<shape} exp(-y) y**j / j!.
+
+    The terms peak at j = min(shape-1, floor(y)); those more than about
+    40*sqrt(y) away from the peak are below exp(-800) of it and are skipped,
+    so the cost grows like sqrt(y), not like shape.
+    """
+    top = min(shape - 1, int(y))
+    width = int(40.0 * math.sqrt(y)) + 40
+    lo, hi = max(0, top - width), min(shape - 1, top + width)
+    # log(term_j / term_lo) for j = lo..hi, by cumulative log(y / j) ratios
+    rel = np.empty(hi - lo + 1)
+    rel[0] = 0.0
+    np.cumsum(math.log(y) - np.log(np.arange(lo + 1, hi + 1, dtype=np.float64)), out=rel[1:])
+    rel -= rel[top - lo]
+    return _log_poisson_pmf(top, y) + math.log(float(np.exp(rel).sum()))
+
+
+def _normal_quantile(p: float) -> float:
+    """Standard normal quantile to about 4.5e-4 (Abramowitz & Stegun 26.2.23)."""
+    t = math.sqrt(-2.0 * math.log(min(p, 1.0 - p)))
+    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
+        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308)))
+    return z if p > 0.5 else -z
+
+
+def _unit_gamma_quantile(shape: int, p: float) -> float:
+    """Quantile of Gamma(shape, 1) for integer shape >= 1 and p in (0, 1).
+
+    Newton's method on log S(y) - log(1 - p), where S is the Erlang survival
+    function, from a Wilson-Hilferty start.  log S is concave and decreasing
+    (the Erlang density is log-concave), so from the right of the root the
+    iterates decrease monotonically to it, and a start on the left lands on
+    the right after one step.
+    """
+    k = float(shape)
+    c = 1.0 / (9.0 * k)
+    base = 1.0 - c + _normal_quantile(p) * math.sqrt(c)
+    if base > 0.0:
+        y = k * base ** 3
+    else:
+        # deep lower tail: P(Gamma(k,1) <= y) <= y**k / k!, so this start is left of the root
+        y = math.exp((math.log(p) + math.lgamma(k + 1.0)) / k)
+    log_q = math.log1p(-p)
+    for _ in range(50):
+        log_s = _log_erlang_survival(shape, y)
+        # d log S / dy = -pmf(shape - 1; y) / S
+        step = (log_s - log_q) * math.exp(log_s - _log_poisson_pmf(shape - 1, y))
+        y += step
+        if abs(step) <= 1e-10 * y:
+            break
+    return y
+
+
 def gamma_quantile(shape: int, scale: float, p: float) -> float:
     """Quantile of Gamma(shape, scale) for integer shape >= 1.
 
-    The survival function of an integer-shape (Erlang) variable is a finite
-    sum, exp(-y) * sum_{j<shape} y**j/j!, so the quantile is found by
-    bracketed bisection without any incomplete-gamma machinery.
+    The quantile scales exactly with `scale`, so it is scale times the
+    unit-scale quantile, found from the finite (Erlang) survival sum
+    exp(-y) * sum_{j<shape} y**j/j! without any incomplete-gamma machinery.
     """
     if not isinstance(shape, (int, np.integer)) or shape < 1:
         raise ValueError("shape must be an integer >= 1")
@@ -81,34 +168,7 @@ def gamma_quantile(shape: int, scale: float, p: float) -> float:
         raise ValueError("scale must be positive")
     if not 0.0 < p < 1.0:
         raise ValueError("quantile level must be in (0, 1)")
-    q = 1.0 - p
-
-    def survival(y: float) -> float:
-        # every term exp(-y) * y**j / j! is <= 1, so no overflow
-        log_term = -y
-        log_y = math.log(y)
-        total = 0.0
-        for jj in range(int(shape)):
-            if log_term > -745.0:
-                total += math.exp(log_term)
-            log_term += log_y - math.log(jj + 1)
-        return total
-
-    hi = float(max(int(shape), 1))
-    for _ in range(200):
-        if survival(hi) <= q:
-            break
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if survival(mid) > q:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    return scale * 0.5 * (lo + hi)
+    return scale * _unit_gamma_quantile(int(shape), p)
 
 
 @dataclass(frozen=True)
@@ -197,11 +257,35 @@ def information_profile(
     """
     if L_max < 1:
         raise ValueError("L_max must be a positive integer")
+    if L_max > MAX_L:
+        raise ValueError(f"L_max must be at most {MAX_L}")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
     m_values = tuple(int(m) for m in m_values)
     if len(set(m_values)) != len(m_values) or not m_values:
         raise ValueError("m_values must be nonempty and distinct")
+
+    n_underlying = None
+    for m in m_values:
+        j = j_family[m]
+        if j.m != m:
+            raise ValueError(f"indicator series at key {m} has horizon {j.m}")
+        n = len(j.bits) + m - 1  # price count minus one
+        if n_underlying is None:
+            n_underlying = n
+        elif n != n_underlying:
+            raise ValueError("indicator series disagree on underlying price count")
+    n = n_underlying
+
+    # The null quantile scales as 1/dof, so one unit-scale quantile per lag
+    # count serves every m.  An order-(lags+1) cell has n + 1 - m*(lags+1)
+    # windows, so it exists for some m exactly when it exists for the smallest.
+    m_min = min(m_values)
+    unit_bound = {}
+    for lags in range(1, L_max + 1):
+        if n >= m_min * (lags + 1):
+            b = significance_bound(n, lags, m_min, confidence)
+            unit_bound[lags] = b.value / b.scale
 
     n_orders = L_max + 1
     shape = (n_orders, len(m_values))
@@ -212,33 +296,28 @@ def information_profile(
     bounds = np.full(shape, np.nan)
     partial_bounds = np.full(shape, np.nan)
 
-    n_underlying = None
     for col, m in enumerate(m_values):
-        j = j_family[m]
-        if j.m != m:
-            raise ValueError(f"indicator series at key {m} has horizon {j.m}")
-        n = len(j.bits) + m - 1  # price count minus one
-        if n_underlying is None:
-            n_underlying = n
-        elif n != n_underlying:
-            raise ValueError("indicator series disagree on underlying price count")
-
+        bits = j_family[m].bits
+        codes = bits.astype(np.int64)
         for order in range(1, n_orders + 1):
             row = order - 1
-            max_windows = len(j.bits) - (order - 1) * m
-            if max_windows < 1:
-                continue
-            counts, n_windows = _word_count_array(j, order)
+            n_windows = len(bits) - row * m
+            if n_windows < 1:
+                break
+            if order > 1:
+                # extend each order-(L-1) word by its next indicator, in place
+                codes = codes[:n_windows]
+                codes <<= 1
+                codes |= bits[row * m : row * m + n_windows]
+            counts, prefix = _word_counts(codes, order)
             H[row, col] = _entropy_bits(counts, n_windows)
             n_obs[row, col] = n_windows
             if order == 1:
                 I[row, col] = 1.0 - H[row, col]
             else:
-                prefix = counts.reshape(-1, 2).sum(axis=1)
                 I[row, col] = 1.0 + _entropy_bits(prefix, n_windows) - H[row, col]
-                lags = order - 1
-                if n - m * lags > 0:
-                    bounds[row, col] = significance_bound(n, lags, m, confidence).value
+                lags = row
+                bounds[row, col] = unit_bound[lags] / ((n - m * lags) * LN2)
 
         finite = np.isfinite(I[:, col])
         if finite[0]:

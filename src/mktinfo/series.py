@@ -8,6 +8,7 @@ indicator steps apart (overlapping windows, start indices stepping by 1).
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence, Union
@@ -179,8 +180,8 @@ def _parse_prices(stream: Iterable[str], mode: str) -> PriceSeries:
         if any(f <= 0.0 for f in fields):
             raise ValueError(f"non-positive price at row {i}")
         price = fields[0] if mode == "close" else 0.5 * (fields[0] + fields[1])
-        if price <= 0.0:
-            raise ValueError(f"non-positive price at row {i}")
+        if not math.isfinite(price):
+            raise ValueError(f"non-finite price at row {i}")
         timestamps.append(row[ts_col].strip())
         prices.append(price)
 

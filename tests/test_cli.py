@@ -136,8 +136,28 @@ class TestAnalyze:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_price_reports_row(self, capsys, tmp_path, value):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"timestamp,close\n1,100\n2,101\n3,{value}\n4,102\n")
+        code, _, err = run(capsys, "analyze", str(bad))
+        assert code == 3
+        assert err == "error: non-finite price at row 3\n"
+
+    def test_deep_L_max_is_data_error(self, price_file, capsys):
+        code, out, err = run(capsys, "analyze", str(price_file), "--L-max", "70")
+        assert code == 3 and out == ""
+        assert err == "error: L_max must be at most 30\n"
+
 
 class TestTheory:
+    @pytest.mark.parametrize("step", ["0", "-0.1", "nan"])
+    def test_non_positive_step_is_usage_error(self, capsys, step):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["theory", "fbm", "--hurst-step", step])
+        assert exc.value.code == 2
+        assert "--hurst-step: must be positive" in capsys.readouterr().err
+
     def test_fbm_grid_values(self, capsys):
         code, out, _ = run(capsys, "theory", "fbm", "--hurst-min", "0.1",
                            "--hurst-max", "0.9", "--hurst-step", "0.1")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -31,6 +32,24 @@ from mktinfo.series import (
 from markov_oracle import entropy_curve
 
 LN2 = math.log(2.0)
+
+
+def bisection_quantile(shape, p):
+    """Unit-scale Erlang quantile by bisection on the survival sum, term by term."""
+    def survival(y):
+        log_term, total = -y, 0.0
+        for j in range(shape):
+            total += math.exp(log_term)
+            log_term += math.log(y) - math.log(j + 1)
+        return total
+
+    lo, hi = 0.0, float(shape)
+    while survival(hi) > 1.0 - p:
+        hi *= 2.0
+    while hi - lo > 1e-13 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if survival(mid) > 1.0 - p else (lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def bits_series(bits, m=1):
@@ -149,6 +168,25 @@ class TestGammaQuantile:
         assert gamma_quantile(np.int64(2), 1.0, 0.5) == pytest.approx(
             gamma_quantile(2, 1.0, 0.5), rel=1e-12)
 
+    def test_word_order_shapes_against_scipy(self):
+        # the null's shapes 2**(L-1) up to the deepest supported order
+        for L in range(1, 31):
+            for p in (0.5, 0.9, 0.95, 0.99, 0.999):
+                want = scipy.stats.gamma.ppf(p, a=2 ** (L - 1))
+                assert gamma_quantile(2 ** (L - 1), 1.0, p) == pytest.approx(
+                    want, rel=1e-9), (L, p)
+
+    def test_against_bisection(self):
+        for L in range(1, 13):
+            for p in (0.05, 0.5, 0.9, 0.95, 0.99, 0.999):
+                assert gamma_quantile(2 ** (L - 1), 1.0, p) == pytest.approx(
+                    bisection_quantile(2 ** (L - 1), p), rel=1e-10), (L, p)
+
+    def test_deepest_shape_is_fast(self):
+        start = time.perf_counter()
+        gamma_quantile(2 ** 29, 1.0, 0.95)
+        assert time.perf_counter() - start < 0.5
+
     def test_validation(self):
         with pytest.raises(ValueError, match="shape must be an integer >= 1"):
             gamma_quantile(0, 1.0, 0.5)
@@ -168,6 +206,7 @@ class TestSignificanceBound:
         assert b.scale == pytest.approx(1.0 / (2998 * LN2), rel=1e-14)
         assert b.value == pytest.approx(-math.log(0.05) / (2998 * LN2), rel=1e-10)
         assert b.value == pytest.approx(1.4417e-3, abs=5e-7)
+        assert f"{b.value:.4e}" == "1.4416e-03"  # as criterion 7 reports it
 
     def test_shape_doubles_with_lags(self):
         for lags in (1, 2, 3, 4):
@@ -256,6 +295,8 @@ class TestInformationProfile:
         j = {1: bits_series(np.ones(8, dtype=np.uint8))}
         with pytest.raises(ValueError, match="L_max"):
             information_profile(j, L_max=0, m_values=(1,))
+        with pytest.raises(ValueError, match="L_max must be at most 30"):
+            information_profile(j, L_max=31, m_values=(1,))
         with pytest.raises(ValueError, match="confidence"):
             information_profile(j, L_max=2, m_values=(1,), confidence=0.0)
         with pytest.raises(ValueError, match="distinct"):

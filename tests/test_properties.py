@@ -9,12 +9,14 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from mktinfo.information import (
+    _entropy_bits,
     empirical_entropy,
     gamma_quantile,
+    information_profile,
     market_information,
     profile_from_prices,
 )
-from mktinfo.series import IndicatorSeries, PriceSeries
+from mktinfo.series import IndicatorSeries, PriceSeries, _word_count_array
 from mktinfo.simulate import SimulatedPath, to_price_series
 from mktinfo.simulate import PseudoPeriodicParams
 from mktinfo.theory import info_from_rho, orthant_probability
@@ -97,6 +99,24 @@ def test_gamma_quantile_inverts_cdf(shape, scale, p):
     q = gamma_quantile(shape, scale, p)
     assert scipy.stats.gamma.cdf(q, a=shape, scale=scale) == pytest.approx(
         p, abs=1e-9)
+
+
+@given(bit_lists, st.integers(1, 12), st.integers(1, 4))
+def test_profile_matches_per_order_recount(bits, L_max, m):
+    # deep orders on short series take the sparse (occurring words only) path
+    j = as_series(bits, m)
+    ep, ip = information_profile({m: j}, L_max, (m,))
+    for order in range(1, L_max + 2):
+        row = order - 1
+        if len(bits) - row * m < 1:
+            assert ep.n_obs[row, 0] == 0 and np.isnan(ep.H[row, 0])
+            continue
+        counts, n_windows = _word_count_array(j, order)
+        assert ep.n_obs[row, 0] == n_windows
+        assert ep.H[row, 0] == _entropy_bits(counts, n_windows)
+        if order > 1:
+            prefix = counts.reshape(-1, 2).sum(axis=1)
+            assert ip.I[row, 0] == 1.0 + _entropy_bits(prefix, n_windows) - ep.H[row, 0]
 
 
 @given(st.integers(1, 3), st.data())
