@@ -3,13 +3,13 @@ and timing of the significance bound.
 
 Run from the repository root:
 
-    python3 benchmarks/bench_kernels.py [--quick] [--case {words,recursion,bound}]...
+    python3 benchmarks/bench_kernels.py [--quick]
 
 Times the two backends on word counting across series lengths, word lengths,
 and strides, and on the sequential lag recursion, reporting best-of-5 wall
-time and the speedup of the compiled extension.  The `bound` case times one
+time and the speedup of the compiled extension.  It also times one
 `significance_bound` call at lag counts L = 7, 12, 16 and 20 (Gamma shape
-2**(L-1)).  With no --case given, all three run.
+2**(L-1)).
 """
 
 import argparse
@@ -83,28 +83,23 @@ def bench_recursion(quick):
         print(f"{label:<28}{fmt(t_py):>12}{fmt(t_c):>12}{t_py / t_c:>8.1f}x")
 
 
-def bench_bound(quick):
+def bench_bound():
     print(f"\n{'significance_bound':<28}{'per call':>12}")
     for lags in (7, 12, 16, 20):
         t = best_of(lambda: significance_bound(1_000_000, lags, 1, 0.95))
         print(f"{f'L={lags:<3} shape=2^{lags - 1}':<28}{fmt(t):>12}")
 
 
-CASES = {"words": bench_word_counts, "recursion": bench_recursion, "bound": bench_bound}
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
                         help="skip the million-point cases")
-    parser.add_argument("--case", dest="cases", action="append", choices=list(CASES),
-                        help="run only this timing; repeatable (default: all)")
     args = parser.parse_args()
-    cases = args.cases or list(CASES)
-    if kc is None and {"words", "recursion"} & set(cases):
+    if kc is None:
         print("compiled extension not available; timing the fallback only\n")
-    for name in cases:
-        CASES[name](args.quick)
+    bench_word_counts(args.quick)
+    bench_recursion(args.quick)
+    bench_bound()
 
 
 if __name__ == "__main__":

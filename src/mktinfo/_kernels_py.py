@@ -7,6 +7,8 @@ exactly, and the AR recursion applies the same operations in the same order
 
 import numpy as np
 
+_RECURSION_BLOCK = 4096
+
 
 def word_counts(bits, word_length, stride, n_windows):
     """Count length-`word_length` words with entries spaced `stride` apart."""
@@ -21,10 +23,15 @@ def word_counts(bits, word_length, stride, n_windows):
 def ar_lagged_recursion(shocks, feedback, lag, innovation_scale):
     """out[i] = shocks[i] for i < lag, else feedback*out[i-lag] + innovation_scale*shocks[i]."""
     # sequential by construction; Python floats are the same IEEE doubles as
-    # numpy's but far cheaper to index one at a time
-    shocks = np.asarray(shocks, dtype=np.float64).tolist()
+    # numpy's but far cheaper to index one at a time, so each block of
+    # _RECURSION_BLOCK outputs is computed in a list (with the `lag` outputs
+    # before it in front) and written back, keeping the extra memory O(block)
+    out = np.array(shocks, dtype=np.float64)
     feedback, innovation_scale = float(feedback), float(innovation_scale)
-    out = shocks[:lag]
-    for i in range(lag, len(shocks)):
-        out.append(feedback * out[i - lag] + innovation_scale * shocks[i])
-    return np.array(out, dtype=np.float64)
+    for start in range(lag, len(out), _RECURSION_BLOCK):
+        stop = min(start + _RECURSION_BLOCK, len(out))
+        buf = out[start - lag : stop].tolist()
+        for i in range(lag, len(buf)):
+            buf[i] = feedback * buf[i - lag] + innovation_scale * buf[i]
+        out[start:stop] = buf[lag:]
+    return out

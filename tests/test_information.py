@@ -145,7 +145,7 @@ class TestMarketInformation:
 class TestGammaQuantile:
     def test_exponential_closed_form(self):
         for scale in (1.0, 2.5e-4, 40.0):
-            for p in (0.05, 0.5, 0.95, 0.999):
+            for p in (1e-6, 1e-3, 0.05, 0.5, 0.95, 0.999):
                 want = -scale * math.log1p(-p)
                 assert gamma_quantile(1, scale, p) == pytest.approx(want, rel=1e-11)
 
@@ -156,6 +156,11 @@ class TestGammaQuantile:
                     want = scipy.stats.gamma.ppf(p, a=shape, scale=scale)
                     assert gamma_quantile(shape, scale, p) == pytest.approx(
                         want, rel=1e-9)
+        # deep lower tail: the Wilson-Hilferty start is negative here, so the
+        # quantile starts from the y**k / k! bound instead
+        for shape in (1, 2):
+            want = scipy.stats.gamma.ppf(1e-6, a=shape)
+            assert gamma_quantile(shape, 1.0, 1e-6) == pytest.approx(want, rel=1e-9)
 
     def test_median_of_shape_two(self):
         assert gamma_quantile(2, 1.0, 0.5) == pytest.approx(1.67835, abs=1e-5)

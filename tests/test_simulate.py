@@ -181,6 +181,19 @@ class TestSimulatePseudoPeriodic:
         assert path.model == "pseudo_periodic"
         assert path.params == PseudoPeriodicParams(beta, tau)
 
+    @pytest.mark.parametrize("tau, n", [(1, 9_000), (5, 10_000), (5_000, 12_000)])
+    def test_exact_recursion_across_blocks(self, tau, n):
+        # long enough to span several of the recursion's working blocks, and
+        # with a lag longer than one block
+        beta = 0.6
+        path = simulate_pseudo_periodic(beta, tau, n, seed=3)
+        shocks = np.random.default_rng(3).standard_normal(n)
+        scale = math.sqrt(1.0 - beta * beta)
+        want = shocks.copy()
+        for i in range(tau, n):
+            want[i] = beta * want[i - tau] + scale * shocks[i]
+        np.testing.assert_array_equal(path.values, want)
+
     def test_unit_marginal_variance(self):
         vals = np.concatenate([simulate_pseudo_periodic(0.8, 3, 200, seed=s).values
                                for s in range(60)])
