@@ -1,5 +1,5 @@
 """Timing comparison of the compiled kernels against the pure-Python fallback,
-and timing of the significance bound.
+and timing of the significance bound, CSV ingest and CSV writing.
 
 Run from the repository root:
 
@@ -9,16 +9,20 @@ Times the two backends on word counting across series lengths, word lengths,
 and strides, and on the sequential lag recursion, reporting best-of-5 wall
 time and the speedup of the compiled extension.  It also times one
 `significance_bound` call at lag counts L = 7, 12, 16 and 20 (Gamma shape
-2**(L-1)).
+2**(L-1)), and `write_prices` (the `simulate` CSV writer) and `load_prices`
+on a file of n = 1e5 and 1e6 prices (1e5 only with --quick).
 """
 
 import argparse
+import os
+import tempfile
 import time
 
 import numpy as np
 
 import mktinfo._kernels_py as kpy
 from mktinfo.information import significance_bound
+from mktinfo.series import PriceSeries, load_prices, write_prices
 
 try:
     import mktinfo._kernels as kc
@@ -90,6 +94,26 @@ def bench_bound():
         print(f"{f'L={lags:<3} shape=2^{lags - 1}':<28}{fmt(t):>12}")
 
 
+def bench_ingest(quick):
+    rng = np.random.default_rng(2)
+    sizes = (100_000,) if quick else (100_000, 1_000_000)
+    print(f"\n{'price CSV':<28}{'write':>12}{'load':>12}{'rows/s load':>14}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "prices.csv")
+        for n in sizes:
+            prices = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 1e-3, n)))
+            series = PriceSeries(tuple(range(n)), prices)
+
+            def write():
+                with open(path, "w") as fh:
+                    write_prices(series, fh)
+
+            t_write = best_of(write)
+            t_load = best_of(lambda: load_prices(path))
+            assert load_prices(path).prices.tobytes() == prices.tobytes()
+            print(f"{f'n={n}':<28}{fmt(t_write):>12}{fmt(t_load):>12}{n / t_load:>14.3g}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -100,6 +124,7 @@ def main():
     bench_word_counts(args.quick)
     bench_recursion(args.quick)
     bench_bound()
+    bench_ingest(args.quick)
 
 
 if __name__ == "__main__":

@@ -5,12 +5,14 @@ Subcommands: analyze (entropy/information profile of a price CSV), simulate
 hurst (structure-function scaling of a price CSV).  Output goes to stdout
 unless --output is given; header comment lines start with '#'.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
+Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure (out of
+memory included).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -19,7 +21,7 @@ import numpy as np
 
 from .information import profile_from_prices, profile_to_csv, profile_to_json
 from .scaling import DEFAULT_FIT_RANGE, estimate_hurst
-from .series import load_prices
+from .series import load_prices, write_prices
 from .simulate import NumericError, simulate_delampertized, simulate_fbm, \
     simulate_pseudo_periodic, to_price_series
 from .theory import DelampertizedParams, FbmParams, theory_curve
@@ -30,12 +32,19 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The --output file, opened for writing, or stdout."""
+    if path:
+        with open(path, "w") as fh:
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(text: str, output: str | None) -> None:
+    with _output(output) as fh:
+        fh.write(text)
 
 
 def _load(path: str, mode: str):
@@ -86,9 +95,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         header = (f"# model=pseudo-periodic beta={args.beta} tau={args.tau}"
                   f" sigma={scale} n={args.n} seed={args.seed} p0={args.p0}")
     prices = to_price_series(path, args.p0)
-    lines = [header, "timestamp,close"]
-    lines += [f"{t},{float(p)!r}" for t, p in zip(prices.timestamps, prices.prices)]
-    _emit("\n".join(lines) + "\n", args.output)
+    with _output(args.output) as fh:
+        fh.write(header + "\n")
+        write_prices(prices, fh)
     return EXIT_OK
 
 
@@ -96,6 +105,11 @@ def cmd_theory(args: argparse.Namespace) -> int:
     n_steps = int(round((args.hurst_max - args.hurst_min) / args.hurst_step))
     grid = args.hurst_min + args.hurst_step * np.arange(n_steps + 1)
     grid = grid[(grid > 0.0) & (grid < 1.0)]
+    if grid.size == 0:
+        print(f"error: empty Hurst grid: --hurst-min {args.hurst_min} to --hurst-max"
+              f" {args.hurst_max} in steps of {args.hurst_step} holds no value in (0, 1)",
+              file=sys.stderr)
+        return EXIT_USAGE
     if args.model == "fbm":
         curves = [theory_curve("fbm", grid)]
     else:
@@ -186,6 +200,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

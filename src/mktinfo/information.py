@@ -101,21 +101,25 @@ def _log_poisson_pmf(j: int, y: float) -> float:
     return j * math.log1p(d / j) - d - 0.5 * math.log(2.0 * math.pi * j) - stirling
 
 
-def _log_erlang_survival(shape: int, y: float) -> float:
-    """log P(Gamma(shape, 1) > y) = log sum_{j<shape} exp(-y) y**j / j!.
+def _log_poisson_sum(lo: int, hi: int | None, y: float) -> float:
+    """log sum_{j=lo..hi} exp(-y) y**j / j! (hi None: no upper end).
 
-    The terms peak at j = min(shape-1, floor(y)); those more than about
-    40*sqrt(y) away from the peak are below exp(-800) of it and are skipped,
-    so the cost grows like sqrt(y), not like shape.
+    The terms peak at the j in [lo, hi] nearest floor(y); those more than
+    about 40*sqrt(y) away from the peak are below exp(-800) of it and are
+    skipped, so the cost grows like sqrt(y), not like the range.
     """
-    top = min(shape - 1, int(y))
     width = int(40.0 * math.sqrt(y)) + 40
-    lo, hi = max(0, top - width), min(shape - 1, top + width)
-    # log(term_j / term_lo) for j = lo..hi, by cumulative log(y / j) ratios
-    rel = np.empty(hi - lo + 1)
+    top = max(lo, int(y))
+    last = top + width
+    if hi is not None:
+        top, last = min(top, hi), min(last, hi)
+    first = max(lo, top - width)
+    # log(term_j / term_first) for j = first..last, by cumulative log(y / j) ratios
+    rel = np.empty(last - first + 1)
     rel[0] = 0.0
-    np.cumsum(math.log(y) - np.log(np.arange(lo + 1, hi + 1, dtype=np.float64)), out=rel[1:])
-    rel -= rel[top - lo]
+    np.cumsum(math.log(y) - np.log(np.arange(first + 1, last + 1, dtype=np.float64)),
+              out=rel[1:])
+    rel -= rel[top - first]
     return _log_poisson_pmf(top, y) + math.log(float(np.exp(rel).sum()))
 
 
@@ -130,11 +134,14 @@ def _normal_quantile(p: float) -> float:
 def _unit_gamma_quantile(shape: int, p: float) -> float:
     """Quantile of Gamma(shape, 1) for integer shape >= 1 and p in (0, 1).
 
-    Newton's method on log S(y) - log(1 - p), where S is the Erlang survival
-    function, from a Wilson-Hilferty start.  log S is concave and decreasing
-    (the Erlang density is log-concave), so from the right of the root the
-    iterates decrease monotonically to it, and a start on the left lands on
-    the right after one step.
+    Newton's method on the log of the smaller Erlang tail, from a
+    Wilson-Hilferty start: for p >= 0.5 the survival function
+    S(y) = P(Poisson(y) < shape), solved for S = 1 - p; below 0.5 the
+    distribution function F(y) = P(Poisson(y) >= shape), solved for F = p,
+    which keeps full relative precision however small p is.  Both logs are
+    concave (the Erlang density is log-concave), so the iterates approach
+    the root monotonically from the side where the tail is too small, and a
+    start on the other side crosses over in one step.
     """
     k = float(shape)
     c = 1.0 / (9.0 * k)
@@ -144,11 +151,14 @@ def _unit_gamma_quantile(shape: int, p: float) -> float:
     else:
         # deep lower tail: P(Gamma(k,1) <= y) <= y**k / k!, so this start is left of the root
         y = math.exp((math.log(p) + math.lgamma(k + 1.0)) / k)
-    log_q = math.log1p(-p)
+    if p < 0.5:  # F(y) = sum over j >= shape
+        log_target, lo, hi, sign = math.log(p), shape, None, -1.0
+    else:  # S(y) = sum over j < shape
+        log_target, lo, hi, sign = math.log1p(-p), 0, shape - 1, 1.0
     for _ in range(50):
-        log_s = _log_erlang_survival(shape, y)
-        # d log S / dy = -pmf(shape - 1; y) / S
-        step = (log_s - log_q) * math.exp(log_s - _log_poisson_pmf(shape - 1, y))
+        log_tail = _log_poisson_sum(lo, hi, y)
+        # d log F / dy = -d log S / dy = pmf(shape - 1; y) / tail
+        step = sign * (log_tail - log_target) * math.exp(log_tail - _log_poisson_pmf(shape - 1, y))
         y += step
         if abs(step) <= 1e-10 * y:
             break

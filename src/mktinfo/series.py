@@ -8,8 +8,9 @@ indicator steps apart (overlapping windows, start indices stepping by 1).
 from __future__ import annotations
 
 import csv
-import math
+import itertools
 import os
+import re
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence, Union
 
@@ -27,12 +28,12 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _timestamp_keys(labels: Sequence) -> list:
-    """Keys used to check ordering: numeric when every label parses, else text."""
+def _timestamp_keys(labels: Sequence) -> np.ndarray:
+    """Keys used to check ordering: float64 when every label parses, else text."""
     try:
-        return [float(x) for x in labels]
+        return np.fromiter(map(float, labels), np.float64, len(labels))
     except (TypeError, ValueError):
-        return [str(x) for x in labels]
+        return np.array([str(x) for x in labels], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -59,9 +60,9 @@ class PriceSeries:
             i = int(np.argmax(prices <= 0.0))
             raise ValueError(f"non-positive price at row {i + 1}")
         keys = _timestamp_keys(self.timestamps)
-        for i in range(1, len(keys)):
-            if not keys[i - 1] < keys[i]:
-                raise ValueError(f"non-monotone timestamps at row {i + 1}")
+        unordered = ~(keys[:-1] < keys[1:])
+        if unordered.any():
+            raise ValueError(f"non-monotone timestamps at row {int(np.argmax(unordered)) + 2}")
 
     def __len__(self) -> int:
         return len(self.prices)
@@ -132,31 +133,54 @@ class WordDistribution:
             raise ValueError("too many distinct words")
 
 
+# Rows are read and written this many at a time: a parse error is then
+# traced to its row by re-reading at most one block, and neither direction
+# holds the text of more than one block.
+_BLOCK_ROWS = 1 << 14
+
+# A blank or comment line holds a '#' or starts with whitespace (an empty line
+# starts with its line break), so a block whose text has neither is kept whole.
+_SPACE_AFTER_NEWLINE = re.compile(r"\n\s")
+
+
 def load_prices(source: Union[str, os.PathLike, IO[str]], mode: str = "close") -> PriceSeries:
     """Read a price series from delimited text.
 
     Expects a comma-separated header naming columns case-insensitively; a
     timestamp/date column is required, plus 'close' (mode='close') or both
-    'high' and 'low' (mode='midrange', price = (high+low)/2).  Lines starting
-    with '#' and blank lines are skipped.  Rows must keep input order with
-    strictly increasing timestamps and positive prices.
+    'high' and 'low' (mode='midrange', price = (high+low)/2).  Lines whose
+    first non-blank character is '#' and blank lines are skipped; other
+    columns are ignored.  Rows must keep input order with strictly
+    increasing timestamps and positive prices; errors name the data row,
+    counting from 1 and leaving out the header, comment and blank lines.
     """
     if mode not in PRICE_MODES:
         raise ValueError(f"unknown price mode {mode!r}")
     if hasattr(source, "read"):
         return _parse_prices(source, mode)
-    with open(source, "r", newline="") as fh:
+    with open(source, "r") as fh:
         return _parse_prices(fh, mode)
 
 
+def _is_skipped(line: str) -> bool:
+    stripped = line.lstrip()
+    return not stripped or stripped.startswith("#")
+
+
+def _data_lines(block: list) -> list:
+    """The block without its blank and comment lines."""
+    text = "".join(block)
+    if "#" not in text and _SPACE_AFTER_NEWLINE.search("\n" + text) is None:
+        return block
+    return [line for line in block if not _is_skipped(line)]
+
+
 def _parse_prices(stream: Iterable[str], mode: str) -> PriceSeries:
-    rows = csv.reader(line for line in stream
-                      if line.strip() and not line.lstrip().startswith("#"))
-    try:
-        header = next(rows)
-    except StopIteration:
-        raise ValueError("empty input") from None
-    columns = {name.strip().lower(): i for i, name in enumerate(header)}
+    lines = iter(stream)
+    header = next((line for line in lines if not _is_skipped(line)), None)
+    if header is None:
+        raise ValueError("empty input")
+    columns = {name.strip().lower(): i for i, name in enumerate(next(csv.reader([header])))}
 
     ts_col = next((columns[c] for c in _TIMESTAMP_COLUMNS if c in columns), None)
     if ts_col is None:
@@ -168,30 +192,75 @@ def _parse_prices(stream: Iterable[str], mode: str) -> PriceSeries:
     for name in needed:
         if name not in columns:
             raise ValueError(f"missing required column {name!r} for mode {mode!r}")
-    price_cols = [columns[name] for name in needed]
 
-    timestamps: list = []
-    prices: list = []
-    for i, row in enumerate(rows, start=1):
-        try:
-            fields = [float(row[c]) for c in price_cols]
-        except (IndexError, ValueError):
-            raise ValueError(f"unparseable price at row {i}") from None
-        if any(f <= 0.0 for f in fields):
-            raise ValueError(f"non-positive price at row {i}")
-        price = fields[0] if mode == "close" else 0.5 * (fields[0] + fields[1])
-        if not math.isfinite(price):
-            raise ValueError(f"non-finite price at row {i}")
-        timestamps.append(row[ts_col].strip())
-        prices.append(price)
+    # numpy's C reader; the label stays a str, prices go straight to float64
+    dtype = np.dtype([("timestamp", object)] + [(name, np.float64) for name in needed])
+    usecols = (ts_col,) + tuple(columns[name] for name in needed)
 
-    if len(prices) < 2:
+    def read(data_lines: list) -> np.ndarray:
+        return np.loadtxt(data_lines, dtype=dtype, delimiter=",", quotechar='"',
+                          comments=None, usecols=usecols, ndmin=1)
+
+    tables, prices = [], []
+    n_rows = 0
+    for block in iter(lambda: list(itertools.islice(lines, _BLOCK_ROWS)), []):
+        block = _data_lines(block)
+        if block:
+            table = _read_block(read, block, n_rows + 1)
+            prices.append(_block_prices(table, n_rows + 1))
+            tables.append(table)
+            n_rows += len(table)
+
+    if n_rows < 2:
         raise ValueError("price series needs at least 2 rows")
-    keys = _timestamp_keys(timestamps)
-    for i in range(1, len(keys)):
-        if not keys[i - 1] < keys[i]:
-            raise ValueError(f"non-monotone timestamps at row {i + 1}")
-    return PriceSeries(tuple(timestamps), np.array(prices), mode)
+    timestamps = tuple(itertools.chain.from_iterable(
+        map(str.strip, table["timestamp"]) for table in tables))
+    return PriceSeries(timestamps, np.concatenate(prices), mode)
+
+
+def _read_block(read, block: list, first_row: int) -> np.ndarray:
+    """Parse one block of data lines; on failure name its first bad row."""
+    try:
+        return read(block)
+    except ValueError as exc:
+        error = exc
+    # error path only: re-read the block line by line, checking each row in
+    # order, so that the first bad row is named whatever is wrong with it
+    for i, line in enumerate(block):
+        try:
+            row = read([line])
+        except ValueError:
+            raise ValueError(f"unparseable price at row {first_row + i}") from None
+        _block_prices(row, first_row + i)
+    raise error  # only a quoted field that spans lines gets here
+
+
+def _block_prices(table: np.ndarray, first_row: int) -> np.ndarray:
+    """The rows' prices; each price field must be positive, the price finite."""
+    fields = [table[name] for name in table.dtype.names[1:]]
+    with np.errstate(over="ignore"):  # an overflowing midpoint is reported below
+        price = fields[0] if len(fields) == 1 else 0.5 * (fields[0] + fields[1])
+    non_positive = np.logical_or.reduce([f <= 0.0 for f in fields])
+    bad = non_positive | ~np.isfinite(price)
+    if bad.any():
+        i = int(np.argmax(bad))
+        kind = "non-positive" if non_positive[i] else "non-finite"
+        raise ValueError(f"{kind} price at row {first_row + i}")
+    return price
+
+
+def write_prices(p: PriceSeries, stream: IO[str]) -> None:
+    """Write a `timestamp,close` header and one row per price to `stream`.
+
+    Prices are written by repr, the shortest text that parses back to the
+    same float64, so load_prices returns the same prices and labels (labels
+    are written as they are, unquoted).
+    """
+    stream.write("timestamp,close\n")
+    for start in range(0, len(p), _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        stream.write("".join([f"{t},{v!r}\n" for t, v in
+                              zip(p.timestamps[start:stop], p.prices[start:stop].tolist())]))
 
 
 def compute_returns(p: PriceSeries, m: int) -> ReturnSeries:

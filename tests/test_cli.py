@@ -10,8 +10,8 @@ import mktinfo.cli as cli
 from mktinfo.information import profile_from_prices, profile_to_json
 from mktinfo.scaling import estimate_hurst
 from mktinfo.series import load_prices
-from mktinfo.simulate import NumericError
-from mktinfo.theory import info_delampertized, info_fbm
+from mktinfo.simulate import NumericError, simulate_fbm, to_price_series
+from mktinfo.theory import FbmParams, info_delampertized, info_fbm
 
 
 def run(capsys, *argv):
@@ -39,6 +39,18 @@ class TestSimulate:
         prices = load_prices(dest)
         assert len(prices) == 64
         assert np.all(prices.prices > 0.0)
+
+    def test_output_spanning_write_blocks_is_bit_identical(self, capsys, tmp_path):
+        dest = tmp_path / "sim.csv"
+        n = 40_000  # several of the writer's blocks
+        code, _, _ = run(capsys, "simulate", "fbm", "--hurst", "0.7", "--sigma", "0.001",
+                         "--n", str(n), "--seed", "9", "-o", str(dest))
+        assert code == 0
+        want = to_price_series(simulate_fbm(FbmParams(0.7, 0.001), n, 1.0, 9))
+        got = load_prices(dest)
+        assert got.prices.tobytes() == want.prices.tobytes()
+        assert got.timestamps == tuple(str(i) for i in range(n))
+        assert dest.read_text().count("\n") == n + 2
 
     def test_pseudo_periodic_defaults_are_positive(self, capsys):
         # unit-variance toy returns are rescaled so compounding stays valid
@@ -77,6 +89,14 @@ class TestSimulate:
         assert code == 4
         assert err.startswith("error: covariance not factorizable")
 
+    def test_memory_error_exit_code(self, capsys, monkeypatch):
+        def oom(*a, **k):
+            raise MemoryError("Unable to allocate 298. GiB for an array")
+        monkeypatch.setattr(cli, "simulate_delampertized", oom)
+        code, out, err = run(capsys, "simulate", "delampertized", "--n", "200000")
+        assert code == 4 and out == ""
+        assert err == "error: out of memory: Unable to allocate 298. GiB for an array\n"
+
 
 @pytest.fixture()
 def price_file(tmp_path, capsys):
@@ -111,6 +131,13 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "-", "--L-max", "2")
         assert code == 0
         assert json.loads(out)["L_max"] == 2
+
+    def test_stdin_error_names_row(self, capsys, monkeypatch):
+        text = "# from a pipe\ntimestamp,close\n1,100\n\n2,oops\n3,102\n"
+        monkeypatch.setattr(cli.sys, "stdin", io.StringIO(text))
+        code, out, err = run(capsys, "analyze", "-")
+        assert code == 3 and out == ""
+        assert err == "error: unparseable price at row 2\n"
 
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "analyze", str(tmp_path / "nope.csv"))
@@ -157,6 +184,13 @@ class TestTheory:
             cli.main(["theory", "fbm", "--hurst-step", step])
         assert exc.value.code == 2
         assert "--hurst-step: must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bounds", [("0.9", "0.1"), ("1.5", "2")])
+    def test_empty_grid_is_usage_error(self, capsys, bounds):
+        code, out, err = run(capsys, "theory", "fbm", "--hurst-min", bounds[0],
+                             "--hurst-max", bounds[1])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: empty Hurst grid: --hurst-min {float(bounds[0])}")
 
     def test_fbm_grid_values(self, capsys):
         code, out, _ = run(capsys, "theory", "fbm", "--hurst-min", "0.1",

@@ -5,6 +5,7 @@ import math
 import time
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -176,10 +177,25 @@ class TestGammaQuantile:
     def test_word_order_shapes_against_scipy(self):
         # the null's shapes 2**(L-1) up to the deepest supported order
         for L in range(1, 31):
-            for p in (0.5, 0.9, 0.95, 0.99, 0.999):
+            for p in (1e-3, 0.5, 0.9, 0.95, 0.99, 0.999):
                 want = scipy.stats.gamma.ppf(p, a=2 ** (L - 1))
                 assert gamma_quantile(2 ** (L - 1), 1.0, p) == pytest.approx(
                     want, rel=1e-9), (L, p)
+
+    def test_word_order_shapes_deep_lower_tail(self):
+        # At p = 1e-6 scipy's gamma.ppf drifts from shape 2**20 on (its own
+        # distribution function at the quantile it returns is off by 1e-5 at
+        # 2**20 and by 70% at 2**27), so the reference here is mpmath's
+        # incomplete gamma.  (F(y) - p) / f(y) is the quantile's error to first
+        # order, since F is smooth and increasing.
+        p = 1e-6
+        with mpmath.workdps(40):
+            for L in range(1, 31):
+                k = 2 ** (L - 1)
+                y = mpmath.mpf(gamma_quantile(k, 1.0, p))
+                cdf = 1 - mpmath.gammainc(k, y, mpmath.inf, regularized=True)
+                pdf = mpmath.exp((k - 1) * mpmath.log(y) - y - mpmath.loggamma(k))
+                assert abs(float((cdf - p) / (pdf * y))) < 1e-9, L
 
     def test_against_bisection(self):
         for L in range(1, 13):

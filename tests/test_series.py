@@ -14,6 +14,7 @@ from mktinfo.series import (
     extract_words,
     load_prices,
     to_indicators,
+    write_prices,
 )
 
 
@@ -117,6 +118,129 @@ class TestLoadPrices:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown price mode"):
             load_prices(io.StringIO("time,close\n1,5\n2,6\n"), mode="vwap")
+
+
+# (text, mode, expected): expected is (prices, timestamps) or an error message.
+# Row numbers count data rows from 1, leaving out header, comment and blank lines.
+INGEST_CASES = {
+    "whitespace-only line": (
+        "timestamp,close\n1,5\n   \n\t\n2,6\n", "close", ([5.0, 6.0], ("1", "2"))),
+    "indented comment": (
+        "  # lead\n\ntimestamp,close\n1,5\n  # note\n2,6\n", "close", ([5.0, 6.0], ("1", "2"))),
+    "inline comment": (
+        "timestamp,close\n1,5\n2,6 # note\n", "close", "unparseable price at row 2"),
+    "short row": (
+        "timestamp,close\n1,5\n2\n3,7\n", "close", "unparseable price at row 2"),
+    "empty price": (
+        "timestamp,close\n1,5\n2,\n", "close", "unparseable price at row 2"),
+    "extra columns": (
+        "timestamp,close\n1,5,9,x\n2,6,\n", "close", ([5.0, 6.0], ("1", "2"))),
+    "fewer columns than the header": (
+        "timestamp,close,volume\n1,5\n2,6\n", "close", ([5.0, 6.0], ("1", "2"))),
+    "close before timestamp": (
+        "Close,Date\n5,1\n6,2\n", "close", ([5.0, 6.0], ("1", "2"))),
+    "quoted fields": (
+        'timestamp,close\n"1","5"\n"2, noon", 6.5 \n"3 ""x""",7\n', "close",
+        ([5.0, 6.5, 7.0], ("1", "2, noon", '3 "x"'))),
+    "padded fields": (
+        "timestamp,close\n 1 , 5 \n2,\t6\n", "close", ([5.0, 6.0], ("1", "2"))),
+    "CRLF line endings": (
+        "timestamp,close\r\n1,5\r\n\r\n2,6\r\n", "close", ([5.0, 6.0], ("1", "2"))),
+    "no final newline": (
+        "timestamp,close\n1,5\n2,6", "close", ([5.0, 6.0], ("1", "2"))),
+    "numeric timestamps order as numbers": (
+        "timestamp,close\n9,5\n10,6\n", "close", ([5.0, 6.0], ("9", "10"))),
+    "text timestamps, non-monotone row": (
+        "date,close\n2024-01-01,5\n# gap\n2024-01-03,6\n2024-01-02,7\n", "close",
+        "non-monotone timestamps at row 3"),
+    "repeated timestamp": (
+        "time,close\n1,5\n1,6\n", "close", "non-monotone timestamps at row 2"),
+    "midrange, one non-positive leg": (
+        "time,high,low\n1,12,8\n2,14,-1\n3,15,9\n", "midrange", "non-positive price at row 2"),
+    "midrange, one unparseable leg": (
+        "time,high,low\n1,12,8\n2,x,9\n", "midrange", "unparseable price at row 2"),
+    "midrange, overflowing midpoint": (
+        "time,high,low\n1,1e308,1e308\n2,14,9\n", "midrange", "non-finite price at row 1"),
+    "rows counted past comments and blanks": (
+        "time,close\n# c\n1,5\n\n# d\n2,6\n3,oops\n", "close", "unparseable price at row 3"),
+    "first bad row wins: non-positive before unparseable": (
+        "time,close\n1,5\n2,-1\n3,oops\n", "close", "non-positive price at row 2"),
+    "first bad row wins: unparseable before non-finite": (
+        "time,close\n1,5\n2,oops\n3,nan\n", "close", "unparseable price at row 2"),
+    "negative infinity": (
+        "time,close\n1,5\n2,-inf\n", "close", "non-positive price at row 2"),
+    "one data row": (
+        "time,close\n# c\n1,5\n\n", "close", "at least 2 rows"),
+}
+
+
+class TestIngestEdgeCases:
+    @pytest.mark.parametrize("name", list(INGEST_CASES))
+    def test_case(self, name):
+        text, mode, expected = INGEST_CASES[name]
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=expected):
+                load_prices(io.StringIO(text), mode)
+        else:
+            p = load_prices(io.StringIO(text), mode)
+            np.testing.assert_array_equal(p.prices, expected[0])
+            assert p.timestamps == expected[1]
+
+    @pytest.mark.parametrize("eol", [b"\r\n", b"\r"])
+    def test_crlf_and_cr_files(self, tmp_path, eol):
+        f = tmp_path / "p.csv"
+        f.write_bytes(eol.join([b"timestamp,close", b"1,5", b"", b"2,6", b""]))
+        p = load_prices(f)
+        np.testing.assert_array_equal(p.prices, [5.0, 6.0])
+        assert p.timestamps == ("1", "2")
+
+    def test_python_only_float_spelling_is_unparseable(self):
+        # numpy's reader takes the spellings repr writes, not Python's
+        # digit-group underscores
+        with pytest.raises(ValueError, match="unparseable price at row 2"):
+            load_prices(io.StringIO("time,close\n1,5\n2,1_000\n"))
+
+    def test_rows_numbered_across_blocks(self):
+        # bad rows deep in the file, past comment lines, and a good row set
+        # long enough to span several read blocks
+        n = 40_000
+        rows = [f"{i},{100 + i % 7}" for i in range(n)]
+        rows.insert(5, "# comment")
+        good = "timestamp,close\n" + "\n".join(rows) + "\n"
+        p = load_prices(io.StringIO(good))
+        assert len(p) == n and p.timestamps[-1] == str(n - 1)
+        np.testing.assert_array_equal(p.prices, [100 + i % 7 for i in range(n)])
+        for row, value, message in ((33_000, "oops", "unparseable"),
+                                    (20_000, "0", "non-positive"),
+                                    (16_385, "nan", "non-finite")):
+            bad = list(rows)
+            bad[row] = f"{row - 1},{value}"  # after the comment, list index = row
+            text = "timestamp,close\n" + "\n".join(bad) + "\n"
+            with pytest.raises(ValueError, match=f"^{message} price at row {row}$"):
+                load_prices(io.StringIO(text))
+        # an earlier bad value wins over a later unparseable row
+        bad = list(rows)
+        bad[2] = "2,-5"  # before the comment, list index = row - 1
+        bad[30_000] = "x,y"
+        with pytest.raises(ValueError, match="^non-positive price at row 3$"):
+            load_prices(io.StringIO("timestamp,close\n" + "\n".join(bad)))
+
+
+class TestWritePrices:
+    def test_round_trip_across_blocks(self):
+        rng = np.random.default_rng(4)
+        n = 50_000
+        prices = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, n)))
+        prices[7] = 5e-324  # a subnormal must survive too
+        series = PriceSeries(tuple(range(n)), prices)
+        buf = io.StringIO()
+        write_prices(series, buf)
+        text = buf.getvalue()
+        assert text.startswith("timestamp,close\n0,")
+        assert text.count("\n") == n + 1
+        back = load_prices(io.StringIO(text))
+        assert back.prices.tobytes() == prices.tobytes()
+        assert back.timestamps == tuple(str(i) for i in range(n))
 
 
 class TestReturnsAndIndicators:
