@@ -1,16 +1,18 @@
-"""Timing comparison of the compiled kernels against the pure-Python fallback,
-and timing of the significance bound, CSV ingest and CSV writing.
+"""Timing of the hot kernels, the significance bound, CSV ingest and CSV writing.
 
 Run from the repository root:
 
     python3 benchmarks/bench_kernels.py [--quick]
 
-Times the two backends on word counting across series lengths, word lengths,
-and strides, and on the sequential lag recursion, reporting best-of-5 wall
-time and the speedup of the compiled extension.  It also times one
-`significance_bound` call at lag counts L = 7, 12, 16 and 20 (Gamma shape
-2**(L-1)), and `write_prices` (the `simulate` CSV writer) and `load_prices`
-on a file of n = 1e5 and 1e6 prices (1e5 only with --quick).
+Reports best-of-5 wall time of word counting (`series._word_count_array`,
+the counter behind `extract_words`, `empirical_entropy` and
+`market_information`) across series lengths, word lengths and strides, and
+of the sequential lag recursion of the pseudo-periodic simulator
+(`simulate._lagged_recursion`), at n = 3e3, 1e5 and 1e6 (1e6 skipped with
+--quick).  It also times one `significance_bound` call at lag counts L = 7,
+12, 16 and 20 (Gamma shape 2**(L-1)), and `write_prices` (the `simulate` CSV
+writer) and `load_prices` on a file of n = 1e5 and 1e6 prices (1e5 only
+with --quick).
 """
 
 import argparse
@@ -20,14 +22,10 @@ import time
 
 import numpy as np
 
-import mktinfo._kernels_py as kpy
 from mktinfo.information import significance_bound
-from mktinfo.series import PriceSeries, load_prices, write_prices
-
-try:
-    import mktinfo._kernels as kc
-except ImportError:
-    kc = None
+from mktinfo.series import IndicatorSeries, PriceSeries, load_prices, write_prices, \
+    _word_count_array
+from mktinfo.simulate import _lagged_recursion
 
 
 def best_of(fn, repeats=5):
@@ -50,41 +48,24 @@ def fmt(seconds):
 def bench_word_counts(quick):
     rng = np.random.default_rng(0)
     sizes = (3_000, 100_000) if quick else (3_000, 100_000, 1_000_000)
-    cases = [(L, m) for L in (1, 7, 10) for m in (1, 3)]
-    print(f"{'word_counts':<28}{'python':>12}{'compiled':>12}{'speedup':>9}")
+    print(f"{'word counts':<28}{'time':>12}")
     for n in sizes:
         bits = rng.integers(0, 2, size=n, dtype=np.uint8)
-        for L, m in cases:
-            n_win = n - (L - 1) * m
-            if n_win < 1:
-                continue
-            t_py = best_of(lambda: kpy.word_counts(bits, L, m, n_win))
-            label = f"n={n:<9} L={L:<3} m={m}"
-            if kc is None:
-                print(f"{label:<28}{fmt(t_py):>12}{'-':>12}{'-':>9}")
-                continue
-            t_c = best_of(lambda: kc.word_counts(bits, L, m, n_win))
-            np.testing.assert_array_equal(kpy.word_counts(bits, L, m, n_win),
-                                          kc.word_counts(bits, L, m, n_win))
-            print(f"{label:<28}{fmt(t_py):>12}{fmt(t_c):>12}{t_py / t_c:>8.1f}x")
+        for L in (1, 7, 10, 20):
+            for m in (1, 3):
+                j = IndicatorSeries(m, bits)
+                t = best_of(lambda: _word_count_array(j, L))
+                print(f"{f'n={n:<9} L={L:<3} m={m}':<28}{fmt(t):>12}")
 
 
 def bench_recursion(quick):
     rng = np.random.default_rng(1)
     sizes = (3_000, 100_000) if quick else (3_000, 100_000, 1_000_000)
-    print(f"\n{'ar_lagged_recursion':<28}{'python':>12}{'compiled':>12}{'speedup':>9}")
+    print(f"\n{'lagged recursion':<28}{'time':>12}")
     for n in sizes:
         shocks = rng.standard_normal(n)
-        t_py = best_of(lambda: kpy.ar_lagged_recursion(shocks, -0.9, 5, 0.436))
-        label = f"n={n:<9} lag=5"
-        if kc is None:
-            print(f"{label:<28}{fmt(t_py):>12}{'-':>12}{'-':>9}")
-            continue
-        t_c = best_of(lambda: kc.ar_lagged_recursion(shocks, -0.9, 5, 0.436))
-        np.testing.assert_array_equal(
-            kpy.ar_lagged_recursion(shocks, -0.9, 5, 0.436),
-            kc.ar_lagged_recursion(shocks, -0.9, 5, 0.436))
-        print(f"{label:<28}{fmt(t_py):>12}{fmt(t_c):>12}{t_py / t_c:>8.1f}x")
+        t = best_of(lambda: _lagged_recursion(shocks, -0.9, 5, 0.436))
+        print(f"{f'n={n:<9} lag=5':<28}{fmt(t):>12}")
 
 
 def bench_bound():
@@ -119,8 +100,6 @@ def main():
     parser.add_argument("--quick", action="store_true",
                         help="skip the million-point cases")
     args = parser.parse_args()
-    if kc is None:
-        print("compiled extension not available; timing the fallback only\n")
     bench_word_counts(args.quick)
     bench_recursion(args.quick)
     bench_bound()

@@ -7,7 +7,6 @@ delampertized counterpart, exact simulators for both, and structure-function
 Hurst estimation.
 """
 
-from .backend import backend_name
 from .information import (
     EntropyProfile,
     InformationProfile,

@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -102,8 +103,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_theory(args: argparse.Namespace) -> int:
-    n_steps = int(round((args.hurst_max - args.hurst_min) / args.hurst_step))
-    grid = args.hurst_min + args.hurst_step * np.arange(n_steps + 1)
+    h_min, step = args.hurst_min, args.hurst_step
+    # point i is h_min + step*i for i = 0..round((hurst_max - h_min)/step);
+    # only the indices whose points can lie strictly inside (0, 1), with one
+    # step of margin each side for rounding, are built, so a wide range is cheap
+    first = max(0, math.floor(-h_min / step) - 1)
+    last = math.ceil((1.0 - h_min) / step) + 1
+    n_steps = (args.hurst_max - h_min) / step
+    if not n_steps >= last:
+        last = round(n_steps)
+    grid = h_min + step * np.arange(first, last + 1)
     grid = grid[(grid > 0.0) & (grid < 1.0)]
     if grid.size == 0:
         print(f"error: empty Hurst grid: --hurst-min {args.hurst_min} to --hurst-max"

@@ -17,15 +17,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .series import IndicatorSeries, PriceSeries, WordDistribution, compute_returns, \
-    to_indicators, _word_count_array
+from .series import MAX_L, IndicatorSeries, PriceSeries, WordDistribution, compute_returns, \
+    to_indicators, _word_count_array, _word_counts
 
 LN2 = math.log(2.0)
-
-# Deepest supported lag count: word codes of order MAX_L + 1 fit in int64 with
-# room to spare, and the bound's Gamma shape 2**(MAX_L - 1) still takes only
-# tens of milliseconds.
-MAX_L = 30
 
 
 def _entropy_bits(counts: np.ndarray, total: int) -> float:
@@ -45,23 +40,8 @@ def shannon_entropy(dist: WordDistribution) -> float:
 
 def empirical_entropy(j: IndicatorSeries, word_length: int) -> float:
     """Plug-in entropy of length-L words over the maximal window range."""
-    counts, n_windows = _word_count_array(j, word_length)
+    _, counts, _, n_windows = _word_count_array(j, word_length)
     return _entropy_bits(counts, n_windows)
-
-
-def _word_counts(codes: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Counts of the order-`order` word codes and of their prefixes (code >> 1).
-
-    Both are in code order.  When there are fewer windows than possible words
-    only the codes that occur are counted (zero cells carry no entropy), so
-    memory stays O(len(codes)) at any order.
-    """
-    if (1 << order) <= len(codes):
-        counts = np.bincount(codes, minlength=1 << order)
-        return counts, counts.reshape(-1, 2).sum(axis=1)
-    words, counts = np.unique(codes, return_counts=True)
-    starts = np.flatnonzero(np.diff(words >> 1, prepend=-1))
-    return counts, np.add.reduceat(counts, starts)
 
 
 def _pair_entropies(j: IndicatorSeries, lags: int) -> tuple[float, float, int]:
@@ -70,8 +50,7 @@ def _pair_entropies(j: IndicatorSeries, lags: int) -> tuple[float, float, int]:
     Both distributions use the start-index range of the longer word, so the
     prefix counts are exact marginals of the full counts (code >> 1).
     """
-    full, n_windows = _word_count_array(j, lags + 1)
-    prefix = full.reshape(-1, 2).sum(axis=1)
+    _, full, prefix, n_windows = _word_count_array(j, lags + 1)
     return _entropy_bits(prefix, n_windows), _entropy_bits(full, n_windows), n_windows
 
 
@@ -319,7 +298,7 @@ def information_profile(
                 codes = codes[:n_windows]
                 codes <<= 1
                 codes |= bits[row * m : row * m + n_windows]
-            counts, prefix = _word_counts(codes, order)
+            _, counts, prefix = _word_counts(codes, order)
             H[row, col] = _entropy_bits(counts, n_windows)
             n_obs[row, col] = n_windows
             if order == 1:

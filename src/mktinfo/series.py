@@ -16,11 +16,14 @@ from typing import IO, Iterable, Sequence, Union
 
 import numpy as np
 
-from . import backend
-
 PRICE_MODES = ("close", "midrange")
 
 _TIMESTAMP_COLUMNS = ("timestamp", "date", "time", "datetime")
+
+# Deepest supported lag count, so the longest word has MAX_L + 1 letters: its
+# code fits in int64 with room to spare, and the significance bound's Gamma
+# shape 2**(MAX_L - 1) still takes only tens of milliseconds.
+MAX_L = 30
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -287,19 +290,37 @@ def extract_words(j: IndicatorSeries, word_length: int, n_windows: int | None = 
     start indices (used to align word distributions of different lengths on a
     common index range).
     """
-    if word_length < 1:
-        raise ValueError("word length must be a positive integer")
-    counts, n_windows = _word_count_array(j, word_length, n_windows)
+    words, counts, _, n_windows = _word_count_array(j, word_length, n_windows)
     mapping = {
-        format(code, f"0{word_length}b"): int(c)
-        for code, c in enumerate(counts)
-        if c > 0
+        format(code, f"0{word_length}b"): c
+        for code, c in zip(words.tolist(), counts.tolist())
     }
-    return WordDistribution(word_length, j.m, mapping, int(n_windows))
+    return WordDistribution(word_length, j.m, mapping, n_windows)
+
+
+def _word_counts(codes: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The order-`order` word codes that occur, their counts, and the counts of their prefixes.
+
+    All three are in code order; a word's prefix is its code >> 1.  Words are
+    counted with a dense bincount while there are no more possible words than
+    windows, else with np.unique, so memory stays O(len(codes)) at any order.
+    """
+    if (1 << order) <= len(codes):
+        dense = np.bincount(codes, minlength=1 << order)
+        words = np.flatnonzero(dense)
+        prefix = dense[0::2] + dense[1::2]
+        return words, dense[words], prefix[prefix > 0]
+    words, counts = np.unique(codes, return_counts=True)
+    starts = np.flatnonzero(np.diff(words >> 1, prepend=-1))
+    return words, counts, np.add.reduceat(counts, starts)
 
 
 def _word_count_array(j: IndicatorSeries, word_length: int, n_windows: int | None = None):
-    """Integer word-code counts (length 2**L) over the first n_windows starts."""
+    """_word_counts of the length-L words over the first n_windows starts, and n_windows."""
+    if word_length < 1:
+        raise ValueError("word length must be a positive integer")
+    if word_length > MAX_L + 1:
+        raise ValueError(f"word length {word_length} exceeds the limit of {MAX_L + 1}")
     max_windows = len(j.bits) - (word_length - 1) * j.m
     if max_windows < 1:
         raise ValueError(f"series too short for (L={word_length}, m={j.m})")
@@ -307,4 +328,10 @@ def _word_count_array(j: IndicatorSeries, word_length: int, n_windows: int | Non
         n_windows = max_windows
     if not 1 <= n_windows <= max_windows:
         raise ValueError(f"series too short for (L={word_length}, m={j.m})")
-    return backend.word_counts(j.bits, word_length, j.m, int(n_windows)), int(n_windows)
+    n_windows = int(n_windows)
+    # window i reads bits[i], bits[i+m], ...; the earliest is the leading bit
+    codes = j.bits[:n_windows].astype(np.int64)
+    for k in range(1, word_length):
+        codes <<= 1
+        codes |= j.bits[k * j.m : k * j.m + n_windows]
+    return (*_word_counts(codes, word_length), n_windows)

@@ -17,7 +17,6 @@ from typing import Union
 
 import numpy as np
 
-from . import backend
 from .series import PriceSeries
 from .theory import DelampertizedParams, FbmParams, h_lamperti
 
@@ -173,8 +172,29 @@ def simulate_pseudo_periodic(beta: float, tau: int, n: int, seed: int = 0) -> Si
     rng = np.random.default_rng(seed)
     shocks = rng.standard_normal(n)
     scale = float(np.sqrt(1.0 - params.beta ** 2))
-    values = backend.ar_lagged_recursion(shocks, params.beta, params.tau, scale)
+    values = _lagged_recursion(shocks, params.beta, params.tau, scale)
     return SimulatedPath("pseudo_periodic", params, 1.0, seed, values)
+
+
+_RECURSION_BLOCK = 4096
+
+
+def _lagged_recursion(shocks: np.ndarray, feedback: float, lag: int,
+                      innovation_scale: float) -> np.ndarray:
+    """out[i] = shocks[i] for i < lag, else feedback*out[i-lag] + innovation_scale*shocks[i]."""
+    # sequential by construction; Python floats are the same IEEE doubles as
+    # numpy's but far cheaper to index one at a time, so each block of
+    # _RECURSION_BLOCK outputs is computed in a list (with the `lag` outputs
+    # before it in front) and written back, keeping the extra memory O(block)
+    out = np.array(shocks, dtype=np.float64)
+    feedback, innovation_scale = float(feedback), float(innovation_scale)
+    for start in range(lag, len(out), _RECURSION_BLOCK):
+        stop = min(start + _RECURSION_BLOCK, len(out))
+        buf = out[start - lag : stop].tolist()
+        for i in range(lag, len(buf)):
+            buf[i] = feedback * buf[i - lag] + innovation_scale * buf[i]
+        out[start:stop] = buf[lag:]
+    return out
 
 
 def to_price_series(path: SimulatedPath, p0: float = 100.0) -> PriceSeries:

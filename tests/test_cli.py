@@ -214,6 +214,14 @@ class TestTheory:
         assert docs[1]["fixed_params"]["theta"] == 15.0
         assert docs[1]["I2"][1] == pytest.approx(info_delampertized(0.5, 1.0, 15.0))
 
+    def test_wide_range_builds_only_points_inside(self, capsys):
+        # the range holds 2e13 steps but only 19 points inside (0, 1)
+        _, default, _ = run(capsys, "theory", "fbm")
+        code, out, err = run(capsys, "theory", "fbm", "--hurst-max", "1e12")
+        assert code == 0 and err == ""
+        assert out == default
+        assert len(out.strip().split("\n")) == 2 + 19
+
     def test_default_grid_avoids_endpoints(self, capsys):
         code, out, _ = run(capsys, "theory", "fbm")
         assert code == 0

@@ -11,6 +11,7 @@ import pytest
 import scipy.stats
 
 from mktinfo.information import (
+    MAX_L,
     EntropyProfile,
     empirical_entropy,
     entropy_rate_slope,
@@ -97,6 +98,20 @@ class TestEntropy:
         for L in range(1, 6):
             assert 0.0 <= empirical_entropy(j, L) <= L + 1e-12
 
+    def test_deep_word_length_counts_only_occurring_words(self):
+        # 2**31 possible words over 170 windows: a dense count would need 16 GB
+        bits = np.random.default_rng(8).integers(0, 2, size=200)
+        L = MAX_L + 1
+        windows = Counter(tuple(bits[i:i + L]) for i in range(200 - L + 1))
+        want = -sum(c / 170 * math.log2(c / 170) for c in windows.values())
+        assert empirical_entropy(bits_series(bits), L) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("L", [MAX_L + 2, 40])
+    def test_word_length_beyond_the_limit_rejected(self, L):
+        j = bits_series(np.zeros(200, dtype=np.uint8))
+        with pytest.raises(ValueError, match=f"exceeds the limit of {MAX_L + 1}"):
+            empirical_entropy(j, L)
+
 
 class TestMarketInformation:
     def test_deterministic_alternation(self):
@@ -123,6 +138,17 @@ class TestMarketInformation:
         j = bits_series([0, 1, 0, 1])
         with pytest.raises(ValueError, match="positive integer"):
             market_information(j, 0)
+
+    def test_deepest_lag_count(self):
+        bits = np.random.default_rng(9).integers(0, 2, size=200)
+        assert market_information(bits_series(bits), MAX_L) == pytest.approx(
+            reference_information(bits, MAX_L), abs=1e-13)
+
+    @pytest.mark.parametrize("lags", [MAX_L + 1, 39])
+    def test_lags_beyond_the_limit_rejected(self, lags):
+        j = bits_series(np.zeros(200, dtype=np.uint8))
+        with pytest.raises(ValueError, match=f"exceeds the limit of {MAX_L + 1}"):
+            market_information(j, lags)
 
     def test_against_markov_law(self):
         # persistent order-1 chain; the plug-in estimate must approach the

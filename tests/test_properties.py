@@ -16,7 +16,7 @@ from mktinfo.information import (
     market_information,
     profile_from_prices,
 )
-from mktinfo.series import IndicatorSeries, PriceSeries, _word_count_array
+from mktinfo.series import IndicatorSeries, PriceSeries
 from mktinfo.simulate import SimulatedPath, to_price_series
 from mktinfo.simulate import PseudoPeriodicParams
 from mktinfo.theory import info_from_rho, orthant_probability
@@ -101,6 +101,15 @@ def test_gamma_quantile_inverts_cdf(shape, scale, p):
         p, abs=1e-9)
 
 
+def dense_word_counts(bits, L, m):
+    """Counts of every length-L code (zeros included) by shift-or and bincount."""
+    n_windows = len(bits) - (L - 1) * m
+    codes = np.zeros(n_windows, dtype=np.int64)
+    for k in range(L):
+        codes = (codes << 1) | bits[k * m : k * m + n_windows]
+    return np.bincount(codes, minlength=1 << L), n_windows
+
+
 @given(bit_lists, st.integers(1, 12), st.integers(1, 4))
 def test_profile_matches_per_order_recount(bits, L_max, m):
     # deep orders on short series take the sparse (occurring words only) path
@@ -111,7 +120,7 @@ def test_profile_matches_per_order_recount(bits, L_max, m):
         if len(bits) - row * m < 1:
             assert ep.n_obs[row, 0] == 0 and np.isnan(ep.H[row, 0])
             continue
-        counts, n_windows = _word_count_array(j, order)
+        counts, n_windows = dense_word_counts(j.bits, order, m)
         assert ep.n_obs[row, 0] == n_windows
         assert ep.H[row, 0] == _entropy_bits(counts, n_windows)
         if order > 1:
@@ -139,20 +148,3 @@ def test_pseudo_periodic_prices_compound(returns):
     np.testing.assert_allclose(prices.prices[1:] / prices.prices[:-1] - 1.0,
                                returns, atol=1e-9)
 
-
-try:
-    import mktinfo._kernels as _kc
-    import mktinfo._kernels_py as _kp
-except ImportError:
-    _kc = None
-
-
-@pytest.mark.skipif(_kc is None, reason="compiled extension not built")
-@given(bit_lists, st.integers(1, 8), st.integers(1, 3))
-def test_kernels_agree(bits, L, m):
-    n_win = len(bits) - (L - 1) * m
-    if n_win < 1:
-        return
-    arr = np.asarray(bits, dtype=np.uint8)
-    np.testing.assert_array_equal(_kp.word_counts(arr, L, m, n_win),
-                                  _kc.word_counts(arr, L, m, n_win))

@@ -1,11 +1,13 @@
 """Price ingestion, returns, indicators, and word extraction."""
 
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from mktinfo.series import (
+    MAX_L,
     IndicatorSeries,
     PriceSeries,
     ReturnSeries,
@@ -15,6 +17,7 @@ from mktinfo.series import (
     load_prices,
     to_indicators,
     write_prices,
+    _word_count_array,
 )
 
 
@@ -312,6 +315,77 @@ class TestExtractWords:
         j = IndicatorSeries(1, np.array([1, 0], dtype=np.uint8))
         with pytest.raises(ValueError, match="word length"):
             extract_words(j, 0)
+
+    def test_deep_words_count_only_those_that_occur(self):
+        bits = np.random.default_rng(11).integers(0, 2, size=200, dtype=np.uint8)
+        L = MAX_L + 1  # 2**31 possible words, 170 windows
+        d = extract_words(IndicatorSeries(1, bits), L)
+        assert d.counts == reference_words(bits, L, 1, 200 - L + 1)
+        assert d.total == 200 - L + 1
+
+    @pytest.mark.parametrize("L", [MAX_L + 2, 70])
+    def test_words_beyond_the_limit_rejected(self, L):
+        j = IndicatorSeries(1, np.zeros(200, dtype=np.uint8))
+        with pytest.raises(ValueError, match=f"word length {L} exceeds the limit of {MAX_L + 1}"):
+            extract_words(j, L)
+
+
+def reference_words(bits, L, m, n_windows):
+    """Word counts by reading each window's letters one by one."""
+    return dict(Counter("".join(str(bits[i + k * m]) for k in range(L))
+                        for i in range(n_windows)))
+
+
+class TestWordCountArray:
+    """The word counter behind extract_words and the entropy estimators."""
+
+    def test_hand_case(self):
+        # windows at stride 1: 10, 01, 11 -> codes 2, 1, 3
+        j = IndicatorSeries(1, np.array([1, 0, 1, 1], dtype=np.uint8))
+        words, counts, prefix, n_windows = _word_count_array(j, 2)
+        np.testing.assert_array_equal(words, [1, 2, 3])
+        np.testing.assert_array_equal(counts, [1, 1, 1])
+        np.testing.assert_array_equal(prefix, [1, 2])  # prefixes 0 and 1
+        assert n_windows == 3
+
+    def test_stride_skips(self):
+        # windows at stride 2: (b0, b2) = 11, (b1, b3) = 01
+        j = IndicatorSeries(2, np.array([1, 0, 1, 1], dtype=np.uint8))
+        words, counts, prefix, n_windows = _word_count_array(j, 2)
+        np.testing.assert_array_equal(words, [1, 3])
+        np.testing.assert_array_equal(counts, [1, 1])
+        np.testing.assert_array_equal(prefix, [1, 1])
+        assert n_windows == 2
+
+    def test_window_restriction(self):
+        j = IndicatorSeries(1, np.array([1, 1, 0, 0, 1], dtype=np.uint8))
+        words, counts, _, n_windows = _word_count_array(j, 1, 3)
+        np.testing.assert_array_equal(words, [0, 1])
+        np.testing.assert_array_equal(counts, [1, 2])
+        assert n_windows == 3
+
+    def test_against_reference(self):
+        # dense (2**L <= windows) and sparse (more words than windows) sides
+        rng = np.random.default_rng(0)
+        for n in (13, 100, 4096):
+            bits = rng.integers(0, 2, size=n, dtype=np.uint8)
+            for L in (1, 2, 3, 7, 10, 14):
+                for m in (1, 2, 3):
+                    n_win = n - (L - 1) * m
+                    if n_win < 1:
+                        continue
+                    for restrict in (None, (n_win + 1) // 2):
+                        words, counts, prefix, got_win = _word_count_array(
+                            IndicatorSeries(m, bits), L, restrict)
+                        want_win = n_win if restrict is None else restrict
+                        want = reference_words(bits, L, m, want_win)
+                        assert got_win == want_win == counts.sum()
+                        assert dict(zip((format(w, f"0{L}b") for w in words.tolist()),
+                                        counts.tolist())) == want
+                        prefixes = Counter()
+                        for word, c in want.items():
+                            prefixes[word[:-1]] += c
+                        assert prefix.tolist() == [prefixes[k] for k in sorted(prefixes)]
 
 
 class TestWordDistribution:

@@ -194,6 +194,12 @@ class TestSimulatePseudoPeriodic:
             want[i] = beta * want[i - tau] + scale * shocks[i]
         np.testing.assert_array_equal(path.values, want)
 
+    def test_prefix_passthrough(self):
+        shocks = np.arange(6, dtype=np.float64)
+        out = sim._lagged_recursion(shocks, 0.5, 3, 2.0)
+        np.testing.assert_array_equal(out[:3], shocks[:3])
+        np.testing.assert_array_equal(out[3:], 0.5 * out[:3] + 2.0 * shocks[3:])
+
     def test_unit_marginal_variance(self):
         vals = np.concatenate([simulate_pseudo_periodic(0.8, 3, 200, seed=s).values
                                for s in range(60)])
