@@ -54,14 +54,22 @@ def _load(path: str, mode: str):
     return load_prices(path, mode)
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
-    return value
+def _float_type(requirement: str, holds):
+    """An argparse type: a float for which `holds` is true, else the error
+    '<requirement>, got <text>'."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
+        return value
+    return parse
+
+
+_finite_float = _float_type("must be finite", math.isfinite)
+_positive_float = _float_type("must be positive", lambda value: value > 0.0)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -104,14 +112,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_theory(args: argparse.Namespace) -> int:
     h_min, step = args.hurst_min, args.hurst_step
+    to_zero, to_one = -h_min / step, (1.0 - h_min) / step
+    if not max(abs(to_zero), abs(to_one)) <= 2.0 ** 53:
+        print(f"error: Hurst grid out of range: --hurst-min {h_min} lies more than"
+              f" 2**53 steps of {step} from 0 or from 1", file=sys.stderr)
+        return EXIT_USAGE
     # point i is h_min + step*i for i = 0..round((hurst_max - h_min)/step);
     # only the indices whose points can lie strictly inside (0, 1), with one
     # step of margin each side for rounding, are built, so a wide range is cheap
-    first = max(0, math.floor(-h_min / step) - 1)
-    last = math.ceil((1.0 - h_min) / step) + 1
+    first = max(0, math.floor(to_zero) - 1)
+    last = math.ceil(to_one) + 1
     n_steps = (args.hurst_max - h_min) / step
     if not n_steps >= last:
-        last = round(n_steps)
+        # below first - 1 the range is empty either way; this also keeps -inf out
+        last = round(max(n_steps, first - 1))
     grid = h_min + step * np.arange(first, last + 1)
     grid = grid[(grid > 0.0) & (grid < 1.0)]
     if grid.size == 0:
@@ -179,10 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("theory", help="closed-form information curves")
     pt.add_argument("model", choices=("fbm", "delampertized"))
-    pt.add_argument("--theta", type=float, nargs="+", default=[1.0])
-    pt.add_argument("--m", type=float, default=1.0)
-    pt.add_argument("--hurst-min", dest="hurst_min", type=float, default=0.05)
-    pt.add_argument("--hurst-max", dest="hurst_max", type=float, default=0.95)
+    pt.add_argument("--theta", type=_finite_float, nargs="+", default=[1.0])
+    pt.add_argument("--m", type=_finite_float, default=1.0)
+    pt.add_argument("--hurst-min", dest="hurst_min", type=_finite_float, default=0.05)
+    pt.add_argument("--hurst-max", dest="hurst_max", type=_finite_float, default=0.95)
     pt.add_argument("--hurst-step", dest="hurst_step", type=_positive_float, default=0.05)
     pt.add_argument("--format", choices=("json", "csv"), default="csv")
     pt.add_argument("--output", "-o", default=None)

@@ -1,16 +1,18 @@
 """Exact Gaussian simulators and a pseudo-periodic toy model, plus the map
 from simulated paths to price series.
 
-fBm is sampled by circulant embedding of the increment covariance (FFT,
-exact in distribution), with a dense Cholesky fallback when the embedding is
-not nonnegative definite.  The stationary delampertized process is sampled
-by dense factorization of its autocovariance matrix.  All randomness comes
-from numpy's default PCG64 generator seeded explicitly, so identical inputs
-give bit-identical paths.
+Both Gaussian models are sampled by circulant embedding (Wood & Chan 1994)
+of a stationary autocovariance: fBm through its increments, the
+delampertized process directly.  Lags 0..M embed in a circulant of length
+2M whose eigenvalues one real FFT gives; M starts at n and doubles until
+they are nonnegative, which makes the sample exact in distribution.  All
+randomness comes from numpy's default PCG64 generator seeded explicitly, so
+identical inputs give bit-identical paths.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
@@ -18,11 +20,11 @@ from typing import Union
 import numpy as np
 
 from .series import PriceSeries
-from .theory import DelampertizedParams, FbmParams, h_lamperti
+from .theory import DelampertizedParams, FbmParams, delampertized_autocovariance
 
 
 class NumericError(RuntimeError):
-    """A covariance factorization failed beyond repair."""
+    """A covariance has no usable circulant embedding."""
 
 
 @dataclass(frozen=True)
@@ -60,103 +62,75 @@ class SimulatedPath:
         object.__setattr__(self, "values", values)
 
 
-def _fgn_autocovariance(hurst: float, sigma: float, dt: float, n_lags: int) -> np.ndarray:
-    """Autocovariance of fBm increments at lags 0..n_lags."""
+def _autocovariance(params: FbmParams | DelampertizedParams, dt: float,
+                    n_lags: int) -> np.ndarray:
+    """Autocovariance at lags 0..n_lags of the stationary sequence a simulator
+    draws: fBm increments, or the delampertized process itself."""
     k = np.arange(n_lags + 1, dtype=np.float64)
-    h2 = 2.0 * hurst
-    scale = 0.5 * sigma ** 2 * dt ** h2
+    if isinstance(params, DelampertizedParams):
+        return delampertized_autocovariance(dt * k, params)
+    h2 = 2.0 * params.hurst
+    scale = 0.5 * params.sigma ** 2 * dt ** h2
     return scale * (np.abs(k + 1) ** h2 - 2.0 * k ** h2 + np.abs(k - 1) ** h2)
 
 
+# the embedding may grow to max(4n, _MIN_EMBEDDING_CAP) lags; the padding a
+# covariance needs grows with its correlation length, not with n
+_MIN_EMBEDDING_CAP = 2 ** 22
+
+
 @lru_cache(maxsize=8)
-def _fgn_spectrum(hurst: float, sigma: float, dt: float, n: int):
-    """Square roots of circulant-embedding eigenvalues, or None if not PSD."""
-    gamma = _fgn_autocovariance(hurst, sigma, dt, n)
-    circ = np.concatenate([gamma, gamma[-2:0:-1]])  # length 2n
-    lam = np.fft.fft(circ).real
-    if lam.min() < -1e-8 * lam.max():
-        return None
+def _circulant_root(params: FbmParams | DelampertizedParams, dt: float,
+                    n: int) -> np.ndarray:
+    """Square roots of the eigenvalues (rfft bins 0..M) of the smallest
+    nonnegative-definite circulant embedding, of length 2M with M = n * 2**k,
+    of the autocovariance at lags 0..M."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
+    cap = max(4 * n, _MIN_EMBEDDING_CAP)
+    m = n
+    while True:
+        gamma = _autocovariance(params, dt, m)
+        lam = np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+        if not np.all(np.isfinite(lam)):
+            raise NumericError("autocovariance is not finite")
+        if lam.min() >= -1e-8 * lam.max():
+            break
+        m *= 2
+        if m > cap:
+            raise NumericError(f"no nonnegative circulant embedding within {cap} lags")
     root = np.sqrt(np.clip(lam, 0.0, None))
     root.flags.writeable = False
     return root
 
 
-def _cholesky_with_jitter(cov: np.ndarray, unit: float) -> np.ndarray:
-    """Cholesky factor, retrying with diagonal jitter up to 1e-8 * unit."""
-    for jitter in (0.0, 1e-12, 1e-10, 1e-8):
-        try:
-            return np.linalg.cholesky(cov + jitter * unit * np.eye(len(cov)))
-        except np.linalg.LinAlgError:
-            continue
-    raise NumericError("covariance not factorizable")
+def _circulant_sample(root: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """First n values of one Gaussian draw from the embedding whose eigenvalue
+    roots are `root`: 2M normals fill the DC bin, the Nyquist bin, then the
+    real and imaginary parts of bins 1..M-1 of the half spectrum irfft takes."""
+    m = len(root) - 1
+    draws = rng.standard_normal(2 * m)
+    z = np.empty(m + 1, dtype=np.complex128)
+    z[0] = draws[0]
+    z[m] = draws[1]
+    z[1:m] = (draws[2 : m + 1] + 1j * draws[m + 1 :]) / np.sqrt(2.0)
+    return np.sqrt(2 * m) * np.fft.irfft(root * z, 2 * m)[:n]
 
 
-@lru_cache(maxsize=4)
-def _fgn_cholesky(hurst: float, sigma: float, dt: float, n: int) -> np.ndarray:
-    gamma = _fgn_autocovariance(hurst, sigma, dt, n - 1)
-    idx = np.arange(n)
-    cov = gamma[np.abs(idx[:, None] - idx[None, :])]
-    factor = _cholesky_with_jitter(cov, gamma[0])
-    factor.flags.writeable = False
-    return factor
-
-
-@lru_cache(maxsize=4)
-def _stationary_cholesky(hurst: float, sigma: float, theta: float, dt: float, n: int) -> np.ndarray:
-    idx = np.arange(n)
-    tau = dt * np.abs(idx[:, None] - idx[None, :])
-    cov = 0.5 * sigma ** 2 * h_lamperti(hurst, theta * tau)
-    factor = _cholesky_with_jitter(cov, sigma ** 2)
-    factor.flags.writeable = False
-    return factor
-
-
-def simulate_fbm(params: FbmParams, n: int, dt: float = 1.0, seed: int = 0,
-                 method: str = "auto") -> SimulatedPath:
-    """Exact sample of fBm at times dt, 2*dt, ..., n*dt.
-
-    method 'auto' uses circulant embedding and falls back to dense Cholesky
-    if the embedding fails; 'circulant' and 'dense' force one route.
-    """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    if method not in ("auto", "circulant", "dense"):
-        raise ValueError(f"unknown method {method!r}")
-    rng = np.random.default_rng(seed)
-
-    root = None
-    if method in ("auto", "circulant"):
-        root = _fgn_spectrum(params.hurst, params.sigma, dt, n)
-        if root is None and method == "circulant":
-            raise NumericError("covariance not factorizable")
-    if root is not None:
-        m2 = 2 * n
-        draws = rng.standard_normal(m2)
-        z = np.empty(m2, dtype=np.complex128)
-        z[0] = draws[0]
-        z[n] = draws[1]
-        half = (draws[2 : n + 1] + 1j * draws[n + 1 : m2]) / np.sqrt(2.0)
-        z[1:n] = half
-        z[n + 1 :] = half[::-1].conj()
-        increments = np.sqrt(m2) * np.fft.ifft(root * z).real[:n]
-    else:
-        factor = _fgn_cholesky(params.hurst, params.sigma, dt, n)
-        increments = factor @ rng.standard_normal(n)
+def simulate_fbm(params: FbmParams, n: int, dt: float = 1.0, seed: int = 0) -> SimulatedPath:
+    """Exact sample of fBm at times dt, 2*dt, ..., n*dt."""
+    root = _circulant_root(params, dt, n)
+    increments = _circulant_sample(root, n, np.random.default_rng(seed))
     return SimulatedPath("fbm", params, dt, seed, np.cumsum(increments))
 
 
 def simulate_delampertized(params: DelampertizedParams, n: int, dt: float = 1.0,
                            seed: int = 0) -> SimulatedPath:
     """Exact sample of the stationary delampertized process on a uniform grid."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    rng = np.random.default_rng(seed)
-    factor = _stationary_cholesky(params.hurst, params.sigma, params.theta, dt, n)
-    values = factor @ rng.standard_normal(n)
+    root = _circulant_root(params, dt, n)
+    values = _circulant_sample(root, n, np.random.default_rng(seed))
     return SimulatedPath("delampertized", params, dt, seed, values)
 
 

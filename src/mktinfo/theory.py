@@ -34,8 +34,8 @@ class FbmParams:
     def __post_init__(self):
         if not 0.0 < self.hurst < 1.0:
             raise ValueError("hurst must lie in (0, 1)")
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,10 @@ class DelampertizedParams:
     def __post_init__(self):
         if not 0.0 < self.hurst < 1.0:
             raise ValueError("hurst must lie in (0, 1)")
-        if not self.theta > 0.0:
-            raise ValueError("theta must be positive")
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < self.theta < math.inf:
+            raise ValueError("theta must be positive and finite")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
 
 
 def f_xlog2x(x):
@@ -98,11 +98,14 @@ def h_lamperti(hurst: float, x):
         term = np.exp(2.0 * hurst * np.log(2.0 * np.sinh(0.5 * xs)))
     out[small] = 2.0 * np.cosh(hurst * xs) - term
     xl = arr[~small]
-    with np.errstate(divide="ignore"):
-        # exp(Hx) * (1 - (1-exp(-x))**(2H)) assembled in log space so that
-        # huge x underflows to 0 instead of overflowing the exp(Hx) factor
-        log_tail = hurst * xl + np.log(-np.expm1(
-            2.0 * hurst * np.log1p(-np.exp(-xl))))
+    # exp(Hx) * (1 - (1-exp(-x))**(2H)) assembled in log space so that huge
+    # x underflows to 0 instead of overflowing the exp(Hx) factor; from x = 40
+    # on, 1 - (1-exp(-x))**(2H) = 2H exp(-x) to a relative O(exp(-x)), which
+    # keeps the tail where exp(-x) underflows
+    log_tail = math.log(2.0 * hurst) - (1.0 - hurst) * xl
+    mid = xl < 40.0
+    xm = xl[mid]
+    log_tail[mid] = hurst * xm + np.log(-np.expm1(2.0 * hurst * np.log1p(-np.exp(-xm))))
     out[~small] = np.exp(-hurst * xl) + np.exp(log_tail)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 

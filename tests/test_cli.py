@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import mktinfo.cli as cli
+import mktinfo.simulate as sim
 from mktinfo.information import profile_from_prices, profile_to_json
 from mktinfo.scaling import estimate_hurst
 from mktinfo.series import load_prices
@@ -88,6 +89,28 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "fbm", "--n", "16")
         assert code == 4
         assert err.startswith("error: covariance not factorizable")
+
+    def test_embedding_cap_exit_code(self, capsys, monkeypatch):
+        # with the floor of the cap removed, the cap is 4n lags, short of the
+        # 8n this covariance needs
+        monkeypatch.setattr(sim, "_MIN_EMBEDDING_CAP", 0)
+        sim._circulant_root.cache_clear()
+        try:
+            code, out, err = run(capsys, "simulate", "delampertized", "--hurst", "0.95",
+                                 "--theta", "0.01", "--n", "1000")
+        finally:
+            sim._circulant_root.cache_clear()
+        assert code == 4 and out == ""
+        assert err == "error: no nonnegative circulant embedding within 4000 lags\n"
+
+    @pytest.mark.parametrize("model, option, value", [
+        ("delampertized", "--theta", "inf"), ("delampertized", "--theta", "nan"),
+        ("fbm", "--dt", "inf"), ("delampertized", "--dt", "inf"),
+        ("fbm", "--sigma", "inf"), ("delampertized", "--sigma", "nan")])
+    def test_non_finite_parameter_is_data_error(self, capsys, model, option, value):
+        code, out, err = run(capsys, "simulate", model, option, value, "--n", "50")
+        assert code == 3 and out == ""
+        assert err == f"error: {option[2:]} must be positive and finite\n"
 
     def test_memory_error_exit_code(self, capsys, monkeypatch):
         def oom(*a, **k):
@@ -184,6 +207,31 @@ class TestTheory:
             cli.main(["theory", "fbm", "--hurst-step", step])
         assert exc.value.code == 2
         assert "--hurst-step: must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value", [
+        ("--hurst-min", "nan"), ("--hurst-min", "-inf"), ("--hurst-max", "inf"),
+        ("--hurst-max", "nan"), ("--m", "inf"), ("--theta", "nan")])
+    def test_non_finite_option_is_usage_error(self, capsys, option, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["theory", "delampertized", f"{option}={value}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {option}: must be finite, got '{value}'" in captured.err
+
+    @pytest.mark.parametrize("h_min, step", [("-1e308", "0.05"), ("1e308", "0.05"),
+                                             ("0.05", "1e-320")])
+    def test_grid_beyond_float_steps_is_usage_error(self, capsys, h_min, step):
+        code, out, err = run(capsys, "theory", "fbm", f"--hurst-min={h_min}",
+                             "--hurst-step", step)
+        assert code == 2 and out == ""
+        assert err == (f"error: Hurst grid out of range: --hurst-min {float(h_min)} lies"
+                       f" more than 2**53 steps of {float(step)} from 0 or from 1\n")
+
+    def test_far_negative_max_is_empty_grid(self, capsys):
+        code, out, err = run(capsys, "theory", "fbm", "--hurst-max=-1e308")
+        assert code == 2 and out == ""
+        assert err.startswith("error: empty Hurst grid: --hurst-min 0.05 to --hurst-max -1e+308")
 
     @pytest.mark.parametrize("bounds", [("0.9", "0.1"), ("1.5", "2")])
     def test_empty_grid_is_usage_error(self, capsys, bounds):

@@ -1,4 +1,5 @@
-"""Simulators: exact factorizations, reproducibility, price conversion."""
+"""Simulators: circulant embedding against a dense Cholesky reference,
+reproducibility, price conversion."""
 
 import math
 
@@ -6,6 +7,8 @@ import numpy as np
 import pytest
 
 import mktinfo.simulate as sim
+from mktinfo.information import market_information
+from mktinfo.series import compute_returns, to_indicators
 from mktinfo.simulate import (
     NumericError,
     PseudoPeriodicParams,
@@ -15,7 +18,61 @@ from mktinfo.simulate import (
     simulate_pseudo_periodic,
     to_price_series,
 )
-from mktinfo.theory import DelampertizedParams, FbmParams, h_lamperti, rho_fbm
+from mktinfo.theory import (
+    DelampertizedParams,
+    FbmParams,
+    delampertized_autocovariance,
+    fbm_covariance,
+    info_delampertized,
+    rho_fbm,
+)
+
+
+def reference_covariance(params, dt, n):
+    """Covariance of the n values a simulator draws, from the closed forms
+    alone: fBm increments on the grid dt, 2*dt, ..., or the stationary
+    process itself."""
+    if isinstance(params, FbmParams):
+        t = dt * np.arange(n + 1)
+        c = fbm_covariance(t[:, None], t[None, :], params)
+        return c[1:, 1:] - c[:-1, 1:] - c[1:, :-1] + c[:-1, :-1]
+    idx = np.arange(n)
+    return delampertized_autocovariance(dt * (idx[:, None] - idx[None, :]), params)
+
+
+def dense_sample(factor, seed):
+    """Reference sampler: a dense Cholesky factor times one block of normals."""
+    return factor @ np.random.default_rng(seed).standard_normal(len(factor))
+
+
+def full_fft_sample(root, n, seed):
+    """The embedding's draw built on the full complex spectrum of length 2M,
+    Hermitian by construction: the same normals in the same bins as the
+    sampler's half spectrum."""
+    m = len(root) - 1
+    draws = np.random.default_rng(seed).standard_normal(2 * m)
+    z = np.empty(2 * m, dtype=np.complex128)
+    z[0] = draws[0]
+    z[m] = draws[1]
+    half = (draws[2 : m + 1] + 1j * draws[m + 1 :]) / np.sqrt(2.0)
+    z[1:m] = half
+    z[m + 1 :] = half[::-1].conj()
+    full_root = np.concatenate([root, root[-2:0:-1]])
+    return np.sqrt(2 * m) * np.fft.ifft(full_root * z).real[:n]
+
+
+def sampled_values(params, n, dt, seed):
+    """What the sampler draws: fBm increments, or the stationary values."""
+    if isinstance(params, FbmParams):
+        return np.diff(simulate_fbm(params, n, dt, seed).values, prepend=0.0)
+    return simulate_delampertized(params, n, dt, seed).values
+
+
+@pytest.fixture()
+def fresh_roots():
+    sim._circulant_root.cache_clear()
+    yield
+    sim._circulant_root.cache_clear()
 
 
 class TestParams:
@@ -33,44 +90,84 @@ class TestParams:
 
 class TestFgnPieces:
     def test_autocovariance_brownian(self):
-        gamma = sim._fgn_autocovariance(0.5, 2.0, 0.25, 5)
+        gamma = sim._autocovariance(FbmParams(0.5, 2.0), 0.25, 5)
         # H = 1/2: increments are independent with variance sigma**2 * dt
         np.testing.assert_allclose(gamma, [4.0 * 0.25, 0, 0, 0, 0, 0], atol=1e-15)
 
     def test_autocovariance_persistent(self):
-        gamma = sim._fgn_autocovariance(0.7, 1.0, 1.0, 1)
+        gamma = sim._autocovariance(FbmParams(0.7), 1.0, 1)
         assert gamma[0] == pytest.approx(1.0, rel=1e-15)
         assert gamma[1] == pytest.approx(0.5 * (2.0 ** 1.4 - 2.0), rel=1e-14)
         assert gamma[1] / gamma[0] == pytest.approx(rho_fbm(0.7), rel=1e-13)
 
     def test_spectrum_inverts_to_embedding(self):
-        for hurst in (0.1, 0.3, 0.5, 0.7, 0.9):
-            n = 64
-            root = sim._fgn_spectrum(hurst, 1.0, 1.0, n)
-            assert root is not None
-            gamma = sim._fgn_autocovariance(hurst, 1.0, 1.0, n)
+        n = 64
+        for params in ([FbmParams(h) for h in (0.1, 0.3, 0.5, 0.7, 0.9)]
+                       + [DelampertizedParams(h, 0.5) for h in (0.2, 0.8)]):
+            root = sim._circulant_root(params, 1.0, n)
+            assert len(root) == n + 1  # no padding needed here
+            gamma = sim._autocovariance(params, 1.0, n)
             circ = np.concatenate([gamma, gamma[-2:0:-1]])
-            rec = np.fft.ifft(root.astype(np.float64) ** 2).real
-            np.testing.assert_allclose(rec, circ, atol=1e-12)
+            np.testing.assert_allclose(np.fft.irfft(root ** 2, 2 * n), circ, atol=1e-12)
 
     def test_cholesky_identities(self):
-        p = FbmParams(0.8, 0.5)
-        factor = sim._fgn_cholesky(p.hurst, p.sigma, 1.0, 40)
-        gamma = sim._fgn_autocovariance(p.hurst, p.sigma, 1.0, 39)
+        # the dense reference is the Toeplitz matrix of the sampler's own
+        # autocovariance, and its Cholesky factor reproduces it
         idx = np.arange(40)
-        cov = gamma[np.abs(idx[:, None] - idx[None, :])]
-        np.testing.assert_allclose(factor @ factor.T, cov, atol=1e-12)
+        for params, dt in ((FbmParams(0.8, 0.5), 1.0), (DelampertizedParams(0.3, 2.0, 1.5), 0.5)):
+            cov = reference_covariance(params, dt, 40)
+            gamma = sim._autocovariance(params, dt, 39)
+            np.testing.assert_allclose(cov, gamma[np.abs(idx[:, None] - idx[None, :])],
+                                       rtol=1e-12, atol=1e-14)
+            factor = np.linalg.cholesky(cov)
+            np.testing.assert_allclose(factor @ factor.T, cov, atol=1e-12)
 
-        q = DelampertizedParams(0.3, 2.0, 1.5)
-        factor = sim._stationary_cholesky(q.hurst, q.sigma, q.theta, 0.5, 30)
-        tau = 0.5 * np.abs(idx[:30, None] - idx[None, :30])
-        cov = 0.5 * q.sigma ** 2 * h_lamperti(q.hurst, q.theta * tau)
-        np.testing.assert_allclose(factor @ factor.T, cov, atol=1e-12)
 
-    def test_jitter_gives_up_on_indefinite(self):
-        cov = np.array([[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(NumericError, match="covariance not factorizable"):
-            sim._cholesky_with_jitter(cov, 1.0)
+class TestCirculantEmbedding:
+    @pytest.mark.parametrize("params, dt", [(FbmParams(0.8, 0.5), 0.5),
+                                            (DelampertizedParams(0.3, 0.5, 2.0), 1.0)])
+    def test_sample_autocovariance_within_standard_error(self, params, dt):
+        # the mean is known to be 0, so each lag product is unbiased and the
+        # paths are independent: the spread over paths gives the standard error
+        n, paths, lags = 256, 400, np.array([0, 1, 2, 5, 20, 100])
+        est = np.empty((paths, len(lags)))
+        for s in range(paths):
+            x = sampled_values(params, n, dt, s)
+            est[s] = [x[: n - k] @ x[k:] / (n - k) for k in lags]
+        want = reference_covariance(params, dt, n)[0, lags]
+        z = (est.mean(axis=0) - want) / (est.std(axis=0, ddof=1) / math.sqrt(paths))
+        assert np.all(np.abs(z) < 4.0), z
+
+    def test_padded_embedding(self, fresh_roots):
+        # the minimal embedding of this slowly decaying covariance is
+        # indefinite; doubling three times makes it nonnegative
+        p, n = DelampertizedParams(0.95, 0.01), 1000
+        assert len(sim._circulant_root(p, 1.0, n)) == 8 * n + 1
+        paths, lags = 200, np.array([0, 1, 10, 100, 999])
+        est = np.empty((paths, len(lags)))
+        for s in range(paths):
+            x = simulate_delampertized(p, n, seed=s).values
+            est[s] = [x[: n - k] @ x[k:] / (n - k) for k in lags]
+        want = delampertized_autocovariance(lags, p)
+        z = (est.mean(axis=0) - want) / (est.std(axis=0, ddof=1) / math.sqrt(paths))
+        assert np.all(np.abs(z) < 4.0), z
+
+    def test_long_stationary_path(self, fresh_roots):
+        path = simulate_delampertized(DelampertizedParams(0.3, 1.0), 200_000, seed=1)
+        assert path.values.shape == (200_000,)
+        assert path.values.var() == pytest.approx(1.0, rel=0.05)
+
+    def test_nan_autocovariance_raises_at_once(self, monkeypatch, fresh_roots):
+        calls = []
+
+        def nan_autocovariance(params, dt, n_lags):
+            calls.append(n_lags)
+            return np.full(n_lags + 1, np.nan)
+
+        monkeypatch.setattr(sim, "_autocovariance", nan_autocovariance)
+        with pytest.raises(NumericError, match="autocovariance is not finite"):
+            simulate_fbm(FbmParams(0.4), 16)
+        assert calls == [16]
 
 
 class TestSimulateFbm:
@@ -82,37 +179,36 @@ class TestSimulateFbm:
         c = simulate_fbm(p, 64, seed=4)
         assert not np.array_equal(a.values, c.values)
 
-    def test_auto_uses_circulant(self):
-        p = FbmParams(0.3)
-        a = simulate_fbm(p, 50, seed=1, method="auto")
-        b = simulate_fbm(p, 50, seed=1, method="circulant")
-        np.testing.assert_array_equal(a.values, b.values)
-
-    def test_dense_replay(self):
-        # dense route is factor @ z with z drawn in one block
+    def test_replay(self):
+        # the half-spectrum draw equals the full-spectrum one up to rounding,
+        # so the normals go to the same bins as they did on the full spectrum
         p = FbmParams(0.6, 0.5)
-        path = simulate_fbm(p, 24, dt=0.5, seed=11, method="dense")
-        rng = np.random.default_rng(11)
-        factor = sim._fgn_cholesky(0.6, 0.5, 0.5, 24)
-        want = np.cumsum(factor @ rng.standard_normal(24))
-        np.testing.assert_array_equal(path.values, want)
+        path = simulate_fbm(p, 24, dt=0.5, seed=11)
+        root = sim._circulant_root(p, 0.5, 24)
+        want = np.cumsum(full_fft_sample(root, 24, 11))
+        np.testing.assert_allclose(path.values, want, rtol=1e-12, atol=1e-14)
 
     def test_methods_agree_on_moments(self):
-        p = FbmParams(0.8)
+        # pooled lag-1 correlation of the circulant sampler and of the dense
+        # reference, each against the closed form and against each other
         n, seeds = 200, 300
-        est = {}
-        for method in ("circulant", "dense"):
-            num = den = 0.0
-            for s in range(seeds):
-                x = np.diff(simulate_fbm(p, n, seed=s, method=method).values,
-                            prepend=0.0)
-                num += float(x[:-1] @ x[1:])
-                den += float(x @ x)
-            est[method] = num / den
-        want = rho_fbm(0.8)
-        assert est["circulant"] == pytest.approx(want, abs=0.04)
-        assert est["dense"] == pytest.approx(want, abs=0.04)
-        assert est["circulant"] == pytest.approx(est["dense"], abs=0.05)
+        for params, want in ((FbmParams(0.8), rho_fbm(0.8)),
+                             (DelampertizedParams(0.7, 0.5),
+                              delampertized_autocovariance(1.0, DelampertizedParams(0.7, 0.5)))):
+            factor = np.linalg.cholesky(reference_covariance(params, 1.0, n))
+            draws = {"circulant": lambda s: sampled_values(params, n, 1.0, s),
+                     "dense": lambda s: dense_sample(factor, s)}
+            est = {}
+            for method, draw in draws.items():
+                num = den = 0.0
+                for s in range(seeds):
+                    x = draw(s)
+                    num += float(x[:-1] @ x[1:])
+                    den += float(x @ x)
+                est[method] = num / den
+            assert est["circulant"] == pytest.approx(want, abs=0.04)
+            assert est["dense"] == pytest.approx(want, abs=0.04)
+            assert est["circulant"] == pytest.approx(est["dense"], abs=0.05)
 
     def test_metadata(self):
         p = FbmParams(0.4)
@@ -127,30 +223,29 @@ class TestSimulateFbm:
         p = FbmParams(0.4)
         with pytest.raises(ValueError, match="n must be at least 2"):
             simulate_fbm(p, 1)
-        with pytest.raises(ValueError, match="dt must be positive"):
-            simulate_fbm(p, 8, dt=0.0)
-        with pytest.raises(ValueError, match="unknown method 'qmc'"):
-            simulate_fbm(p, 8, method="qmc")
+        for dt in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                simulate_fbm(p, 8, dt=dt)
+        for sigma in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="sigma must be positive and finite"):
+                FbmParams(0.4, sigma)
 
-    def test_circulant_failure_raises(self, monkeypatch):
-        monkeypatch.setattr(sim, "_fgn_spectrum", lambda *a: None)
-        with pytest.raises(NumericError, match="covariance not factorizable"):
-            simulate_fbm(FbmParams(0.4), 8, method="circulant")
-
-    def test_auto_falls_back_to_dense(self, monkeypatch):
-        monkeypatch.setattr(sim, "_fgn_spectrum", lambda *a: None)
-        path = simulate_fbm(FbmParams(0.4), 8, seed=5, method="auto")
-        want = simulate_fbm(FbmParams(0.4), 8, seed=5, method="dense")
-        np.testing.assert_array_equal(path.values, want.values)
+    def test_circulant_failure_raises(self, monkeypatch, fresh_roots):
+        # with the floor of the cap removed, the cap is 4n lags, short of the
+        # 8n this covariance needs
+        monkeypatch.setattr(sim, "_MIN_EMBEDDING_CAP", 0)
+        with pytest.raises(NumericError,
+                           match="no nonnegative circulant embedding within 4000 lags"):
+            simulate_delampertized(DelampertizedParams(0.95, 0.01), 1000)
 
 
 class TestSimulateDelampertized:
     def test_replay(self):
         p = DelampertizedParams(0.3, 2.0, 1.5)
         path = simulate_delampertized(p, 20, dt=0.5, seed=21)
-        rng = np.random.default_rng(21)
-        factor = sim._stationary_cholesky(0.3, 1.5, 2.0, 0.5, 20)
-        np.testing.assert_array_equal(path.values, factor @ rng.standard_normal(20))
+        root = sim._circulant_root(p, 0.5, 20)
+        np.testing.assert_allclose(path.values, full_fft_sample(root, 20, 21),
+                                   rtol=1e-12, atol=1e-14)
         assert path.model == "delampertized"
 
     def test_marginal_variance(self):
@@ -163,6 +258,38 @@ class TestSimulateDelampertized:
         p = DelampertizedParams(0.5, 1.0)
         with pytest.raises(ValueError, match="n must be at least 2"):
             simulate_delampertized(p, 1)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            simulate_delampertized(p, 8, dt=math.inf)
+        for theta in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="theta must be positive and finite"):
+                DelampertizedParams(0.5, theta)
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            DelampertizedParams(0.5, 1.0, math.inf)
+
+    def test_information_matches_closed_form(self):
+        # criterion 2's protocol for the stationary model at theta = 1: 500
+        # paths of n = 3000 per H from seed blocks fixed in advance, with the
+        # plug-in bias taken from an H = 0.5 leg on its own seed block, whose
+        # closed form is known too
+        n_paths, theta = 500, 1.0
+
+        def leg(hurst, base_seed):
+            p = DelampertizedParams(hurst, theta, 0.01)
+            vals = np.array([
+                market_information(to_indicators(compute_returns(
+                    to_price_series(simulate_delampertized(p, 3000, seed=base_seed + i)),
+                    1)), 1)
+                for i in range(n_paths)])
+            return vals.mean(), vals.var(ddof=1)
+
+        base_mean, base_var = leg(0.5, 55555)
+        bias = base_mean - info_delampertized(0.5, 1.0, theta)
+        zs = {}
+        for hurst, base_seed in ((0.3, 11111), (0.4, 22222), (0.6, 33333)):
+            mean, var = leg(hurst, base_seed)
+            se = math.sqrt(var / n_paths + base_var / n_paths)
+            zs[hurst] = (mean - bias - info_delampertized(hurst, 1.0, theta)) / se
+        assert all(abs(z) <= 3.0 for z in zs.values()), zs
 
 
 class TestSimulatePseudoPeriodic:

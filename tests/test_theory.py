@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -73,6 +74,16 @@ class TestHLamperti:
                 want = h_reference(hurst, x)
                 assert h_lamperti(hurst, x) == pytest.approx(want, rel=1e-10), \
                     (hurst, x)
+
+    @pytest.mark.parametrize("hurst", [0.5, 0.9, 0.99])
+    def test_large_x_against_high_precision(self, hurst):
+        # exp(-x) underflows past x ~ 708 and goes to 0 past ~745; the tail
+        # 2H exp(-(1-H)x) must survive it.  The tolerance is relative while
+        # h stays a normal double (for H = 0.5 it underflows near x = 1414).
+        for x in np.linspace(700.0, 1500.0, 41):
+            want = h_reference(hurst, x, dps=800)
+            assert h_lamperti(hurst, x) == pytest.approx(
+                want, rel=1e-12, abs=sys.float_info.min), (hurst, x)
 
     def test_piecewise_seam(self):
         for hurst in H_GRID:
