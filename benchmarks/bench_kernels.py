@@ -83,7 +83,7 @@ def bench_ingest(quick):
         path = os.path.join(tmp, "prices.csv")
         for n in sizes:
             prices = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 1e-3, n)))
-            series = PriceSeries(tuple(range(n)), prices)
+            series = PriceSeries(np.arange(n), prices)
 
             def write():
                 with open(path, "w") as fh:

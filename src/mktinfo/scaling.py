@@ -20,6 +20,15 @@ DEFAULT_MAX_SCALE = 20
 DEFAULT_FIT_RANGE = (1, 5)
 
 
+def _split_scales(n_points: int, scales: Sequence[int]) -> tuple[list, list]:
+    """The requested scales, deduplicated and sorted, split into those shorter
+    than the series (usable) and the rest (dropped)."""
+    req = sorted({int(s) for s in scales})
+    if not req or req[0] < 1:
+        raise ValueError("scales must be positive integers")
+    return [s for s in req if s < n_points], [s for s in req if s >= n_points]
+
+
 def structure_function(logprices: np.ndarray, scales: Sequence[int]):
     """Mean squared increment at each usable scale (overlapping windows).
 
@@ -29,11 +38,7 @@ def structure_function(logprices: np.ndarray, scales: Sequence[int]):
     x = np.asarray(logprices, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("need a 1-D series with at least 2 points")
-    req = sorted({int(s) for s in scales})
-    if not req or req[0] < 1:
-        raise ValueError("scales must be positive integers")
-    usable = [s for s in req if s <= x.size - 1]
-    dropped = [s for s in req if s > x.size - 1]
+    usable, dropped = _split_scales(x.size, scales)
     if dropped:
         warnings.warn(f"scales beyond series length dropped: {dropped}"
                       f" (usable scales: 1..{x.size - 1})")
@@ -59,7 +64,11 @@ def fit_loglog(scales: np.ndarray, moments: np.ndarray, fit_range: tuple):
 
 @dataclass(frozen=True)
 class LogLogCurve:
-    """Structure-function curve in log2-log2 coordinates with its OLS fit."""
+    """Structure-function curve in log2-log2 coordinates with its OLS fit.
+
+    `dropped_scales` are the requested scales that were not shorter than the
+    series, so carry no increments.
+    """
 
     scales: np.ndarray
     moments: np.ndarray
@@ -67,6 +76,7 @@ class LogLogCurve:
     slope: float
     intercept: float
     hurst_estimate: float
+    dropped_scales: tuple = ()
 
     def __post_init__(self):
         s = np.asarray(self.scales, dtype=np.int64)
@@ -76,6 +86,7 @@ class LogLogCurve:
         object.__setattr__(self, "scales", s)
         object.__setattr__(self, "moments", m)
         object.__setattr__(self, "fit_range", tuple(self.fit_range))
+        object.__setattr__(self, "dropped_scales", tuple(int(s) for s in self.dropped_scales))
 
     @property
     def log2_scales(self) -> np.ndarray:
@@ -106,7 +117,8 @@ class LogLogCurve:
         lines = [
             f"# slope={self.slope!r} hurst_estimate={self.hurst_estimate!r}"
             f" intercept={self.intercept!r}"
-            f" fit_range={self.fit_range[0]}..{self.fit_range[1]}",
+            f" fit_range={self.fit_range[0]}..{self.fit_range[1]}"
+            f" dropped_scales=[{','.join(map(str, self.dropped_scales))}]",
             "log2_scale,log2_moment,in_fit_range",
         ]
         for ls, lm, f in zip(self.log2_scales, self.log2_moments, self.in_fit_range):
@@ -124,6 +136,7 @@ class LogLogCurve:
             "intercept": self.intercept,
             "hurst_estimate": self.hurst_estimate,
             "second_differences": [float(v) for v in self.second_differences()],
+            "dropped_scales": list(self.dropped_scales),
         }
 
     def to_json(self) -> str:
@@ -135,7 +148,9 @@ def estimate_hurst(logprices: np.ndarray, scales: Sequence[int] | None = None,
     """Structure-function Hurst estimate: H = slope / 2 of the log-log fit.
 
     Defaults: scales 1..min(20, length-1), fit over scales 1..5.  The input
-    is a log-price (or any level) series, not returns.
+    is a log-price (or any level) series, not returns.  Requested scales not
+    shorter than the series are left out without a warning and listed in the
+    curve's `dropped_scales`.
     """
     x = np.asarray(logprices, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
@@ -143,9 +158,10 @@ def estimate_hurst(logprices: np.ndarray, scales: Sequence[int] | None = None,
     if scales is None:
         scales = range(1, min(DEFAULT_MAX_SCALE, x.size - 1) + 1)
     fit_range = tuple(fit_range) if fit_range is not None else DEFAULT_FIT_RANGE
-    used, moments = structure_function(x, scales)
-    if used.size == 0:
+    usable, dropped = _split_scales(x.size, scales)
+    if not usable:
         raise ValueError(f"no usable scales requested;"
                          f" usable scales: 1..{x.size - 1}")
+    used, moments = structure_function(x, usable)
     slope, intercept = fit_loglog(used, moments, fit_range)
-    return LogLogCurve(used, moments, fit_range, slope, intercept, slope / 2.0)
+    return LogLogCurve(used, moments, fit_range, slope, intercept, slope / 2.0, dropped)

@@ -12,7 +12,7 @@ import itertools
 import os
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence, Union
+from typing import IO, Iterable, Union
 
 import numpy as np
 
@@ -31,29 +31,72 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _timestamp_keys(labels: Sequence) -> np.ndarray:
-    """Keys used to check ordering: float64 when every label parses, else text."""
-    try:
-        return np.fromiter(map(float, labels), np.float64, len(labels))
-    except (TypeError, ValueError):
-        return np.array([str(x) for x in labels], dtype=object)
+def _label_array(labels) -> np.ndarray:
+    """Labels as one 1-D array: integer and `S` arrays as they are, any other
+    label as its str() in UTF-8 `S` text."""
+    arr = np.asarray(labels)
+    if arr.ndim != 1:
+        raise ValueError("timestamps must be one-dimensional")
+    if arr.dtype.kind in "iuS":
+        return arr
+    return np.array([str(x).encode() for x in labels], dtype=bytes)
+
+
+def _digit_keys(labels: np.ndarray) -> np.ndarray:
+    """float() of `S` labels of at most 15 ASCII digits each, exact: every
+    partial value is an integer below 2**53."""
+    digits = np.ascontiguousarray(labels).view(np.uint8).reshape(len(labels), -1)
+    keys = np.zeros(len(labels))
+    for column in digits.T:  # a label's digits end at its NUL padding
+        keys = np.where(column > 0, 10.0 * keys + (column - 48.0), keys)
+    return keys
+
+
+def _timestamp_keys(labels: np.ndarray) -> np.ndarray:
+    """Keys used to check ordering: float64 when every label parses by Python's
+    float(), else the UTF-8 text itself, whose byte order is code-point order."""
+    if labels.dtype.kind in "iu":
+        return labels.astype(np.float64)
+    if labels.dtype.itemsize <= 15 and np.strings.isdigit(labels).all():
+        return _digit_keys(labels)
+    # float() of bytes takes ASCII spellings only; of a str it also takes the
+    # Unicode digits and spaces that only non-ASCII labels can hold
+    if np.ascontiguousarray(labels).view(np.uint8).max(initial=0) < 128:
+        parse = float
+    else:
+        def parse(label: bytes) -> float:
+            return float(label.decode())
+    keys = np.empty(len(labels))
+    for start in range(0, len(labels), _BLOCK_ROWS):
+        chunk = labels[start : start + _BLOCK_ROWS].tolist()
+        try:
+            keys[start : start + len(chunk)] = np.fromiter(map(parse, chunk), np.float64,
+                                                           len(chunk))
+        except ValueError:
+            return labels
+    return keys
 
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """Positive prices with strictly increasing opaque timestamp labels."""
+    """Positive prices with strictly increasing opaque timestamp labels.
 
-    timestamps: tuple
+    `timestamps` is a read-only 1-D array: integer labels as they are, text
+    labels as UTF-8 bytes (`S` dtype); any other label is held as its str().
+    """
+
+    timestamps: np.ndarray
     prices: np.ndarray
     price_mode: str = "close"
 
     def __post_init__(self):
         prices = _freeze(np.asarray(self.prices, dtype=np.float64))
         object.__setattr__(self, "prices", prices)
-        object.__setattr__(self, "timestamps", tuple(self.timestamps))
+        timestamps = _freeze(_label_array(self.timestamps))
+        object.__setattr__(self, "timestamps", timestamps)
         if self.price_mode not in PRICE_MODES:
             raise ValueError(f"unknown price mode {self.price_mode!r}")
-        if len(self.timestamps) != len(prices):
+        if len(timestamps) != len(prices):
             raise ValueError("timestamps and prices differ in length")
         if len(prices) < 2:
             raise ValueError("price series needs at least 2 points")
@@ -62,7 +105,7 @@ class PriceSeries:
         if np.any(prices <= 0.0):
             i = int(np.argmax(prices <= 0.0))
             raise ValueError(f"non-positive price at row {i + 1}")
-        keys = _timestamp_keys(self.timestamps)
+        keys = _timestamp_keys(timestamps)
         unordered = ~(keys[:-1] < keys[1:])
         if unordered.any():
             raise ValueError(f"non-monotone timestamps at row {int(np.argmax(unordered)) + 2}")
@@ -170,9 +213,8 @@ def _is_skipped(line: str) -> bool:
     return not stripped or stripped.startswith("#")
 
 
-def _data_lines(block: list) -> list:
-    """The block without its blank and comment lines."""
-    text = "".join(block)
+def _data_lines(block: list, text: str) -> list:
+    """The block, whose lines join to `text`, without its blank and comment lines."""
     if "#" not in text and _SPACE_AFTER_NEWLINE.search("\n" + text) is None:
         return block
     return [line for line in block if not _is_skipped(line)]
@@ -196,42 +238,59 @@ def _parse_prices(stream: Iterable[str], mode: str) -> PriceSeries:
         if name not in columns:
             raise ValueError(f"missing required column {name!r} for mode {mode!r}")
 
-    # numpy's C reader; the label stays a str, prices go straight to float64
-    dtype = np.dtype([("timestamp", object)] + [(name, np.float64) for name in needed])
+    fields = [(name, np.float64) for name in needed]
     usecols = (ts_col,) + tuple(columns[name] for name in needed)
 
-    def read(data_lines: list) -> np.ndarray:
-        return np.loadtxt(data_lines, dtype=dtype, delimiter=",", quotechar='"',
-                          comments=None, usecols=usecols, ndmin=1)
+    def read(data_lines: list, label) -> np.ndarray:
+        return np.loadtxt(data_lines, dtype=np.dtype([("timestamp", label)] + fields),
+                          delimiter=",", quotechar='"', comments=None, usecols=usecols,
+                          ndmin=1)
 
-    tables, prices = [], []
+    labels, prices = [], []
     n_rows = 0
     for block in iter(lambda: list(itertools.islice(lines, _BLOCK_ROWS)), []):
-        block = _data_lines(block)
+        text = "".join(block)
+        block = _data_lines(block, text)
         if block:
-            table = _read_block(read, block, n_rows + 1)
+            # numpy's C reader, prices straight to float64.  An ASCII block
+            # reads its labels as bytes as wide as its longest line, so none is
+            # cut short; loadtxt would encode other text as Latin-1, so a block
+            # with any non-ASCII text reads its labels as str
+            label = f"S{max(map(len, block))}" if text.isascii() else object
+            table = _read_block(read, block, label, n_rows + 1)
             prices.append(_block_prices(table, n_rows + 1))
-            tables.append(table)
+            labels.append(_block_labels(table["timestamp"]))
             n_rows += len(table)
 
     if n_rows < 2:
         raise ValueError("price series needs at least 2 rows")
-    timestamps = tuple(itertools.chain.from_iterable(
-        map(str.strip, table["timestamp"]) for table in tables))
-    return PriceSeries(timestamps, np.concatenate(prices), mode)
+    return PriceSeries(np.concatenate(labels), np.concatenate(prices), mode)
 
 
-def _read_block(read, block: list, first_row: int) -> np.ndarray:
+# the characters str.strip() removes that are ASCII; bytes.strip() keeps \x1c-\x1f
+_ASCII_SPACE = bytes(c for c in range(128) if chr(c).isspace())
+
+
+def _block_labels(raw: np.ndarray) -> np.ndarray:
+    """A block's labels stripped of surrounding whitespace, as UTF-8 `S` text
+    no wider than its widest label."""
+    if raw.dtype.kind == "S":
+        stripped = np.strings.strip(raw, _ASCII_SPACE)
+        return stripped.astype(f"S{max(1, int(np.strings.str_len(stripped).max()))}")
+    return np.array([label.strip().encode() for label in raw.tolist()], dtype=bytes)
+
+
+def _read_block(read, block: list, label, first_row: int) -> np.ndarray:
     """Parse one block of data lines; on failure name its first bad row."""
     try:
-        return read(block)
+        return read(block, label)
     except ValueError as exc:
         error = exc
     # error path only: re-read the block line by line, checking each row in
     # order, so that the first bad row is named whatever is wrong with it
     for i, line in enumerate(block):
         try:
-            row = read([line])
+            row = read([line], label)
         except ValueError:
             raise ValueError(f"unparseable price at row {first_row + i}") from None
         _block_prices(row, first_row + i)
@@ -262,8 +321,11 @@ def write_prices(p: PriceSeries, stream: IO[str]) -> None:
     stream.write("timestamp,close\n")
     for start in range(0, len(p), _BLOCK_ROWS):
         stop = start + _BLOCK_ROWS
+        labels = p.timestamps[start:stop].tolist()
+        if p.timestamps.dtype.kind == "S":
+            labels = [label.decode() for label in labels]
         stream.write("".join([f"{t},{v!r}\n" for t, v in
-                              zip(p.timestamps[start:stop], p.prices[start:stop].tolist())]))
+                              zip(labels, p.prices[start:stop].tolist())]))
 
 
 def compute_returns(p: PriceSeries, m: int) -> ReturnSeries:

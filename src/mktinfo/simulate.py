@@ -115,8 +115,18 @@ def _circulant_sample(root: np.ndarray, n: int, rng: np.random.Generator) -> np.
     z = np.empty(m + 1, dtype=np.complex128)
     z[0] = draws[0]
     z[m] = draws[1]
-    z[1:m] = (draws[2 : m + 1] + 1j * draws[m + 1 :]) / np.sqrt(2.0)
-    return np.sqrt(2 * m) * np.fft.irfft(root * z, 2 * m)[:n]
+    # bins 1..M-1 hold (a + ib)/sqrt(2), written straight into z's real and
+    # imaginary parts; numpy divides a complex by a real d as a*(1/d) and
+    # b*(1/d), so these are its bits for the complex division too
+    half = 1.0 / np.sqrt(2.0)
+    np.multiply(draws[2 : m + 1], half, out=z.real[1:m])
+    np.multiply(draws[m + 1 :], half, out=z.imag[1:m])
+    del draws
+    z *= root
+    x = np.fft.irfft(z, 2 * m)
+    del z
+    # a new array of n values, so that no caller keeps all 2M alive
+    return np.sqrt(2 * m) * x[:n]
 
 
 def simulate_fbm(params: FbmParams, n: int, dt: float = 1.0, seed: int = 0) -> SimulatedPath:
@@ -195,4 +205,4 @@ def to_price_series(path: SimulatedPath, p0: float = 100.0) -> PriceSeries:
         prices = np.concatenate([[p0], p0 * np.cumprod(1.0 + path.values)])
     else:
         raise ValueError(f"unknown model {path.model!r}")
-    return PriceSeries(tuple(range(len(prices))), prices, "close")
+    return PriceSeries(np.arange(len(prices)), prices, "close")

@@ -2,6 +2,8 @@
 
 import io
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -50,7 +52,7 @@ class TestSimulate:
         want = to_price_series(simulate_fbm(FbmParams(0.7, 0.001), n, 1.0, 9))
         got = load_prices(dest)
         assert got.prices.tobytes() == want.prices.tobytes()
-        assert got.timestamps == tuple(str(i) for i in range(n))
+        np.testing.assert_array_equal(got.timestamps, np.arange(n).astype("S"))
         assert dest.read_text().count("\n") == n + 2
 
     def test_pseudo_periodic_defaults_are_positive(self, capsys):
@@ -228,6 +230,35 @@ class TestTheory:
         assert err == (f"error: Hurst grid out of range: --hurst-min {float(h_min)} lies"
                        f" more than 2**53 steps of {float(step)} from 0 or from 1\n")
 
+    @pytest.mark.parametrize("h_min, step", [("-1e9", "0.3"), ("-12345.678", "0.07"),
+                                             ("-3.31", "0.1"), ("0.013", "0.07")])
+    def test_grid_points_match_exact_fractions(self, capsys, h_min, step):
+        code, out, err = run(capsys, "theory", "fbm", f"--hurst-min={h_min}",
+                             "--hurst-max", "2", "--hurst-step", step)
+        assert code == 0 and err == ""
+        got = [Fraction(float(line.split(",")[0])) for line in out.strip().split("\n")[2:]]
+        tol = Fraction(2) ** -20 * Fraction(float(step))
+        # the grid of the parsed floats, within the stated tolerance, and of
+        # the decimals as typed, within twice it
+        for lo, st, bound in ((Fraction(float(h_min)), Fraction(float(step)), tol),
+                              (Fraction(h_min), Fraction(step), 2 * tol)):
+            want = [lo + st * i for i in range(math.floor(-lo / st) + 1, math.ceil((1 - lo) / st))]
+            assert all(2 * bound < w < 1 - 2 * bound for w in want)  # no point near an end
+            assert len(got) == len(want)
+            assert max(abs(g - w) for g, w in zip(got, want)) <= bound
+
+    @pytest.mark.parametrize("h_min, step", [("-1e15", "0.3"), ("-5e9", "0.3"),
+                                             ("0.05", "1e-12")])
+    def test_grid_coarser_than_step_is_usage_error(self, capsys, h_min, step):
+        # floats near -1e15 are 0.125 apart: the points would print as 0.125
+        # and 0.75, far from the grid's 0.16 and 0.76 (0.2 and 0.8 as typed)
+        code, out, err = run(capsys, "theory", "fbm", f"--hurst-min={h_min}",
+                             "--hurst-step", step)
+        assert code == 2 and out == ""
+        spacing = math.ulp(abs(float(h_min)) + 1.0)
+        assert err == (f"error: Hurst grid too coarse: floats near --hurst-min {float(h_min)}"
+                       f" are {spacing} apart, more than 2**-20 of --hurst-step {float(step)}\n")
+
     def test_far_negative_max_is_empty_grid(self, capsys):
         code, out, err = run(capsys, "theory", "fbm", "--hurst-max=-1e308")
         assert code == 2 and out == ""
@@ -294,6 +325,18 @@ class TestHurst:
         lines = out.strip().split("\n")
         assert "fit_range=1..8" in lines[0]
         assert len(lines) == 2 + 4
+
+    def test_dropped_scales_reported_not_warned(self, capsys, tmp_path):
+        dest = tmp_path / "short.csv"
+        dest.write_text("timestamp,close\n" + "".join(f"{i},{100 + i % 7}\n" for i in range(49)))
+        code, out, err = run(capsys, "hurst", str(dest), "--max-scale", "100")
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["scales"] == list(range(1, 49))
+        assert doc["dropped_scales"] == list(range(49, 101))
+        code, out, err = run(capsys, "hurst", str(dest), "--max-scale", "50", "--format", "csv")
+        assert code == 0 and err == ""
+        assert out.split("\n")[0].endswith(" dropped_scales=[49,50]")
 
     def test_narrow_fit_range_is_data_error(self, price_file, capsys):
         code, _, err = run(capsys, "hurst", str(price_file), "--scales", "1",

@@ -1,5 +1,6 @@
 """Invariants checked over generated inputs."""
 
+import io
 import math
 from collections import Counter
 
@@ -16,7 +17,8 @@ from mktinfo.information import (
     market_information,
     profile_from_prices,
 )
-from mktinfo.series import IndicatorSeries, PriceSeries
+from mktinfo.series import IndicatorSeries, PriceSeries, load_prices, write_prices, \
+    _timestamp_keys
 from mktinfo.simulate import SimulatedPath, to_price_series
 from mktinfo.simulate import PseudoPeriodicParams
 from mktinfo.theory import info_from_rho, orthant_probability
@@ -148,3 +150,38 @@ def test_pseudo_periodic_prices_compound(returns):
     np.testing.assert_allclose(prices.prices[1:] / prices.prices[:-1] - 1.0,
                                returns, atol=1e-9)
 
+
+
+# Labels write_prices can write unquoted and load_prices reads back: no
+# comma, quote, '#', line break or whitespace.  A leading "t" keeps every
+# label from parsing as a number, so they order as text.
+_label_text = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp"),
+                                    blacklist_characters=',"#'), max_size=8)
+_labels = st.one_of(
+    st.lists(_label_text, min_size=2, max_size=30, unique=True).map(
+        lambda v: sorted("t" + s for s in v)),
+    st.lists(st.integers(-2 ** 53, 2 ** 53), min_size=2, max_size=30, unique=True).map(sorted),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=30,
+             unique=True).map(lambda v: [repr(x) for x in sorted(v)]),
+)
+_prices = st.floats(min_value=5e-324, max_value=1e308)
+
+
+@given(_labels, st.data())
+def test_write_then_load_returns_the_series(labels, data):
+    prices = np.array(data.draw(st.lists(_prices, min_size=len(labels), max_size=len(labels))))
+    p = PriceSeries(labels, prices)
+    buf = io.StringIO()
+    write_prices(p, buf)
+    back = load_prices(io.StringIO(buf.getvalue()))
+    assert back.timestamps.dtype.kind == "S"
+    assert [t.decode() for t in back.timestamps.tolist()] == [str(t) for t in labels]
+    assert back.prices.tobytes() == prices.tobytes()
+
+
+@given(st.lists(st.text("0123456789", min_size=1, max_size=17), min_size=1, max_size=40))
+def test_digit_label_keys_are_python_floats(labels):
+    # up to 15 digits take a vectorised parse, longer ones float(); both must
+    # give what float() of the str gives
+    keys = _timestamp_keys(np.array([t.encode() for t in labels]))
+    assert keys.tobytes() == np.array([float(t) for t in labels]).tobytes()

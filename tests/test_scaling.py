@@ -91,6 +91,15 @@ class TestEstimateHurst:
         assert a.hurst_estimate == b.hurst_estimate
         assert 0.4 < a.hurst_estimate < 0.6
 
+    def test_dropped_scales_reported_without_warning(self, recwarn):
+        curve = estimate_hurst(np.arange(5, dtype=float), scales=[1, 2, 5, 9, 2])
+        np.testing.assert_array_equal(curve.scales, [1, 2])
+        assert curve.dropped_scales == (5, 9)
+        assert len(recwarn) == 0
+        assert json.loads(curve.to_json())["dropped_scales"] == [5, 9]
+        assert curve.to_csv().split("\n")[0].endswith(" dropped_scales=[5,9]")
+        assert estimate_hurst(np.arange(9, dtype=float)).dropped_scales == ()
+
     def test_no_usable_scales(self):
         with pytest.raises(ValueError, match="no usable scales requested"):
             estimate_hurst(np.arange(3, dtype=float), scales=[5, 9])
@@ -111,7 +120,8 @@ class TestCurveOutputs:
         doc = json.loads(curve.to_json())
         assert set(doc) == {"scales", "log2_scale", "log2_moment", "in_fit_range",
                             "fit_range", "slope", "intercept", "hurst_estimate",
-                            "second_differences"}
+                            "second_differences", "dropped_scales"}
+        assert doc["dropped_scales"] == []
         assert doc["scales"] == list(range(1, 9))
         assert doc["hurst_estimate"] == pytest.approx(1.0, abs=1e-12)
         assert len(doc["second_differences"]) == 6

@@ -17,6 +17,7 @@ from mktinfo.series import (
     load_prices,
     to_indicators,
     write_prices,
+    _BLOCK_ROWS,
     _word_count_array,
 )
 
@@ -72,7 +73,7 @@ class TestLoadPrices:
         f.write_text("timestamp,close\n1,100.0\n2,101.5\n3,99.25\n")
         p = load_prices(f)
         np.testing.assert_allclose(p.prices, [100.0, 101.5, 99.25])
-        assert p.timestamps == ("1", "2", "3")
+        np.testing.assert_array_equal(p.timestamps, [b"1", b"2", b"3"])
 
     def test_stream_comments_and_blanks(self):
         text = "# a comment\n\ndate,CLOSE\n1,5\n# another\n2,6\n\n"
@@ -187,7 +188,7 @@ class TestIngestEdgeCases:
         else:
             p = load_prices(io.StringIO(text), mode)
             np.testing.assert_array_equal(p.prices, expected[0])
-            assert p.timestamps == expected[1]
+            np.testing.assert_array_equal(p.timestamps, [t.encode() for t in expected[1]])
 
     @pytest.mark.parametrize("eol", [b"\r\n", b"\r"])
     def test_crlf_and_cr_files(self, tmp_path, eol):
@@ -195,7 +196,7 @@ class TestIngestEdgeCases:
         f.write_bytes(eol.join([b"timestamp,close", b"1,5", b"", b"2,6", b""]))
         p = load_prices(f)
         np.testing.assert_array_equal(p.prices, [5.0, 6.0])
-        assert p.timestamps == ("1", "2")
+        np.testing.assert_array_equal(p.timestamps, [b"1", b"2"])
 
     def test_python_only_float_spelling_is_unparseable(self):
         # numpy's reader takes the spellings repr writes, not Python's
@@ -211,7 +212,7 @@ class TestIngestEdgeCases:
         rows.insert(5, "# comment")
         good = "timestamp,close\n" + "\n".join(rows) + "\n"
         p = load_prices(io.StringIO(good))
-        assert len(p) == n and p.timestamps[-1] == str(n - 1)
+        assert len(p) == n and p.timestamps[-1] == str(n - 1).encode()
         np.testing.assert_array_equal(p.prices, [100 + i % 7 for i in range(n)])
         for row, value, message in ((33_000, "oops", "unparseable"),
                                     (20_000, "0", "non-positive"),
@@ -243,7 +244,106 @@ class TestWritePrices:
         assert text.count("\n") == n + 1
         back = load_prices(io.StringIO(text))
         assert back.prices.tobytes() == prices.tobytes()
-        assert back.timestamps == tuple(str(i) for i in range(n))
+        np.testing.assert_array_equal(back.timestamps, np.arange(n).astype("S"))
+
+
+def written(series):
+    buf = io.StringIO()
+    write_prices(series, buf)
+    return buf.getvalue()
+
+
+class TestLabels:
+    """Labels are one read-only array: UTF-8 `S` text from load_prices,
+    ordered as today's str labels and written back as they were read."""
+
+    def test_non_ascii_labels_round_trip(self):
+        text = "timestamp,close\né,5.0\n日本,6.0\n"
+        p = load_prices(io.StringIO(text))
+        np.testing.assert_array_equal(p.timestamps, ["é".encode(), "日本".encode()])
+        assert written(p) == text
+        with pytest.raises(ValueError, match="^non-monotone timestamps at row 2$"):
+            load_prices(io.StringIO("timestamp,close\n日本,5\né,6\n"))
+
+    def test_text_labels_order_by_code_point(self):
+        # UTF-8 byte order is code-point order, across 1- to 4-byte sequences
+        labels = ["a", "z", "é", "ÿ", "Ā", "ſ", "日本", "\U0001F600"]
+        assert labels == sorted(labels)
+        text = "timestamp,close\n" + "".join(f"{t},{i + 1}.0\n" for i, t in enumerate(labels))
+        p = load_prices(io.StringIO(text))
+        assert written(p) == text
+        for i in range(len(labels) - 1):
+            swapped = list(labels)
+            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+            bad = "timestamp,close\n" + "".join(f"{t},1.0\n" for t in swapped)
+            with pytest.raises(ValueError, match=f"^non-monotone timestamps at row {i + 2}$"):
+                load_prices(io.StringIO(bad))
+
+    def test_ascii_and_non_ascii_blocks_join(self):
+        # the first block reads its labels as bytes, the second as str
+        labels = [f"a{i:05d}" for i in range(_BLOCK_ROWS)] + ["é1", "é2", "日本"]
+        text = "timestamp,close\n" + "".join(f"{t},{i + 1}.5\n" for i, t in enumerate(labels))
+        p = load_prices(io.StringIO(text))
+        np.testing.assert_array_equal(p.timestamps, [t.encode() for t in labels])
+        assert written(p) == text
+
+    def test_quoted_comma_and_surrounding_whitespace(self):
+        text = ('timestamp,close\n"2024-01-02, 10:00",5\n \t2024-01-03 ,6\n'
+                '\x1c2024-01-04\x1f,7\n\u00a02024-01-05\u2003,8\n')
+        p = load_prices(io.StringIO(text))
+        np.testing.assert_array_equal(p.timestamps, [b"2024-01-02, 10:00", b"2024-01-03",
+                                                     b"2024-01-04", b"2024-01-05"])
+
+    def test_stripped_like_str_strip(self):
+        # every ASCII character str.strip() removes, and one it keeps (\x1b)
+        spaces = "".join(chr(c) for c in range(128) if chr(c).isspace() and chr(c) not in "\n\r")
+        text = f"timestamp,close\n{spaces}a{spaces},5\nb\x1b,6\n"
+        p = load_prices(io.StringIO(text))
+        np.testing.assert_array_equal(p.timestamps, [b"a", b"b\x1b"])
+
+    def test_numeric_labels_order_as_numbers(self):
+        p = load_prices(io.StringIO("timestamp,close\n2,5\n10,6\n10.5,7\n1e2,8\n"))
+        np.testing.assert_array_equal(p.timestamps, [b"2", b"10", b"10.5", b"1e2"])
+        with pytest.raises(ValueError, match="^non-monotone timestamps at row 2$"):
+            load_prices(io.StringIO("timestamp,close\n10,5\n9,6\n"))
+        with pytest.raises(ValueError, match="^non-monotone timestamps at row 3$"):
+            load_prices(io.StringIO("timestamp,close\n007,5\n8,6\n08,7\n"))
+        # Unicode digits parse as numbers too, as float() of a str reads them
+        load_prices(io.StringIO("timestamp,close\n\u0669,5\n10,6\n"))
+
+    def test_integers_above_two_to_the_53(self):
+        # labels compare as the floats they round to, so two integers that
+        # round to the same float are not increasing
+        tie = ("9007199254740992", "9007199254740993")
+        with pytest.raises(ValueError, match="^non-monotone timestamps at row 2$"):
+            load_prices(io.StringIO("timestamp,close\n" + "".join(f"{t},5\n" for t in tie)))
+        with pytest.raises(ValueError, match="^non-monotone timestamps at row 2$"):
+            make_series([1.0, 2.0], np.array([2 ** 53, 2 ** 53 + 1]))
+        with pytest.raises(ValueError, match="^non-monotone timestamps at row 2$"):
+            make_series([1.0, 2.0], (2 ** 53, 2 ** 53 + 1))
+        make_series([1.0, 2.0], ("9007199254740993", "9007199254740995"))
+        make_series([1.0, 2.0], ("999999999999998", "999999999999999"))
+
+    def test_compact_read_only_array(self):
+        labels = ["2024-01-02T10:00:00", "2024-01-02T10:00:01", "2024-01-03 日本"]
+        text = "timestamp,close\n" + "".join(f"{t},5\n" for t in labels)
+        p = load_prices(io.StringIO(text))
+        assert p.timestamps.ndim == 1 and p.timestamps.dtype != object
+        assert p.timestamps.nbytes <= len(p) * max(len(t.encode()) for t in labels)
+        assert not p.timestamps.flags.writeable
+        with pytest.raises(ValueError):
+            p.timestamps[0] = b"x"
+
+    def test_other_label_sequences(self):
+        assert make_series([1.0, 2.0], range(2)).timestamps.dtype == np.int64
+        p = make_series([1.0, 2.0], ["2024-01-01", "2024-01-02"])
+        np.testing.assert_array_equal(p.timestamps, [b"2024-01-01", b"2024-01-02"])
+        p = make_series([1.0, 2.0, 3.0], (1, 2.5, 10))
+        assert written(p).splitlines()[1:] == ["1,1.0", "2.5,2.0", "10,3.0"]
+        p = make_series([1.0, 2.0], np.array(["2024-01-01", "2024-01-02"], dtype="datetime64[D]"))
+        assert written(p).splitlines()[1:] == ["2024-01-01,1.0", "2024-01-02,2.0"]
+        with pytest.raises(ValueError, match="one-dimensional"):
+            make_series([1.0, 2.0], [(1, 2), (3, 4)])
 
 
 class TestReturnsAndIndicators:

@@ -2,6 +2,7 @@
 reproducibility, price conversion."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,18 @@ def full_fft_sample(root, n, seed):
     z[m + 1 :] = half[::-1].conj()
     full_root = np.concatenate([root, root[-2:0:-1]])
     return np.sqrt(2 * m) * np.fft.ifft(full_root * z).real[:n]
+
+
+def half_spectrum_sample(root, n, rng):
+    """The sampler written out of place, as it first was: the in-place one
+    must match it bit for bit."""
+    m = len(root) - 1
+    draws = rng.standard_normal(2 * m)
+    z = np.empty(m + 1, dtype=np.complex128)
+    z[0] = draws[0]
+    z[m] = draws[1]
+    z[1:m] = (draws[2 : m + 1] + 1j * draws[m + 1 :]) / np.sqrt(2.0)
+    return np.sqrt(2 * m) * np.fft.irfft(root * z, 2 * m)[:n]
 
 
 def sampled_values(params, n, dt, seed):
@@ -168,6 +181,46 @@ class TestCirculantEmbedding:
         with pytest.raises(NumericError, match="autocovariance is not finite"):
             simulate_fbm(FbmParams(0.4), 16)
         assert calls == [16]
+
+
+class TestCirculantSampleInPlace:
+    @pytest.mark.parametrize("params, n", [
+        (FbmParams(0.7, 0.5), 1000),
+        (FbmParams(0.3), 999),
+        (DelampertizedParams(0.3, 2.0), 1001),
+        (DelampertizedParams(0.95, 0.01), 1000),  # padded: M = 8n
+    ])
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_bit_identical_to_out_of_place(self, fresh_roots, params, n, seed):
+        root = sim._circulant_root(params, 1.0, n)
+        got = sim._circulant_sample(root, n, np.random.default_rng(seed))
+        want = half_spectrum_sample(root, n, np.random.default_rng(seed))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_paths_bit_identical_to_out_of_place(self, fresh_roots):
+        fbm, stationary = FbmParams(0.7, 0.5), DelampertizedParams(0.95, 0.01)
+        want = np.cumsum(half_spectrum_sample(sim._circulant_root(fbm, 1.0, 999), 999,
+                                              np.random.default_rng(5)))
+        assert simulate_fbm(fbm, 999, seed=5).values.tobytes() == want.tobytes()
+        want = half_spectrum_sample(sim._circulant_root(stationary, 1.0, 1000), 1000,
+                                    np.random.default_rng(5))
+        assert simulate_delampertized(stationary, 1000, seed=5).values.tobytes() == want.tobytes()
+
+    def test_peak_memory(self, fresh_roots):
+        # normals (2M floats) then the half spectrum (M + 1 complex), then the
+        # spectrum and irfft's output (2M floats): 32 bytes per bin at most;
+        # the out-of-place version held twice that
+        m = 1 << 17
+        root = sim._circulant_root(FbmParams(0.7), 1.0, m)
+        assert len(root) == m + 1
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            sim._circulant_sample(root, m, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * m, peak / m
 
 
 class TestSimulateFbm:
@@ -345,7 +398,8 @@ class TestToPriceSeries:
         assert prices.prices[0] == 50.0
         np.testing.assert_allclose(np.log(prices.prices / 50.0),
                                    path.values - path.values[0], atol=1e-12)
-        assert prices.timestamps == tuple(range(32))
+        np.testing.assert_array_equal(prices.timestamps, np.arange(32))
+        assert prices.timestamps.dtype == np.int64
 
     def test_pseudo_periodic_compounding(self):
         p = SimulatedPath("pseudo_periodic", PseudoPeriodicParams(0.5, 2), 1.0, 0,
