@@ -116,19 +116,17 @@ _GRID_TOLERANCE = 2.0 ** -20
 
 def cmd_theory(args: argparse.Namespace) -> int:
     h_min, step = args.hurst_min, args.hurst_step
-    to_zero, to_one = -h_min / step, (1.0 - h_min) / step
-    if not max(abs(to_zero), abs(to_one)) <= 2.0 ** 53:
-        print(f"error: Hurst grid out of range: --hurst-min {h_min} lies more than"
-              f" 2**53 steps of {step} from 0 or from 1", file=sys.stderr)
-        return EXIT_USAGE
     # a printed point h_min + step*i lies inside (0, 1), so step*i is below
     # |h_min| + 1 and its rounding error below the float spacing there; keep
-    # that under _GRID_TOLERANCE of a step, or the points drift off the grid
-    spacing = math.ulp(abs(h_min) + 1.0)
+    # that under _GRID_TOLERANCE of a step, or the points drift off the grid.
+    # This also keeps the indices below, (|h_min| + 1)/step, under 2**33
+    bound = abs(h_min) + 1.0
+    spacing = math.ulp(bound)
     if spacing > _GRID_TOLERANCE * step:
-        print(f"error: Hurst grid too coarse: floats near --hurst-min {h_min} are"
-              f" {spacing} apart, more than 2**-20 of --hurst-step {step}", file=sys.stderr)
+        print(f"error: Hurst grid too fine: --hurst-step {step} is less than 2**20 times"
+              f" {spacing}, the float spacing at |--hurst-min| + 1 = {bound}", file=sys.stderr)
         return EXIT_USAGE
+    to_zero, to_one = -h_min / step, (1.0 - h_min) / step
     # point i is h_min + step*i for i = 0..round((hurst_max - h_min)/step);
     # only the indices whose points can lie strictly inside (0, 1), with one
     # step of margin each side for rounding, are built, so a wide range is cheap

@@ -32,24 +32,18 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def _label_array(labels) -> np.ndarray:
-    """Labels as one 1-D array: integer and `S` arrays as they are, any other
-    label as its str() in UTF-8 `S` text."""
-    arr = np.asarray(labels)
-    if arr.ndim != 1:
-        raise ValueError("timestamps must be one-dimensional")
-    if arr.dtype.kind in "iuS":
-        return arr
-    return np.array([str(x).encode() for x in labels], dtype=bytes)
-
-
-def _digit_keys(labels: np.ndarray) -> np.ndarray:
-    """float() of `S` labels of at most 15 ASCII digits each, exact: every
-    partial value is an integer below 2**53."""
-    digits = np.ascontiguousarray(labels).view(np.uint8).reshape(len(labels), -1)
-    keys = np.zeros(len(labels))
-    for column in digits.T:  # a label's digits end at its NUL padding
-        keys = np.where(column > 0, 10.0 * keys + (column - 48.0), keys)
-    return keys
+    """Labels as one 1-D array: integer and `S` arrays and ranges as they are,
+    any other label as its str() in UTF-8 `S` text."""
+    if isinstance(labels, (np.ndarray, range)):
+        arr = np.asarray(labels)
+        if arr.ndim != 1:
+            raise ValueError("timestamps must be one-dimensional")
+        if arr.dtype.kind in "iuS":
+            return arr
+    # encoded a block at a time, so no second object per label is held
+    rows = iter(labels)
+    blocks = iter(lambda: [str(x).encode() for x in itertools.islice(rows, _BLOCK_ROWS)], [])
+    return np.concatenate([np.empty(0, "S1")] + [np.array(b, dtype=bytes) for b in blocks])
 
 
 def _timestamp_keys(labels: np.ndarray) -> np.ndarray:
@@ -57,21 +51,13 @@ def _timestamp_keys(labels: np.ndarray) -> np.ndarray:
     float(), else the UTF-8 text itself, whose byte order is code-point order."""
     if labels.dtype.kind in "iu":
         return labels.astype(np.float64)
-    if labels.dtype.itemsize <= 15 and np.strings.isdigit(labels).all():
-        return _digit_keys(labels)
-    # float() of bytes takes ASCII spellings only; of a str it also takes the
-    # Unicode digits and spaces that only non-ASCII labels can hold
-    if np.ascontiguousarray(labels).view(np.uint8).max(initial=0) < 128:
-        parse = float
-    else:
-        def parse(label: bytes) -> float:
-            return float(label.decode())
     keys = np.empty(len(labels))
+    # decoded first: float() of a str also reads Unicode digits and spaces
     for start in range(0, len(labels), _BLOCK_ROWS):
         chunk = labels[start : start + _BLOCK_ROWS].tolist()
         try:
-            keys[start : start + len(chunk)] = np.fromiter(map(parse, chunk), np.float64,
-                                                           len(chunk))
+            keys[start : start + len(chunk)] = np.fromiter(
+                map(float, map(bytes.decode, chunk)), np.float64, len(chunk))
         except ValueError:
             return labels
     return keys
@@ -81,8 +67,8 @@ def _timestamp_keys(labels: np.ndarray) -> np.ndarray:
 class PriceSeries:
     """Positive prices with strictly increasing opaque timestamp labels.
 
-    `timestamps` is a read-only 1-D array: integer labels as they are, text
-    labels as UTF-8 bytes (`S` dtype); any other label is held as its str().
+    `timestamps` is a read-only 1-D array: an integer array or a range as it
+    is, text as UTF-8 bytes (`S` dtype); any other label is held as its str().
     """
 
     timestamps: np.ndarray

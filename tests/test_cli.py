@@ -221,15 +221,6 @@ class TestTheory:
         assert captured.out == ""
         assert f"argument {option}: must be finite, got '{value}'" in captured.err
 
-    @pytest.mark.parametrize("h_min, step", [("-1e308", "0.05"), ("1e308", "0.05"),
-                                             ("0.05", "1e-320")])
-    def test_grid_beyond_float_steps_is_usage_error(self, capsys, h_min, step):
-        code, out, err = run(capsys, "theory", "fbm", f"--hurst-min={h_min}",
-                             "--hurst-step", step)
-        assert code == 2 and out == ""
-        assert err == (f"error: Hurst grid out of range: --hurst-min {float(h_min)} lies"
-                       f" more than 2**53 steps of {float(step)} from 0 or from 1\n")
-
     @pytest.mark.parametrize("h_min, step", [("-1e9", "0.3"), ("-12345.678", "0.07"),
                                              ("-3.31", "0.1"), ("0.013", "0.07")])
     def test_grid_points_match_exact_fractions(self, capsys, h_min, step):
@@ -247,17 +238,30 @@ class TestTheory:
             assert len(got) == len(want)
             assert max(abs(g - w) for g, w in zip(got, want)) <= bound
 
-    @pytest.mark.parametrize("h_min, step", [("-1e15", "0.3"), ("-5e9", "0.3"),
-                                             ("0.05", "1e-12")])
-    def test_grid_coarser_than_step_is_usage_error(self, capsys, h_min, step):
+    @pytest.mark.parametrize("h_min, step", [("-1e308", "0.05"), ("1e308", "0.05"),
+                                             ("0.05", "1e-320"), ("-1e15", "0.3"),
+                                             ("-5e9", "0.3"), ("0.05", "1e-12"),
+                                             ("0.05", "2e-10")])
+    def test_grid_beyond_float_steps_is_usage_error(self, capsys, h_min, step):
         # floats near -1e15 are 0.125 apart: the points would print as 0.125
-        # and 0.75, far from the grid's 0.16 and 0.76 (0.2 and 0.8 as typed)
+        # and 0.75, far from the grid's 0.16 and 0.76 (0.2 and 0.8 as typed);
+        # near 1.05 they are 2**-52 apart, more than 2**-20 of a 2e-10 step
         code, out, err = run(capsys, "theory", "fbm", f"--hurst-min={h_min}",
                              "--hurst-step", step)
         assert code == 2 and out == ""
-        spacing = math.ulp(abs(float(h_min)) + 1.0)
-        assert err == (f"error: Hurst grid too coarse: floats near --hurst-min {float(h_min)}"
-                       f" are {spacing} apart, more than 2**-20 of --hurst-step {float(step)}\n")
+        bound = abs(float(h_min)) + 1.0
+        assert err == (f"error: Hurst grid too fine: --hurst-step {float(step)} is less than"
+                       f" 2**20 times {math.ulp(bound)}, the float spacing at"
+                       f" |--hurst-min| + 1 = {bound}\n")
+
+    def test_finest_step_the_floats_allow(self, capsys):
+        # 2**-32 is exactly 2**20 times the float spacing 2**-52 at 1.5
+        code, out, err = run(capsys, "theory", "fbm", "--hurst-min", "0.5",
+                             "--hurst-max", str(0.5 + 3 * 2.0 ** -32), "--hurst-step",
+                             str(2.0 ** -32))
+        assert code == 0 and err == ""
+        got = [Fraction(float(line.split(",")[0])) for line in out.strip().split("\n")[2:]]
+        assert got == [Fraction(1, 2) + i * Fraction(1, 2 ** 32) for i in range(4)]
 
     def test_far_negative_max_is_empty_grid(self, capsys):
         code, out, err = run(capsys, "theory", "fbm", "--hurst-max=-1e308")

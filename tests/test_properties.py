@@ -181,7 +181,6 @@ def test_write_then_load_returns_the_series(labels, data):
 
 @given(st.lists(st.text("0123456789", min_size=1, max_size=17), min_size=1, max_size=40))
 def test_digit_label_keys_are_python_floats(labels):
-    # up to 15 digits take a vectorised parse, longer ones float(); both must
-    # give what float() of the str gives
+    # digit labels beyond 2**53 too must give what float() of the str gives
     keys = _timestamp_keys(np.array([t.encode() for t in labels]))
     assert keys.tobytes() == np.array([float(t) for t in labels]).tobytes()

@@ -338,12 +338,17 @@ class TestLabels:
         assert make_series([1.0, 2.0], range(2)).timestamps.dtype == np.int64
         p = make_series([1.0, 2.0], ["2024-01-01", "2024-01-02"])
         np.testing.assert_array_equal(p.timestamps, [b"2024-01-01", b"2024-01-02"])
+        assert p.timestamps.dtype == "S10"
+        # more labels than one encoding block, ordered as numbers
+        n = _BLOCK_ROWS + 3
+        p = make_series(np.ones(n), [str(i) for i in range(n)])
+        np.testing.assert_array_equal(p.timestamps, np.arange(n).astype("S"))
         p = make_series([1.0, 2.0, 3.0], (1, 2.5, 10))
         assert written(p).splitlines()[1:] == ["1,1.0", "2.5,2.0", "10,3.0"]
         p = make_series([1.0, 2.0], np.array(["2024-01-01", "2024-01-02"], dtype="datetime64[D]"))
         assert written(p).splitlines()[1:] == ["2024-01-01,1.0", "2024-01-02,2.0"]
         with pytest.raises(ValueError, match="one-dimensional"):
-            make_series([1.0, 2.0], [(1, 2), (3, 4)])
+            make_series([1.0, 2.0], np.array([(1, 2), (3, 4)]))
 
 
 class TestReturnsAndIndicators:
