@@ -69,7 +69,7 @@ def _float_type(requirement: str, holds):
 
 
 _finite_float = _float_type("must be finite", math.isfinite)
-_positive_float = _float_type("must be positive", lambda value: value > 0.0)
+_positive_float = _float_type("must be positive and finite", lambda value: 0.0 < value < math.inf)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -157,7 +157,13 @@ def cmd_theory(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# the largest --max-scale: every scale up to it is listed, as used or dropped
+_MAX_SCALE_LIMIT = 2 ** 20
+
+
 def cmd_hurst(args: argparse.Namespace) -> int:
+    if not args.scales and args.max_scale > _MAX_SCALE_LIMIT:
+        raise ValueError(f"max-scale must be at most {_MAX_SCALE_LIMIT}")
     prices = _load(args.input, args.price_mode)
     logprices = np.log(prices.prices)
     scales = args.scales if args.scales else range(1, args.max_scale + 1)

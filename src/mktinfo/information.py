@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .series import MAX_L, IndicatorSeries, PriceSeries, WordDistribution, compute_returns, \
-    to_indicators, _word_count_array, _word_counts
+    to_indicators, _marginal_counts, _word_count_array
 
 LN2 = math.log(2.0)
 
@@ -286,19 +286,8 @@ def information_profile(
     partial_bounds = np.full(shape, np.nan)
 
     for col, m in enumerate(m_values):
-        bits = j_family[m].bits
-        codes = bits.astype(np.int64)
-        for order in range(1, n_orders + 1):
+        for order, n_windows, counts, prefix in _marginal_counts(j_family[m].bits, m, n_orders):
             row = order - 1
-            n_windows = len(bits) - row * m
-            if n_windows < 1:
-                break
-            if order > 1:
-                # extend each order-(L-1) word by its next indicator, in place
-                codes = codes[:n_windows]
-                codes <<= 1
-                codes |= bits[row * m : row * m + n_windows]
-            _, counts, prefix = _word_counts(codes, order)
             H[row, col] = _entropy_bits(counts, n_windows)
             n_obs[row, col] = n_windows
             if order == 1:

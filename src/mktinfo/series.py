@@ -31,6 +31,16 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _held(arr: np.ndarray, given) -> np.ndarray:
+    """`arr`, made from the caller's `given`, read-only and out of the caller's
+    reach: copied first when it may be the caller's own writable array, so a
+    series neither freezes the caller's array nor changes with it.  Callers
+    that pass a fresh array freeze it first and pay no copy."""
+    if arr.flags.writeable and isinstance(given, np.ndarray) and np.may_share_memory(arr, given):
+        arr = arr.copy()
+    return _freeze(arr)
+
+
 def _label_array(labels) -> np.ndarray:
     """Labels as one 1-D array: integer and `S` arrays and ranges as they are,
     any other label as its str() in UTF-8 `S` text."""
@@ -76,9 +86,9 @@ class PriceSeries:
     price_mode: str = "close"
 
     def __post_init__(self):
-        prices = _freeze(np.asarray(self.prices, dtype=np.float64))
+        prices = _held(np.asarray(self.prices, dtype=np.float64), self.prices)
         object.__setattr__(self, "prices", prices)
-        timestamps = _freeze(_label_array(self.timestamps))
+        timestamps = _held(_label_array(self.timestamps), self.timestamps)
         object.__setattr__(self, "timestamps", timestamps)
         if self.price_mode not in PRICE_MODES:
             raise ValueError(f"unknown price mode {self.price_mode!r}")
@@ -111,7 +121,7 @@ class ReturnSeries:
         if not isinstance(self.m, (int, np.integer)) or self.m < 1:
             raise ValueError("return horizon m must be a positive integer")
         object.__setattr__(self, "m", int(self.m))
-        values = _freeze(np.asarray(self.values, dtype=np.float64))
+        values = _held(np.asarray(self.values, dtype=np.float64), self.values)
         object.__setattr__(self, "values", values)
         if not np.all(np.isfinite(values)):
             raise ValueError("returns must be finite")
@@ -131,7 +141,7 @@ class IndicatorSeries:
         if not isinstance(self.m, (int, np.integer)) or self.m < 1:
             raise ValueError("indicator horizon m must be a positive integer")
         object.__setattr__(self, "m", int(self.m))
-        bits = _freeze(np.ascontiguousarray(self.bits, dtype=np.uint8))
+        bits = _held(np.ascontiguousarray(self.bits, dtype=np.uint8), self.bits)
         object.__setattr__(self, "bits", bits)
         if bits.size and int(bits.max()) > 1:
             raise ValueError("indicator values must be 0 or 1")
@@ -250,7 +260,7 @@ def _parse_prices(stream: Iterable[str], mode: str) -> PriceSeries:
 
     if n_rows < 2:
         raise ValueError("price series needs at least 2 rows")
-    return PriceSeries(np.concatenate(labels), np.concatenate(prices), mode)
+    return PriceSeries(_freeze(np.concatenate(labels)), _freeze(np.concatenate(prices)), mode)
 
 
 # the characters str.strip() removes that are ASCII; bytes.strip() keeps \x1c-\x1f
@@ -322,12 +332,12 @@ def compute_returns(p: PriceSeries, m: int) -> ReturnSeries:
         raise ValueError("horizon exceeds series length")
     base = p.prices[:-m]
     values = (p.prices[m:] - base) / base
-    return ReturnSeries(int(m), values)
+    return ReturnSeries(int(m), _freeze(values))
 
 
 def to_indicators(r: ReturnSeries) -> IndicatorSeries:
     """1 where the return is strictly positive, 0 otherwise (ties count as 0)."""
-    return IndicatorSeries(r.m, (r.values > 0.0).astype(np.uint8))
+    return IndicatorSeries(r.m, _freeze((r.values > 0.0).astype(np.uint8)))
 
 
 def extract_words(j: IndicatorSeries, word_length: int, n_windows: int | None = None) -> WordDistribution:
@@ -346,25 +356,109 @@ def extract_words(j: IndicatorSeries, word_length: int, n_windows: int | None = 
     return WordDistribution(word_length, j.m, mapping, n_windows)
 
 
-def _word_counts(codes: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The order-`order` word codes that occur, their counts, and the counts of their prefixes.
+def _word_codes(bits: np.ndarray, order: int, m: int, n_windows: int) -> np.ndarray:
+    """Codes of the `order`-letter words at the first n_windows starts.
 
-    All three are in code order; a word's prefix is its code >> 1.  Words are
-    counted with a dense bincount while there are no more possible words than
-    windows, else with np.unique, so memory stays O(len(codes)) at any order.
+    Window i reads bits[i], bits[i+m], ..., and its earliest letter is the
+    leading bit.  Codes are built by doubling, following the binary form of
+    `order`: the a-letter codes shifted left by a, or-ed with the same codes
+    a*m further on, are the 2a-letter codes, and a 1 digit appends one
+    letter, so there are about 2*log2(order) passes.  The dtype is the
+    narrowest unsigned one that holds `order` bits.
+    """
+    dtype = np.uint8 if order <= 8 else np.uint16 if order <= 16 else np.uint32
+    # the a-letter codes are needed at the first n_windows + (order - a)*m starts
+    codes = bits[: n_windows + (order - 1) * m].astype(dtype)
+    a = 1
+    for digit in bin(order)[3:]:
+        size = n_windows + (order - 2 * a) * m
+        doubled = codes[:size] << a
+        doubled |= codes[a * m : a * m + size]
+        codes, a = doubled, 2 * a
+        if digit == "1":
+            size -= m
+            codes = codes[:size] << 1
+            codes |= bits[a * m : a * m + size]
+            a += 1
+    return codes
+
+
+def _count_codes(codes: np.ndarray, order: int):
+    """(words, counts) of the order-`order` codes.
+
+    Dense while there are no more possible words than windows: words is None
+    and counts is a bincount indexed by code.  Sparse above that, so memory
+    stays O(len(codes)) at any order: the sorted words that occur and their
+    counts.  Either way the positive counts, in code order, are the same.
     """
     if (1 << order) <= len(codes):
-        dense = np.bincount(codes, minlength=1 << order)
-        words = np.flatnonzero(dense)
-        prefix = dense[0::2] + dense[1::2]
-        return words, dense[words], prefix[prefix > 0]
-    words, counts = np.unique(codes, return_counts=True)
-    starts = np.flatnonzero(np.diff(words >> 1, prepend=-1))
-    return words, counts, np.add.reduceat(counts, starts)
+        return None, np.bincount(codes, minlength=1 << order)
+    return np.unique(codes, return_counts=True)
+
+
+def _prefix_counts(words, counts):
+    """(words, counts) as from _count_codes, of the counted words' prefixes (code >> 1)."""
+    if words is None:
+        return None, counts[0::2] + counts[1::2]
+    heads = words >> 1
+    starts = np.flatnonzero(np.concatenate(([True], heads[1:] != heads[:-1])))
+    return heads[starts], np.add.reduceat(counts, starts)
+
+
+def _add_codes(words, counts, extra: np.ndarray, order: int, n_windows: int):
+    """(words, counts) as from _count_codes over n_windows codes: the counted
+    words plus the order-`order` codes `extra`.
+
+    A sparse count takes its few extra words by binary search and insertion,
+    O(words), and is not sorted again.
+    """
+    size = 1 << order
+    if size <= n_windows:
+        dense = np.bincount(extra, minlength=size)
+        if words is None:
+            dense += counts
+        else:
+            dense[words] += counts
+        return None, dense
+    extra, extra_counts = np.unique(extra, return_counts=True)
+    at = np.searchsorted(words, extra)
+    new = words[np.minimum(at, len(words) - 1)] != extra
+    words = np.insert(words, at[new], extra[new])
+    counts = np.insert(counts, at[new], 0)
+    counts[np.searchsorted(words, extra)] += extra_counts
+    return words, counts
+
+
+def _marginal_counts(bits: np.ndarray, m: int, top: int):
+    """Word counts at horizon m for orders min(top, deepest)..1, deepest first.
+
+    Yields (order, n_windows, counts, prefix): the counts of the `order`-letter
+    words over all n_windows = len(bits) - (order-1)*m starts and of their
+    prefixes over the same starts, as from _count_codes.  Codes are built and
+    counted once, at the deepest order; each lower order's counts are the
+    prefix counts above it plus the m windows at the end that have no room
+    for one more letter, so a lower order costs O(2**order + m*order), or
+    O(words) where sparse.
+    """
+    order = min(top, (len(bits) - 1) // m + 1)
+    if order < 1:
+        return
+    n_windows = len(bits) - (order - 1) * m
+    words, counts = _count_codes(_word_codes(bits, order, m, n_windows), order)
+    while True:
+        words, prefix = _prefix_counts(words, counts)
+        yield order, n_windows, counts, prefix
+        if order == 1:
+            return
+        extra = _word_codes(bits[n_windows:], order - 1, m, m)
+        order, n_windows = order - 1, n_windows + m
+        words, counts = _add_codes(words, prefix, extra, order, n_windows)
 
 
 def _word_count_array(j: IndicatorSeries, word_length: int, n_windows: int | None = None):
-    """_word_counts of the length-L words over the first n_windows starts, and n_windows."""
+    """(words, counts, prefix, n_windows) of the length-L words over the first
+    n_windows starts: the codes that occur, their counts, and the positive
+    counts of their prefixes (code >> 1), all in code order."""
     if word_length < 1:
         raise ValueError("word length must be a positive integer")
     if word_length > MAX_L + 1:
@@ -377,9 +471,9 @@ def _word_count_array(j: IndicatorSeries, word_length: int, n_windows: int | Non
     if not 1 <= n_windows <= max_windows:
         raise ValueError(f"series too short for (L={word_length}, m={j.m})")
     n_windows = int(n_windows)
-    # window i reads bits[i], bits[i+m], ...; the earliest is the leading bit
-    codes = j.bits[:n_windows].astype(np.int64)
-    for k in range(1, word_length):
-        codes <<= 1
-        codes |= j.bits[k * j.m : k * j.m + n_windows]
-    return (*_word_counts(codes, word_length), n_windows)
+    words, counts = _count_codes(_word_codes(j.bits, word_length, j.m, n_windows), word_length)
+    _, prefix = _prefix_counts(words, counts)
+    if words is None:
+        words = np.flatnonzero(counts)
+        counts, prefix = counts[words], prefix[prefix > 0]
+    return words, counts, prefix, n_windows

@@ -19,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .series import PriceSeries
+from .series import PriceSeries, _freeze
 from .theory import DelampertizedParams, FbmParams, delampertized_autocovariance
 
 
@@ -70,7 +70,8 @@ def _autocovariance(params: FbmParams | DelampertizedParams, dt: float,
     if isinstance(params, DelampertizedParams):
         return delampertized_autocovariance(dt * k, params)
     h2 = 2.0 * params.hurst
-    scale = 0.5 * params.sigma ** 2 * dt ** h2
+    # in float64, so a huge sigma or dt gives inf, not a Python OverflowError
+    scale = 0.5 * np.float64(params.sigma) ** 2 * np.float64(dt) ** h2
     return scale * (np.abs(k + 1) ** h2 - 2.0 * k ** h2 + np.abs(k - 1) ** h2)
 
 
@@ -92,8 +93,10 @@ def _circulant_root(params: FbmParams | DelampertizedParams, dt: float,
     cap = max(4 * n, _MIN_EMBEDDING_CAP)
     m = n
     while True:
-        gamma = _autocovariance(params, dt, m)
-        lam = np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+        # an overflow is reported just below, as a covariance that is not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            gamma = _autocovariance(params, dt, m)
+            lam = np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real
         if not np.all(np.isfinite(lam)):
             raise NumericError("autocovariance is not finite")
         if lam.min() >= -1e-8 * lam.max():
@@ -205,4 +208,4 @@ def to_price_series(path: SimulatedPath, p0: float = 100.0) -> PriceSeries:
         prices = np.concatenate([[p0], p0 * np.cumprod(1.0 + path.values)])
     else:
         raise ValueError(f"unknown model {path.model!r}")
-    return PriceSeries(np.arange(len(prices)), prices, "close")
+    return PriceSeries(_freeze(np.arange(len(prices))), _freeze(prices), "close")

@@ -177,7 +177,7 @@ def fbm_covariance(s, t, params: FbmParams):
     H2 = 2.0 * params.hurst
     s = np.asarray(s, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
-    out = 0.5 * params.sigma ** 2 * (
+    out = 0.5 * np.float64(params.sigma) ** 2 * (
         np.abs(s) ** H2 + np.abs(t) ** H2 - np.abs(t - s) ** H2)
     return float(out) if out.ndim == 0 else out
 
@@ -185,7 +185,7 @@ def fbm_covariance(s, t, params: FbmParams):
 def delampertized_autocovariance(tau, params: DelampertizedParams):
     """Stationary autocovariance (sigma**2/2) h(theta * |tau|)."""
     tau = np.abs(np.asarray(tau, dtype=np.float64))
-    out = 0.5 * params.sigma ** 2 * h_lamperti(params.hurst, params.theta * tau)
+    out = 0.5 * np.float64(params.sigma) ** 2 * h_lamperti(params.hurst, params.theta * tau)
     return float(out) if np.ndim(out) == 0 else out
 
 

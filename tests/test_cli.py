@@ -1,5 +1,6 @@
 """CLI subcommands driven in-process through main(argv)."""
 
+import contextlib
 import io
 import json
 import math
@@ -7,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mktinfo.cli as cli
 import mktinfo.simulate as sim
@@ -113,6 +115,17 @@ class TestSimulate:
         code, out, err = run(capsys, "simulate", model, option, value, "--n", "50")
         assert code == 3 and out == ""
         assert err == f"error: {option[2:]} must be positive and finite\n"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ("fbm", "--sigma", "1e308", "--n", "50"),
+        ("delampertized", "--sigma", "1e308", "--n", "50"),
+        ("fbm", "--dt", "1e300", "--hurst", "0.9", "--n", "10")])
+    def test_overflowing_covariance_is_numeric_error(self, capsys, argv):
+        # sigma**2 and dt**(2H) overflow float64; no warning may reach stderr
+        code, out, err = run(capsys, "simulate", *argv)
+        assert code == 4 and out == ""
+        assert err == "error: autocovariance is not finite\n"
 
     def test_memory_error_exit_code(self, capsys, monkeypatch):
         def oom(*a, **k):
@@ -348,6 +361,12 @@ class TestHurst:
         assert code == 3
         assert "fewer than 2 scales" in err
 
+    def test_max_scale_beyond_the_limit_is_data_error(self, price_file, capsys):
+        # every scale up to --max-scale is listed, so 10**20 must not be tried
+        code, out, err = run(capsys, "hurst", str(price_file), "--max-scale", str(10 ** 20))
+        assert code == 3 and out == ""
+        assert err == f"error: max-scale must be at most {cli._MAX_SCALE_LIMIT}\n"
+
 
 class TestEndToEnd:
     def test_simulate_analyze_hurst_pipeline(self, capsys, tmp_path):
@@ -368,3 +387,64 @@ class TestEndToEnd:
         assert code == 0
         doc = json.loads(out)
         assert max(abs(v) for v in doc["second_differences"]) > 0.05
+
+
+# Each command's options with one valid value (space-separated for a list).
+# --n is drawn apart: a mid-size count would really allocate, so it takes
+# only the values below.
+_OPTIONS = {
+    "analyze": {"--L-max": "3", "--m-values": "1 2", "--confidence": "0.9"},
+    "simulate": {"--hurst": "0.6", "--sigma": "0.01", "--theta": "2", "--beta": "0.5",
+                 "--tau": "3", "--dt": "0.5", "--seed": "1", "--p0": "50"},
+    "theory": {"--theta": "2", "--m": "2", "--hurst-min": "0.2", "--hurst-max": "0.8",
+               "--hurst-step": "0.2"},
+    "hurst": {"--max-scale": "8", "--scales": "1 2 4", "--fit-min": "1", "--fit-max": "4"},
+}
+_EDGE_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e308", "-1e308", str(10 ** 20)]
+_N_VALUES = ["40", "0", "-1", str(10 ** 20)]
+
+
+@st.composite
+def _argv(draw, price_path):
+    """One command with one of its options at a valid or an edge value."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    head = {"analyze": [price_path], "hurst": [price_path],
+            "simulate": [draw(st.sampled_from(["fbm", "delampertized", "pseudo-periodic"]))],
+            "theory": [draw(st.sampled_from(["fbm", "delampertized"]))]}[command]
+    options = _OPTIONS[command]
+    option = draw(st.sampled_from(sorted(options) + (["--n"] if command == "simulate" else [])))
+    if option == "--n":
+        value = draw(st.sampled_from(_N_VALUES))
+    else:
+        value = draw(st.sampled_from([options[option]] + _EDGE_VALUES))
+    # "=" keeps a leading "-" from reading as an option
+    tail = [f"{option}={value}"] if value.startswith("-") else [option, *value.split()]
+    if command == "simulate" and option != "--n":
+        tail += ["--n", _N_VALUES[0]]
+    return [command] + head + tail
+
+
+@pytest.fixture(scope="module")
+def small_price_file(tmp_path_factory):
+    dest = tmp_path_factory.mktemp("contract") / "prices.csv"
+    dest.write_text("timestamp,close\n" + "".join(
+        f"{i},{100 + (i * 7) % 11}\n" for i in range(60)))
+    return str(dest)
+
+
+def test_every_option_value_exits_cleanly(small_price_file):
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_argv(small_price_file))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code != 0:
+            assert out.getvalue() == "", argv
+
+    check()

@@ -350,6 +350,33 @@ class TestInformationProfile:
             information_profile(j, L_max=2, m_values=(1, 1))
 
 
+    def test_deep_profile_matches_per_order_recount(self):
+        # every cell at n = 1e5, L_max 15, m = 1..5, against words counted
+        # afresh at each order: dense bincounts, entropies summed here
+        rng = np.random.default_rng(8)
+        prices = PriceSeries(np.arange(100_000), np.exp(np.cumsum(rng.normal(0, 0.01, 100_000))))
+        m_values = (1, 2, 3, 4, 5)
+        ep, ip = profile_from_prices(prices, 15, m_values)
+
+        def entropy(counts, total):
+            p = counts[counts > 0] / float(total)
+            return float(-(p * np.log2(p)).sum())
+
+        for col, m in enumerate(m_values):
+            bits = (prices.prices[m:] > prices.prices[:-m]).astype(np.int64)
+            for order in range(1, 17):
+                n_windows = len(bits) - (order - 1) * m
+                codes = np.zeros(n_windows, dtype=np.int64)
+                for k in range(order):
+                    codes = (codes << 1) | bits[k * m : k * m + n_windows]
+                counts = np.bincount(codes, minlength=1 << order)
+                h = entropy(counts, n_windows)
+                h_prefix = entropy(counts[0::2] + counts[1::2], n_windows) if order > 1 else 0.0
+                assert ep.n_obs[order - 1, col] == n_windows
+                assert ep.H[order - 1, col] == h
+                assert ip.I[order - 1, col] == 1.0 + h_prefix - h
+
+
 class TestEntropyRateSlope:
     def synthetic_profile(self, slope=0.9, intercept=0.2, L_max=6):
         orders = np.arange(1, L_max + 2, dtype=float)

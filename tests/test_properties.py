@@ -103,18 +103,35 @@ def test_gamma_quantile_inverts_cdf(shape, scale, p):
         p, abs=1e-9)
 
 
-def dense_word_counts(bits, L, m):
-    """Counts of every length-L code (zeros included) by shift-or and bincount."""
+def recount(bits, L, m):
+    """(positive word counts, positive prefix counts, windows) of the length-L
+    words, each window's code read letter by letter and the codes sorted."""
     n_windows = len(bits) - (L - 1) * m
     codes = np.zeros(n_windows, dtype=np.int64)
     for k in range(L):
         codes = (codes << 1) | bits[k * m : k * m + n_windows]
-    return np.bincount(codes, minlength=1 << L), n_windows
+    _, counts = np.unique(codes, return_counts=True)
+    _, prefix = np.unique(codes >> 1, return_counts=True)
+    return counts, prefix, n_windows
 
 
-@given(bit_lists, st.integers(1, 12), st.integers(1, 4))
-def test_profile_matches_per_order_recount(bits, L_max, m):
-    # deep orders on short series take the sparse (occurring words only) path
+@st.composite
+def profile_cases(draw):
+    """(bits, L_max, m); half the series put 2**order windows, or one more
+    or fewer, at some order, where counting turns from sparse to dense."""
+    L_max, m = draw(st.integers(1, 30)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        order = draw(st.integers(1, min(L_max + 1, 7)))
+        n_bits = (1 << order) + (order - 1) * m + draw(st.integers(-1, 1))
+        bits = draw(st.lists(st.integers(0, 1), min_size=n_bits, max_size=n_bits))
+    else:
+        bits = draw(bit_lists)
+    return bits, L_max, m
+
+
+@given(profile_cases())
+def test_profile_matches_per_order_recount(case):
+    bits, L_max, m = case
     j = as_series(bits, m)
     ep, ip = information_profile({m: j}, L_max, (m,))
     for order in range(1, L_max + 2):
@@ -122,11 +139,10 @@ def test_profile_matches_per_order_recount(bits, L_max, m):
         if len(bits) - row * m < 1:
             assert ep.n_obs[row, 0] == 0 and np.isnan(ep.H[row, 0])
             continue
-        counts, n_windows = dense_word_counts(j.bits, order, m)
+        counts, prefix, n_windows = recount(j.bits, order, m)
         assert ep.n_obs[row, 0] == n_windows
         assert ep.H[row, 0] == _entropy_bits(counts, n_windows)
         if order > 1:
-            prefix = counts.reshape(-1, 2).sum(axis=1)
             assert ip.I[row, 0] == 1.0 + _entropy_bits(prefix, n_windows) - ep.H[row, 0]
 
 

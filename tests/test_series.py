@@ -350,6 +350,28 @@ class TestLabels:
         with pytest.raises(ValueError, match="one-dimensional"):
             make_series([1.0, 2.0], np.array([(1, 2), (3, 4)]))
 
+    @pytest.mark.parametrize("labels", [np.arange(3), np.array([b"a", b"b", b"c"])])
+    def test_caller_arrays_stay_writable(self, labels):
+        prices = np.array([1.0, 2.0, 3.0])
+        p = PriceSeries(labels, prices)
+        first = labels[0]
+        prices[0] = 5.0
+        labels[0] = labels[2]
+        assert p.prices.tolist() == [1.0, 2.0, 3.0]
+        assert p.timestamps[0] == first
+        assert not p.prices.flags.writeable and not p.timestamps.flags.writeable
+        bits = np.array([0, 1], dtype=np.uint8)
+        values = np.array([0.5, -0.5])
+        j, r = IndicatorSeries(1, bits), ReturnSeries(1, values)
+        bits[0], values[0] = 1, 9.0
+        assert j.bits.tolist() == [0, 1] and r.values.tolist() == [0.5, -0.5]
+
+    def test_read_only_arrays_are_held_without_a_copy(self):
+        prices, labels = np.array([1.0, 2.0]), np.arange(2)
+        prices.flags.writeable = labels.flags.writeable = False
+        p = PriceSeries(labels, prices)
+        assert p.prices is prices and p.timestamps is labels
+
 
 class TestReturnsAndIndicators:
     def test_returns_m1(self):
