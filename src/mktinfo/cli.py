@@ -22,7 +22,7 @@ import numpy as np
 
 from .information import profile_from_prices, profile_to_csv, profile_to_json
 from .scaling import DEFAULT_FIT_RANGE, estimate_hurst
-from .series import load_prices, write_prices
+from .series import _freeze, load_prices, write_prices
 from .simulate import NumericError, simulate_delampertized, simulate_fbm, \
     simulate_pseudo_periodic, to_price_series
 from .theory import DelampertizedParams, FbmParams, theory_curve
@@ -100,7 +100,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         # unit-variance returns cannot compound into positive prices, so the
         # CLI applies a volatility scale (signs, hence information, unchanged)
         scale = 0.01 if args.sigma is None else args.sigma
-        path = dataclasses.replace(path, values=scale * path.values)
+        path = dataclasses.replace(path, values=_freeze(scale * path.values))
         header = (f"# model=pseudo-periodic beta={args.beta} tau={args.tau}"
                   f" sigma={scale} n={args.n} seed={args.seed} p0={args.p0}")
     prices = to_price_series(path, args.p0)

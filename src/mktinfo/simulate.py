@@ -19,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .series import PriceSeries, _freeze
+from .series import PriceSeries, _freeze, _held
 from .theory import DelampertizedParams, FbmParams, delampertized_autocovariance
 
 
@@ -57,9 +57,17 @@ class SimulatedPath:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        values.flags.writeable = False
+        values = _held(np.asarray(self.values, dtype=np.float64), self.values)
         object.__setattr__(self, "values", values)
+
+
+def _path_length(n, minimum: int) -> int:
+    """The number of values a simulator is asked for, as an int."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError("n must be an integer")
+    if n < minimum:
+        raise ValueError(f"n must be at least {minimum}")
+    return int(n)
 
 
 def _autocovariance(params: FbmParams | DelampertizedParams, dt: float,
@@ -86,8 +94,6 @@ def _circulant_root(params: FbmParams | DelampertizedParams, dt: float,
     """Square roots of the eigenvalues (rfft bins 0..M) of the smallest
     nonnegative-definite circulant embedding, of length 2M with M = n * 2**k,
     of the autocovariance at lags 0..M."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
     if not 0.0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
     cap = max(4 * n, _MIN_EMBEDDING_CAP)
@@ -104,9 +110,7 @@ def _circulant_root(params: FbmParams | DelampertizedParams, dt: float,
         m *= 2
         if m > cap:
             raise NumericError(f"no nonnegative circulant embedding within {cap} lags")
-    root = np.sqrt(np.clip(lam, 0.0, None))
-    root.flags.writeable = False
-    return root
+    return _freeze(np.sqrt(np.clip(lam, 0.0, None)))
 
 
 def _circulant_sample(root: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -134,17 +138,19 @@ def _circulant_sample(root: np.ndarray, n: int, rng: np.random.Generator) -> np.
 
 def simulate_fbm(params: FbmParams, n: int, dt: float = 1.0, seed: int = 0) -> SimulatedPath:
     """Exact sample of fBm at times dt, 2*dt, ..., n*dt."""
+    n = _path_length(n, 2)
     root = _circulant_root(params, dt, n)
     increments = _circulant_sample(root, n, np.random.default_rng(seed))
-    return SimulatedPath("fbm", params, dt, seed, np.cumsum(increments))
+    return SimulatedPath("fbm", params, dt, seed, _freeze(np.cumsum(increments)))
 
 
 def simulate_delampertized(params: DelampertizedParams, n: int, dt: float = 1.0,
                            seed: int = 0) -> SimulatedPath:
     """Exact sample of the stationary delampertized process on a uniform grid."""
+    n = _path_length(n, 2)
     root = _circulant_root(params, dt, n)
     values = _circulant_sample(root, n, np.random.default_rng(seed))
-    return SimulatedPath("delampertized", params, dt, seed, values)
+    return SimulatedPath("delampertized", params, dt, seed, _freeze(values))
 
 
 def simulate_pseudo_periodic(beta: float, tau: int, n: int, seed: int = 0) -> SimulatedPath:
@@ -154,34 +160,30 @@ def simulate_pseudo_periodic(beta: float, tau: int, n: int, seed: int = 0) -> Si
     recursion, so the whole series is stationary with unit variance.
     """
     params = PseudoPeriodicParams(beta, tau)
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    rng = np.random.default_rng(seed)
-    shocks = rng.standard_normal(n)
+    n = _path_length(n, 1)
+    shocks = np.random.default_rng(seed).standard_normal(n)
     scale = float(np.sqrt(1.0 - params.beta ** 2))
     values = _lagged_recursion(shocks, params.beta, params.tau, scale)
-    return SimulatedPath("pseudo_periodic", params, 1.0, seed, values)
-
-
-_RECURSION_BLOCK = 4096
+    return SimulatedPath("pseudo_periodic", params, 1.0, seed, _freeze(values))
 
 
 def _lagged_recursion(shocks: np.ndarray, feedback: float, lag: int,
                       innovation_scale: float) -> np.ndarray:
-    """out[i] = shocks[i] for i < lag, else feedback*out[i-lag] + innovation_scale*shocks[i]."""
-    # sequential by construction; Python floats are the same IEEE doubles as
-    # numpy's but far cheaper to index one at a time, so each block of
-    # _RECURSION_BLOCK outputs is computed in a list (with the `lag` outputs
-    # before it in front) and written back, keeping the extra memory O(block)
-    out = np.array(shocks, dtype=np.float64)
-    feedback, innovation_scale = float(feedback), float(innovation_scale)
-    for start in range(lag, len(out), _RECURSION_BLOCK):
-        stop = min(start + _RECURSION_BLOCK, len(out))
-        buf = out[start - lag : stop].tolist()
-        for i in range(lag, len(buf)):
-            buf[i] = feedback * buf[i - lag] + innovation_scale * buf[i]
-        out[start:stop] = buf[lag:]
-    return out
+    """out[i] = shocks[i] for i < lag, else feedback*out[i-lag] + innovation_scale*shocks[i],
+    in place in the float64 array `shocks`, by a doubling (Kogge-Stone) scan:
+    the pass for step = lag, 2*lag, 4*lag, ... adds feedback**(step/lag) *
+    out[i-step] to each out[i].  Each value differs from the sequential loop's
+    by at most about 8*eps*log2(n) times the recursion run on |shocks| with
+    |feedback|; each coefficient is one `**`, as squaring would compound errors."""
+    n = len(shocks)
+    shocks[lag:] *= innovation_scale
+    scratch = np.empty(max(n - lag, 0))
+    step = lag
+    while step < n and (coefficient := feedback ** (step // lag)) != 0.0:
+        np.multiply(shocks[: n - step], coefficient, out=scratch[: n - step])
+        shocks[step:] += scratch[: n - step]
+        step *= 2
+    return shocks
 
 
 def to_price_series(path: SimulatedPath, p0: float = 100.0) -> PriceSeries:
@@ -190,22 +192,23 @@ def to_price_series(path: SimulatedPath, p0: float = 100.0) -> PriceSeries:
     Gaussian models are log-prices: P[i] = p0 * exp(v[i] - v[0]).  The
     pseudo-periodic model holds returns: P[0] = p0 and P[i] = P[i-1] *
     (1 + R[i]); a return <= -1 would drive the price nonpositive and is
-    rejected.
+    rejected, as is a price that overflows or underflows to 0.
     """
     if not p0 > 0.0:
         raise ValueError("p0 must be positive")
     if path.model in ("fbm", "delampertized"):
-        centered = path.values - path.values[0]
+        kind = "log-price"
         with np.errstate(over="ignore"):
-            prices = p0 * np.exp(centered)
-        if not np.all(np.isfinite(prices)):
-            raise ValueError("log-price range too wide to convert to prices;"
-                             " lower sigma or p0")
+            prices = p0 * np.exp(path.values - path.values[0])
     elif path.model == "pseudo_periodic":
         bad = np.nonzero(path.values <= -1.0)[0]
         if bad.size:
             raise ValueError(f"price would become non-positive at step {int(bad[0]) + 1}")
-        prices = np.concatenate([[p0], p0 * np.cumprod(1.0 + path.values)])
+        kind = "compounded price"
+        with np.errstate(over="ignore"):
+            prices = np.concatenate([[p0], p0 * np.cumprod(1.0 + path.values)])
     else:
         raise ValueError(f"unknown model {path.model!r}")
+    if not (np.all(np.isfinite(prices)) and prices.min() > 0.0):
+        raise ValueError(f"{kind} range too wide to convert to prices; lower sigma or p0")
     return PriceSeries(_freeze(np.arange(len(prices))), _freeze(prices), "close")

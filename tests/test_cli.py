@@ -79,6 +79,14 @@ class TestSimulate:
         np.testing.assert_array_equal(np.sign(ra), np.sign(rb))
         assert np.all(np.abs(rb) < np.abs(ra))
 
+    def test_compounded_price_underflow_is_data_error(self, capsys):
+        # no return reaches -1 here; the compounded price underflows to 0
+        code, out, err = run(capsys, "simulate", "pseudo-periodic", "--sigma", "0.15",
+                             "--n", "200000")
+        assert code == 3 and out == ""
+        assert err == ("error: compounded price range too wide to convert to prices;"
+                       " lower sigma or p0\n")
+
     def test_delampertized_runs(self, capsys):
         code, out, _ = run(capsys, "simulate", "delampertized", "--hurst", "0.3",
                            "--theta", "2.0", "--sigma", "0.01", "--n", "32",

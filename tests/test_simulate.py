@@ -100,6 +100,33 @@ class TestParams:
     def test_numeric_error_is_runtime_error(self):
         assert issubclass(NumericError, RuntimeError)
 
+    @pytest.mark.parametrize("n", [10.5, 10.0, True, "10", None])
+    def test_n_must_be_an_integer(self, n):
+        for simulate in (lambda: simulate_fbm(FbmParams(0.5), n),
+                         lambda: simulate_delampertized(DelampertizedParams(0.5, 1.0), n),
+                         lambda: simulate_pseudo_periodic(0.5, 2, n)):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                simulate()
+
+    def test_numpy_integer_n(self):
+        n = np.int64(12)
+        assert len(simulate_fbm(FbmParams(0.5), n).values) == 12
+        assert len(simulate_pseudo_periodic(0.5, 2, n).values) == 12
+
+
+class TestSimulatedPath:
+    def test_caller_array_stays_writable(self):
+        values = np.zeros(3)
+        path = SimulatedPath("fbm", FbmParams(0.5), 1.0, 0, values)
+        values[0] = 1.0
+        assert path.values.tolist() == [0.0, 0.0, 0.0]
+        assert not path.values.flags.writeable
+
+    def test_read_only_array_is_held_without_a_copy(self):
+        values = np.zeros(3)
+        values.flags.writeable = False
+        assert SimulatedPath("fbm", FbmParams(0.5), 1.0, 0, values).values is values
+
 
 class TestFgnPieces:
     def test_autocovariance_brownian(self):
@@ -345,38 +372,56 @@ class TestSimulateDelampertized:
         assert all(abs(z) <= 3.0 for z in zs.values()), zs
 
 
+def sequential_recursion(shocks, feedback, lag, scale):
+    """The recursion one element at a time, in numpy float64 arithmetic."""
+    out = np.array(shocks, dtype=np.float64)
+    for i in range(lag, len(out)):
+        out[i] = feedback * out[i - lag] + scale * out[i]
+    return out
+
+
 class TestSimulatePseudoPeriodic:
     def test_exact_recursion(self):
-        beta, tau, n = -0.9, 5, 60
-        path = simulate_pseudo_periodic(beta, tau, n, seed=17)
-        shocks = np.random.default_rng(17).standard_normal(n)
-        scale = math.sqrt(1.0 - beta * beta)
-        want = np.empty(n)
-        for i in range(n):
-            if i < tau:
-                want[i] = shocks[i]
-            else:
-                want[i] = beta * want[i - tau] + scale * shocks[i]
-        np.testing.assert_array_equal(path.values, want)
+        # integer shocks, feedback +-1 and scale 1 or 2 keep every partial
+        # sum an integer far below 2**53, so the scan, whatever order it adds
+        # in, must equal the sequential loop bit for bit
+        n = 12_000
+        shocks = np.random.default_rng(17).integers(-1000, 1001, n).astype(np.float64)
+        for tau in (1, 5, 5_000, 12_000, 20_000):
+            for feedback in (1.0, -1.0):
+                for scale in (1.0, 2.0):
+                    got = sim._lagged_recursion(shocks.copy(), feedback, tau, scale)
+                    want = sequential_recursion(shocks, feedback, tau, scale)
+                    np.testing.assert_array_equal(got, want, err_msg=f"{tau} {feedback} {scale}")
+        path = simulate_pseudo_periodic(-0.9, 5, 60, seed=17)
         assert path.model == "pseudo_periodic"
-        assert path.params == PseudoPeriodicParams(beta, tau)
+        assert path.params == PseudoPeriodicParams(-0.9, 5)
 
-    @pytest.mark.parametrize("tau, n", [(1, 9_000), (5, 10_000), (5_000, 12_000)])
-    def test_exact_recursion_across_blocks(self, tau, n):
-        # long enough to span several of the recursion's working blocks, and
-        # with a lag longer than one block
-        beta = 0.6
+    @pytest.mark.parametrize("beta, tau, n", [(0.6, 1, 9_000), (-0.9, 5, 10_000),
+                                              (0.9999, 5, 100_000), (-0.9999, 5, 100_000),
+                                              (0.6, 5_000, 12_000)])
+    def test_recursion_within_rounding_bound(self, beta, tau, n):
+        # the scan adds in another order than the loop, so each value may
+        # differ by rounding, bounded by 8 * eps * log2(n) times the
+        # recursion run on the shocks' and the feedback's magnitudes
         path = simulate_pseudo_periodic(beta, tau, n, seed=3)
         shocks = np.random.default_rng(3).standard_normal(n)
         scale = math.sqrt(1.0 - beta * beta)
-        want = shocks.copy()
-        for i in range(tau, n):
-            want[i] = beta * want[i - tau] + scale * shocks[i]
-        np.testing.assert_array_equal(path.values, want)
+        want = sequential_recursion(shocks, beta, tau, scale)
+        magnitude = sequential_recursion(np.abs(shocks), abs(beta), tau, scale)
+        bound = 8.0 * np.finfo(np.float64).eps * math.log2(n) * magnitude
+        assert np.all(np.abs(path.values - want) <= bound)
+
+    def test_seed_replays_bit_identically(self):
+        first = simulate_pseudo_periodic(-0.9, 5, 50_000, seed=8)
+        again = simulate_pseudo_periodic(-0.9, 5, 50_000, seed=8)
+        np.testing.assert_array_equal(first.values, again.values)
+        assert not np.array_equal(first.values,
+                                  simulate_pseudo_periodic(-0.9, 5, 50_000, seed=9).values)
 
     def test_prefix_passthrough(self):
         shocks = np.arange(6, dtype=np.float64)
-        out = sim._lagged_recursion(shocks, 0.5, 3, 2.0)
+        out = sim._lagged_recursion(shocks.copy(), 0.5, 3, 2.0)
         np.testing.assert_array_equal(out[:3], shocks[:3])
         np.testing.assert_array_equal(out[3:], 0.5 * out[:3] + 2.0 * shocks[3:])
 
@@ -413,6 +458,16 @@ class TestToPriceSeries:
         p = SimulatedPath("pseudo_periodic", PseudoPeriodicParams(0.5, 2), 1.0, 0,
                           np.array([0.1, -1.0, 0.02]))
         with pytest.raises(ValueError, match="non-positive at step 2"):
+            to_price_series(p)
+
+    @pytest.mark.parametrize("model, values, kind", [
+        ("fbm", [0.0, -800.0], "log-price"),
+        ("pseudo_periodic", [-0.5] * 1100, "compounded price"),
+        ("pseudo_periodic", [1e200, 1e200], "compounded price")])
+    def test_price_underflow_and_overflow_guard(self, model, values, kind):
+        # exp(-800) and 0.5**1100 underflow to 0, 1e400 overflows; no return reaches -1
+        p = SimulatedPath(model, PseudoPeriodicParams(0.5, 2), 1.0, 0, np.array(values))
+        with pytest.raises(ValueError, match=f"^{kind} range too wide"):
             to_price_series(p)
 
     def test_log_price_overflow_guard(self):
