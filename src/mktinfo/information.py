@@ -17,8 +17,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .series import MAX_L, IndicatorSeries, PriceSeries, WordDistribution, compute_returns, \
-    to_indicators, _marginal_counts, _word_count_array
+from .series import MAX_L, IndicatorSeries, PriceSeries, WordDistribution, _marginal_counts, \
+    _sign_indicators, _word_count_array
 
 LN2 = math.log(2.0)
 
@@ -326,8 +326,7 @@ def profile_from_prices(
     confidence: float = 0.95,
 ) -> tuple[EntropyProfile, InformationProfile]:
     """Build indicator series at each m from one price series, then profile them."""
-    j_family = {int(m): to_indicators(compute_returns(prices, int(m)))
-                for m in m_values}
+    j_family = {int(m): _sign_indicators(prices, int(m)) for m in m_values}
     return information_profile(j_family, L_max, m_values, confidence)
 
 

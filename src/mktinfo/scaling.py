@@ -16,6 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .series import _freeze, _held
+
 DEFAULT_MAX_SCALE = 20
 DEFAULT_FIT_RANGE = (1, 5)
 
@@ -79,10 +81,8 @@ class LogLogCurve:
     dropped_scales: tuple = ()
 
     def __post_init__(self):
-        s = np.asarray(self.scales, dtype=np.int64)
-        m = np.asarray(self.moments, dtype=np.float64)
-        s.flags.writeable = False
-        m.flags.writeable = False
+        s = _held(np.asarray(self.scales, dtype=np.int64), self.scales)
+        m = _held(np.asarray(self.moments, dtype=np.float64), self.moments)
         object.__setattr__(self, "scales", s)
         object.__setattr__(self, "moments", m)
         object.__setattr__(self, "fit_range", tuple(self.fit_range))
@@ -164,4 +164,5 @@ def estimate_hurst(logprices: np.ndarray, scales: Sequence[int] | None = None,
                          f" usable scales: 1..{x.size - 1}")
     used, moments = structure_function(x, usable)
     slope, intercept = fit_loglog(used, moments, fit_range)
-    return LogLogCurve(used, moments, fit_range, slope, intercept, slope / 2.0, dropped)
+    return LogLogCurve(_freeze(used), _freeze(moments), fit_range, slope, intercept, slope / 2.0,
+                       dropped)

@@ -59,8 +59,11 @@ def _label_array(labels) -> np.ndarray:
 def _timestamp_keys(labels: np.ndarray) -> np.ndarray:
     """Keys used to check ordering: float64 when every label parses by Python's
     float(), else the UTF-8 text itself, whose byte order is code-point order."""
-    if labels.dtype.kind in "iu":
+    try:
+        # numpy's cast reads ASCII text as float() does and rejects the rest
         return labels.astype(np.float64)
+    except ValueError:
+        pass
     keys = np.empty(len(labels))
     # decoded first: float() of a str also reads Unicode digits and spaces
     for start in range(0, len(labels), _BLOCK_ROWS):
@@ -324,20 +327,38 @@ def write_prices(p: PriceSeries, stream: IO[str]) -> None:
                               zip(labels, p.prices[start:stop].tolist())]))
 
 
-def compute_returns(p: PriceSeries, m: int) -> ReturnSeries:
-    """Relative returns over m price steps: (P[i] - P[i-m]) / P[i-m]."""
+def _horizon(p: PriceSeries, m: int) -> int:
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError("return horizon m must be a positive integer")
     if m >= len(p.prices):
         raise ValueError("horizon exceeds series length")
+    return int(m)
+
+
+def compute_returns(p: PriceSeries, m: int) -> ReturnSeries:
+    """Relative returns over m price steps: (P[i] - P[i-m]) / P[i-m]."""
+    m = _horizon(p, m)
     base = p.prices[:-m]
-    values = (p.prices[m:] - base) / base
-    return ReturnSeries(int(m), _freeze(values))
+    with np.errstate(over="ignore"):  # an overflowing return is reported by ReturnSeries
+        values = (p.prices[m:] - base) / base
+    return ReturnSeries(m, _freeze(values))
 
 
 def to_indicators(r: ReturnSeries) -> IndicatorSeries:
     """1 where the return is strictly positive, 0 otherwise (ties count as 0)."""
     return IndicatorSeries(r.m, _freeze((r.values > 0.0).astype(np.uint8)))
+
+
+def _sign_indicators(p: PriceSeries, m: int) -> IndicatorSeries:
+    """to_indicators(compute_returns(p, m)) by one comparison of prices.
+
+    For positive finite prices a != b, b - a is never 0 (gradual underflow)
+    and |b - a|/a >= 2**-53, so the return (b - a)/a is positive exactly when
+    b > a.  A return that overflows is no error here: its sign is still read.
+    """
+    m = _horizon(p, m)
+    bits = np.greater(p.prices[m:], p.prices[:-m]).view(np.uint8)
+    return IndicatorSeries(m, _freeze(bits))
 
 
 def extract_words(j: IndicatorSeries, word_length: int, n_windows: int | None = None) -> WordDistribution:

@@ -21,6 +21,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .series import _freeze, _held
+
 _RHO_EPS = 1e-15
 
 
@@ -199,10 +201,8 @@ class TheoryCurve:
     fixed_params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        a = np.asarray(self.abscissa, dtype=np.float64)
-        o = np.asarray(self.ordinate, dtype=np.float64)
-        a.flags.writeable = False
-        o.flags.writeable = False
+        a = _held(np.asarray(self.abscissa, dtype=np.float64), self.abscissa)
+        o = _held(np.asarray(self.ordinate, dtype=np.float64), self.ordinate)
         object.__setattr__(self, "abscissa", a)
         object.__setattr__(self, "ordinate", o)
         object.__setattr__(self, "fixed_params", dict(self.fixed_params))
@@ -260,4 +260,4 @@ def theory_curve(model: str, param_grid: Sequence[float],
             ordinate = np.array([info_delampertized(h, m, theta) for h in grid])
     else:
         raise ValueError(f"unknown model {model!r}")
-    return TheoryCurve(model, grid, ordinate, fixed)
+    return TheoryCurve(model, _freeze(grid), _freeze(ordinate), fixed)

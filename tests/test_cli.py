@@ -217,6 +217,13 @@ class TestAnalyze:
         assert code == 3
         assert err == "error: non-finite price at row 3\n"
 
+    def test_overflowing_return_keeps_its_sign(self, capsys, tmp_path):
+        wide = tmp_path / "wide.csv"
+        wide.write_text("timestamp,close\n1,1e-300\n2,1e300\n3,1\n4,2\n5,3\n")
+        code, out, err = run(capsys, "analyze", str(wide))
+        assert code == 0 and err == ""
+        assert json.loads(out)["n"] == 4
+
     def test_deep_L_max_is_data_error(self, price_file, capsys):
         code, out, err = run(capsys, "analyze", str(price_file), "--L-max", "70")
         assert code == 3 and out == ""

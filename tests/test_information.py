@@ -28,8 +28,12 @@ from mktinfo.series import (
     IndicatorSeries,
     PriceSeries,
     WordDistribution,
+    compute_returns,
     extract_words,
+    to_indicators,
 )
+from mktinfo.simulate import simulate_fbm, to_price_series
+from mktinfo.theory import FbmParams
 
 from markov_oracle import entropy_curve
 
@@ -349,6 +353,16 @@ class TestInformationProfile:
         with pytest.raises(ValueError, match="distinct"):
             information_profile(j, L_max=2, m_values=(1, 1))
 
+    def test_price_signs_match_the_returns_route(self):
+        prices = to_price_series(simulate_fbm(FbmParams(0.7, 0.01), 100_000, seed=3))
+        m_values = (1, 2, 3, 4, 5)
+        ep, ip = profile_from_prices(prices, 15, m_values)
+        j_family = {m: to_indicators(compute_returns(prices, m)) for m in m_values}
+        want_ep, want_ip = information_profile(j_family, 15, m_values)
+        assert np.array_equal(ep.n_obs, want_ep.n_obs)
+        for got, want in [(ep.H, want_ep.H), (ip.I, want_ip.I), (ip.partial, want_ip.partial),
+                          (ip.bounds, want_ip.bounds)]:
+            assert np.array_equal(got, want, equal_nan=True)
 
     def test_deep_profile_matches_per_order_recount(self):
         # every cell at n = 1e5, L_max 15, m = 1..5, against words counted

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from mktinfo.information import (
     _entropy_bits,
@@ -24,10 +24,6 @@ from mktinfo.simulate import PseudoPeriodicParams
 from mktinfo.theory import info_from_rho, orthant_probability
 
 from markov_oracle import entropy_curve
-
-settings.register_profile("suite", max_examples=50, derandomize=True,
-                          deadline=None)
-settings.load_profile("suite")
 
 bit_lists = st.lists(st.integers(0, 1), min_size=12, max_size=200)
 

@@ -8,6 +8,7 @@ import pytest
 from mktinfo.scaling import (
     DEFAULT_FIT_RANGE,
     DEFAULT_MAX_SCALE,
+    LogLogCurve,
     estimate_hurst,
     fit_loglog,
     structure_function,
@@ -109,6 +110,21 @@ class TestEstimateHurst:
                                fit_range=(2, 6))
         np.testing.assert_array_equal(
             curve.in_fit_range, (curve.scales >= 2) & (curve.scales <= 6))
+
+
+class TestLogLogCurve:
+    def test_caller_arrays_stay_writable(self):
+        scales, moments = np.arange(1, 4), np.ones(3)
+        curve = LogLogCurve(scales, moments, (1, 3), 0.0, 0.0, 0.0)
+        scales[0], moments[0] = 5, 2.0
+        assert curve.scales.tolist() == [1, 2, 3] and curve.moments.tolist() == [1.0] * 3
+        assert not curve.scales.flags.writeable and not curve.moments.flags.writeable
+
+    def test_read_only_arrays_are_held_without_a_copy(self):
+        scales, moments = np.arange(1, 4), np.ones(3)
+        scales.flags.writeable = moments.flags.writeable = False
+        curve = LogLogCurve(scales, moments, (1, 3), 0.0, 0.0, 0.0)
+        assert curve.scales is scales and curve.moments is moments
 
 
 class TestCurveOutputs:

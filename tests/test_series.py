@@ -1,10 +1,12 @@
 """Price ingestion, returns, indicators, and word extraction."""
 
 import io
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from mktinfo.series import (
     MAX_L,
@@ -18,6 +20,8 @@ from mktinfo.series import (
     to_indicators,
     write_prices,
     _BLOCK_ROWS,
+    _sign_indicators,
+    _timestamp_keys,
     _word_count_array,
 )
 
@@ -253,9 +257,40 @@ def written(series):
     return buf.getvalue()
 
 
+# ASCII number text and whitespace, and non-ASCII digits and spaces that only
+# float() of the decoded str reads
+_ASCII_NUMBER_TEXT = "0123456789+-._eE" + "infatyINFATY" + " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+_NON_ASCII_TEXT = "\u00a0\u0085\u2000\u3000\u0661\u0662\u06f3\u0967"
+_label_text = st.one_of(
+    st.text(_ASCII_NUMBER_TEXT, max_size=10),
+    st.text(_ASCII_NUMBER_TEXT + _NON_ASCII_TEXT, max_size=10),
+    st.builds(lambda a, x, b: a + x + b, st.text(" \t\u00a0\u2000", max_size=2),
+              st.one_of(st.floats().map(repr), st.integers().map(str),
+                        st.text("0123456789\u0661\u0662\u06f3", min_size=1, max_size=6)),
+              st.text(" \n\u0085\u3000", max_size=2)))
+
+
+def _nan_as_one(keys: np.ndarray) -> bytes:
+    """The keys' bytes with every NaN the same: a NaN key is unordered whatever its sign."""
+    return np.where(np.isnan(keys), np.nan, keys).tobytes()
+
+
 class TestLabels:
     """Labels are one read-only array: UTF-8 `S` text from load_prices,
     ordered as today's str labels and written back as they were read."""
+
+    @given(st.lists(_label_text, min_size=1, max_size=20))
+    def test_keys_are_python_floats_of_the_decoded_text(self, labels):
+        raw = np.array([t.encode() for t in labels], dtype="S")
+        try:
+            want = np.array([float(t) for t in labels])
+        except ValueError:
+            want = None
+        keys = _timestamp_keys(raw)
+        if want is None:
+            assert keys is raw
+        else:
+            assert keys.dtype == np.float64 and _nan_as_one(keys) == _nan_as_one(want)
 
     def test_non_ascii_labels_round_trip(self):
         text = "timestamp,close\né,5.0\n日本,6.0\n"
@@ -394,6 +429,50 @@ class TestReturnsAndIndicators:
         p = make_series([1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="positive integer"):
             compute_returns(p, 0)
+
+    @pytest.mark.parametrize("m, message", [
+        (0, "return horizon m must be a positive integer"),
+        (1.0, "return horizon m must be a positive integer"),
+        (3, "horizon exceeds series length")])
+    def test_sign_indicators_check_the_horizon_as_returns_do(self, m, message):
+        p = make_series([1.0, 2.0, 3.0])
+        for signs in (compute_returns, _sign_indicators):
+            with pytest.raises(ValueError, match=message):
+                signs(p, m)
+
+    def test_overflowing_return_raises_without_a_warning(self):
+        p = make_series([1e-300, 1e300, 1.0, 2.0, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="returns must be finite"):
+                compute_returns(p, 1)
+            assert _sign_indicators(p, 1).bits.tolist() == [1, 0, 1, 1]
+
+    @given(st.lists(st.one_of(
+               st.floats(min_value=5e-324, max_value=np.finfo(np.float64).max),
+               st.sampled_from([5e-324, 2.2250738585072014e-308, 1.0, 1e300,
+                                float(np.finfo(np.float64).max)])),
+               min_size=1, max_size=6),
+           st.lists(st.tuples(st.integers(0, 5), st.sampled_from([-1, 0, 1])),
+                    min_size=2, max_size=40))
+    def test_sign_indicators_match_the_returns_route(self, pool, picks):
+        # prices drawn from a small pool, so ties are common, each possibly
+        # moved one ulp, so neighbouring floats meet too
+        towards = {-1: 0.0, 1: np.finfo(np.float64).max}
+        prices = np.array([pool[i % len(pool)] if step == 0 else
+                           np.nextafter(pool[i % len(pool)], towards[step]) for i, step in picks])
+        prices = prices[prices > 0.0]
+        assume(len(prices) >= 2)
+        p = make_series(prices)
+        for m in range(1, min(6, len(p))):
+            got = _sign_indicators(p, m)
+            assert got.m == m and got.bits.dtype == np.uint8 and not got.bits.flags.writeable
+            try:
+                want = to_indicators(compute_returns(p, m))
+            except ValueError:  # an overflowing return: its sign is still read
+                assert got.bits.tolist() == (p.prices[m:] > p.prices[:-m]).tolist()
+                continue
+            assert got.bits.tobytes() == want.bits.tobytes()
 
     def test_indicators_ties_are_zero(self):
         r = ReturnSeries(1, np.array([0.5, 0.0, -0.5, 1e-300]))

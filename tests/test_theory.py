@@ -310,6 +310,19 @@ class TestTheoryCurve:
         with pytest.raises(ValueError, match="same length"):
             TheoryCurve("fbm", np.array([0.4, 0.5]), np.array([0.0]))
 
+    def test_caller_arrays_stay_writable(self):
+        x, y = np.array([0.1, 0.2]), np.zeros(2)
+        c = TheoryCurve("fbm", x, y)
+        x[0], y[0] = 0.05, 0.5
+        assert c.abscissa.tolist() == [0.1, 0.2] and c.ordinate.tolist() == [0.0, 0.0]
+        assert not c.abscissa.flags.writeable and not c.ordinate.flags.writeable
+
+    def test_fresh_arrays_are_held_without_a_copy(self):
+        x, y = np.array([0.1, 0.2]), np.zeros(2)
+        x.flags.writeable = y.flags.writeable = False
+        c = TheoryCurve("fbm", x, y)
+        assert c.abscissa is x and c.ordinate is y
+
     def test_serialization_roundtrip(self):
         c = theory_curve("fbm", [0.3, 0.5, 0.7])
         doc = json.loads(c.to_json())
