@@ -17,8 +17,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .series import MAX_L, IndicatorSeries, PriceSeries, WordDistribution, _marginal_counts, \
-    _sign_indicators, _word_count_array
+from .series import MAX_L, IndicatorSeries, PriceSeries, WordDistribution, _is_integer, \
+    _marginal_counts, _sign_indicators, _word_windows
 
 LN2 = math.log(2.0)
 
@@ -40,18 +40,10 @@ def shannon_entropy(dist: WordDistribution) -> float:
 
 def empirical_entropy(j: IndicatorSeries, word_length: int) -> float:
     """Plug-in entropy of length-L words over the maximal window range."""
-    _, counts, _, n_windows = _word_count_array(j, word_length)
+    word_length, _ = _word_windows(j, word_length)
+    # the deepest order comes first, and the generator counts no lower one
+    _, n_windows, counts, _ = next(_marginal_counts(j.bits, j.m, word_length))
     return _entropy_bits(counts, n_windows)
-
-
-def _pair_entropies(j: IndicatorSeries, lags: int) -> tuple[float, float, int]:
-    """(prefix entropy, full entropy, window count) for orders (lags, lags+1).
-
-    Both distributions use the start-index range of the longer word, so the
-    prefix counts are exact marginals of the full counts (code >> 1).
-    """
-    _, full, prefix, n_windows = _word_count_array(j, lags + 1)
-    return _entropy_bits(prefix, n_windows), _entropy_bits(full, n_windows), n_windows
 
 
 def market_information(j: IndicatorSeries, lags: int) -> float:
@@ -59,12 +51,15 @@ def market_information(j: IndicatorSeries, lags: int) -> float:
 
     Equals 1 + H(lags-word) - H((lags+1)-word) in bits; zero when the next
     indicator is an unbiased coin flip regardless of the preceding word, and
-    1 when the word determines the next indicator.
+    1 when the word determines the next indicator.  Both distributions use
+    the start-index range of the longer word, so the prefix counts are exact
+    marginals of the full counts.
     """
-    if lags < 1:
+    if not _is_integer(lags) or lags < 1:
         raise ValueError("lags must be a positive integer")
-    h_prefix, h_full, _ = _pair_entropies(j, lags)
-    return 1.0 + h_prefix - h_full
+    order, _ = _word_windows(j, lags + 1)
+    _, n_windows, counts, prefix = next(_marginal_counts(j.bits, j.m, order))
+    return 1.0 + _entropy_bits(prefix, n_windows) - _entropy_bits(counts, n_windows)
 
 
 def _log_poisson_pmf(j: int, y: float) -> float:
@@ -281,7 +276,6 @@ def information_profile(
     H = np.full(shape, np.nan)
     n_obs = np.zeros(shape, dtype=np.int64)
     I = np.full(shape, np.nan)
-    partial = np.full(shape, np.nan)
     bounds = np.full(shape, np.nan)
     partial_bounds = np.full(shape, np.nan)
 
@@ -297,18 +291,10 @@ def information_profile(
                 lags = row
                 bounds[row, col] = unit_bound[lags] / ((n - m * lags) * LN2)
 
-        finite = np.isfinite(I[:, col])
-        if finite[0]:
-            partial[0, col] = I[0, col]
-        for row in range(1, n_orders):
-            if finite[row] and finite[row - 1]:
-                partial[row, col] = I[row, col] - I[row - 1, col]
-        if np.isfinite(bounds[1, col]):
-            # no order-1 bound exists, so the first difference starts from zero
-            partial_bounds[1, col] = bounds[1, col]
-        for row in range(2, n_orders):
-            if np.isfinite(bounds[row, col]) and np.isfinite(bounds[row - 1, col]):
-                partial_bounds[row, col] = bounds[row, col] - bounds[row - 1, col]
+    # first differences down the orders; a difference with an absent cell is NaN
+    partial = np.diff(I, axis=0, prepend=0.0)
+    # no order-1 bound exists, so the bounds' first difference starts from zero
+    partial_bounds[1:] = np.diff(bounds[1:], axis=0, prepend=0.0)
 
     for arr in (H, I, partial, bounds, partial_bounds):
         arr.flags.writeable = False

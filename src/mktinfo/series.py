@@ -361,6 +361,29 @@ def _sign_indicators(p: PriceSeries, m: int) -> IndicatorSeries:
     return IndicatorSeries(m, _freeze(bits))
 
 
+def _is_integer(x) -> bool:
+    """A Python or numpy integer; a bool is not taken for a number."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _word_windows(j: IndicatorSeries, word_length, n_windows=None) -> tuple[int, int]:
+    """(word_length, n_windows) as ints, checked against the series: the
+    length-L words at horizon j.m over the first n_windows starts, the
+    maximal number of starts when n_windows is None."""
+    if not _is_integer(word_length) or word_length < 1:
+        raise ValueError("word length must be a positive integer")
+    if word_length > MAX_L + 1:
+        raise ValueError(f"word length {word_length} exceeds the limit of {MAX_L + 1}")
+    max_windows = len(j.bits) - (word_length - 1) * j.m
+    if n_windows is None:
+        n_windows = max_windows
+    elif not _is_integer(n_windows):
+        raise ValueError("number of windows must be an integer")
+    if not 1 <= n_windows <= max_windows:
+        raise ValueError(f"series too short for (L={word_length}, m={j.m})")
+    return int(word_length), int(n_windows)
+
+
 def extract_words(j: IndicatorSeries, word_length: int, n_windows: int | None = None) -> WordDistribution:
     """Distribution of length-L words with entries spaced j.m apart.
 
@@ -369,7 +392,11 @@ def extract_words(j: IndicatorSeries, word_length: int, n_windows: int | None = 
     start indices (used to align word distributions of different lengths on a
     common index range).
     """
-    words, counts, _, n_windows = _word_count_array(j, word_length, n_windows)
+    word_length, n_windows = _word_windows(j, word_length, n_windows)
+    words, counts = _count_codes(_word_codes(j.bits, word_length, j.m, n_windows), word_length)
+    if words is None:
+        words = np.flatnonzero(counts)
+        counts = counts[words]
     mapping = {
         format(code, f"0{word_length}b"): c
         for code, c in zip(words.tolist(), counts.tolist())
@@ -474,27 +501,3 @@ def _marginal_counts(bits: np.ndarray, m: int, top: int):
         extra = _word_codes(bits[n_windows:], order - 1, m, m)
         order, n_windows = order - 1, n_windows + m
         words, counts = _add_codes(words, prefix, extra, order, n_windows)
-
-
-def _word_count_array(j: IndicatorSeries, word_length: int, n_windows: int | None = None):
-    """(words, counts, prefix, n_windows) of the length-L words over the first
-    n_windows starts: the codes that occur, their counts, and the positive
-    counts of their prefixes (code >> 1), all in code order."""
-    if word_length < 1:
-        raise ValueError("word length must be a positive integer")
-    if word_length > MAX_L + 1:
-        raise ValueError(f"word length {word_length} exceeds the limit of {MAX_L + 1}")
-    max_windows = len(j.bits) - (word_length - 1) * j.m
-    if max_windows < 1:
-        raise ValueError(f"series too short for (L={word_length}, m={j.m})")
-    if n_windows is None:
-        n_windows = max_windows
-    if not 1 <= n_windows <= max_windows:
-        raise ValueError(f"series too short for (L={word_length}, m={j.m})")
-    n_windows = int(n_windows)
-    words, counts = _count_codes(_word_codes(j.bits, word_length, j.m, n_windows), word_length)
-    _, prefix = _prefix_counts(words, counts)
-    if words is None:
-        words = np.flatnonzero(counts)
-        counts, prefix = counts[words], prefix[prefix > 0]
-    return words, counts, prefix, n_windows

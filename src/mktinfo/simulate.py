@@ -19,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .series import PriceSeries, _freeze, _held
+from .series import PriceSeries, _freeze, _held, _is_integer
 from .theory import DelampertizedParams, FbmParams, delampertized_autocovariance
 
 
@@ -63,7 +63,7 @@ class SimulatedPath:
 
 def _path_length(n, minimum: int) -> int:
     """The number of values a simulator is asked for, as an int."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+    if not _is_integer(n):
         raise ValueError("n must be an integer")
     if n < minimum:
         raise ValueError(f"n must be at least {minimum}")

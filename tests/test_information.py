@@ -173,6 +173,23 @@ class TestMarketInformation:
                                                - 0.75 * math.log2(0.75)), rel=1e-12)
 
 
+@pytest.mark.parametrize("estimate, message", [
+    (lambda j: extract_words(j, 2.0), "word length must be a positive integer"),
+    (lambda j: extract_words(j, True), "word length must be a positive integer"),
+    (lambda j: extract_words(j, 3, n_windows=2.5), "number of windows must be an integer"),
+    (lambda j: extract_words(j, 3, n_windows=True), "number of windows must be an integer"),
+    (lambda j: empirical_entropy(j, np.float64(3)), "word length must be a positive integer"),
+    (lambda j: empirical_entropy(j, True), "word length must be a positive integer"),
+    (lambda j: market_information(j, 1.5), "lags must be a positive integer"),
+    (lambda j: market_information(j, True), "lags must be a positive integer"),
+], ids=["extract-float", "extract-bool", "windows-float", "windows-bool",
+        "entropy-float", "entropy-bool", "information-float", "information-bool"])
+def test_non_integer_word_lengths_rejected(estimate, message):
+    j = bits_series(np.random.default_rng(4).integers(0, 2, size=16))
+    with pytest.raises(ValueError, match=message):
+        estimate(j)
+
+
 class TestGammaQuantile:
     def test_exponential_closed_form(self):
         for scale in (1.0, 2.5e-4, 40.0):
@@ -307,6 +324,27 @@ class TestInformationProfile:
                              100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal(400))))
         _, ip = profile_from_prices(prices, L_max=5, m_values=(1, 2, 3))
         np.testing.assert_allclose(np.cumsum(ip.partial, axis=0), ip.I, atol=1e-12)
+
+    def test_partials_are_exact_first_differences(self):
+        # 9 prices: the deepest orders have no windows at m = 2 and 3, so
+        # their I and bound cells, and every difference with them, are NaN
+        rng = np.random.default_rng(13)
+        prices = PriceSeries(tuple(range(9)), np.exp(np.cumsum(rng.normal(0, 0.01, 9))))
+        _, ip = profile_from_prices(prices, L_max=6, m_values=(1, 2, 3))
+        assert np.isnan(ip.I).any() and np.isnan(ip.bounds[1:]).any()
+        partial = np.full_like(ip.I, np.nan)
+        partial_bounds = np.full_like(ip.bounds, np.nan)
+        partial[0] = ip.I[0]
+        partial_bounds[1] = ip.bounds[1]
+        for row in range(1, 7):
+            for col in range(3):
+                if np.isfinite(ip.I[row, col]) and np.isfinite(ip.I[row - 1, col]):
+                    partial[row, col] = ip.I[row, col] - ip.I[row - 1, col]
+                if row > 1 and np.isfinite(ip.bounds[row, col]) \
+                        and np.isfinite(ip.bounds[row - 1, col]):
+                    partial_bounds[row, col] = ip.bounds[row, col] - ip.bounds[row - 1, col]
+        assert np.array_equal(ip.partial, partial, equal_nan=True)
+        assert np.array_equal(ip.partial_bounds, partial_bounds, equal_nan=True)
 
     def test_nan_pattern_short_series(self):
         j = {1: bits_series(np.array([1, 0, 1, 1, 0, 1], dtype=np.uint8))}

@@ -142,6 +142,22 @@ def test_profile_matches_per_order_recount(case):
             assert ip.I[row, 0] == 1.0 + _entropy_bits(prefix, n_windows) - ep.H[row, 0]
 
 
+@given(profile_cases())
+def test_public_estimators_equal_profile_cells(case):
+    bits, L_max, m = case
+    j = as_series(bits, m)
+    ep, ip = information_profile({m: j}, L_max, (m,))
+    for order in range(1, L_max + 2):
+        row = order - 1
+        if ep.n_obs[row, 0] == 0:
+            with pytest.raises(ValueError, match="series too short"):
+                empirical_entropy(j, order)
+            continue
+        assert empirical_entropy(j, order) == ep.H[row, 0]
+        if order > 1:
+            assert market_information(j, order - 1) == ip.I[row, 0]
+
+
 @given(st.integers(1, 3), st.data())
 def test_markov_entropy_curve_concave(order, data):
     probs = data.draw(st.lists(st.floats(0.05, 0.95), min_size=2 ** order,

@@ -22,7 +22,6 @@ from mktinfo.series import (
     _BLOCK_ROWS,
     _sign_indicators,
     _timestamp_keys,
-    _word_count_array,
 )
 
 
@@ -543,32 +542,31 @@ def reference_words(bits, L, m, n_windows):
 
 
 class TestWordCountArray:
-    """The word counter behind extract_words and the entropy estimators."""
+    """Word counts in code order, and the counts of their prefixes over the
+    same starts, as extract_words gives them."""
 
     def test_hand_case(self):
         # windows at stride 1: 10, 01, 11 -> codes 2, 1, 3
         j = IndicatorSeries(1, np.array([1, 0, 1, 1], dtype=np.uint8))
-        words, counts, prefix, n_windows = _word_count_array(j, 2)
-        np.testing.assert_array_equal(words, [1, 2, 3])
-        np.testing.assert_array_equal(counts, [1, 1, 1])
-        np.testing.assert_array_equal(prefix, [1, 2])  # prefixes 0 and 1
-        assert n_windows == 3
+        d = extract_words(j, 2)
+        assert list(d.counts.items()) == [("01", 1), ("10", 1), ("11", 1)]
+        assert d.total == 3
+        # prefixes 0 and 1, over the same 3 starts
+        assert list(extract_words(j, 1, n_windows=3).counts.items()) == [("0", 1), ("1", 2)]
 
     def test_stride_skips(self):
         # windows at stride 2: (b0, b2) = 11, (b1, b3) = 01
         j = IndicatorSeries(2, np.array([1, 0, 1, 1], dtype=np.uint8))
-        words, counts, prefix, n_windows = _word_count_array(j, 2)
-        np.testing.assert_array_equal(words, [1, 3])
-        np.testing.assert_array_equal(counts, [1, 1])
-        np.testing.assert_array_equal(prefix, [1, 1])
-        assert n_windows == 2
+        d = extract_words(j, 2)
+        assert list(d.counts.items()) == [("01", 1), ("11", 1)]
+        assert d.total == 2
+        assert list(extract_words(j, 1, n_windows=2).counts.items()) == [("0", 1), ("1", 1)]
 
     def test_window_restriction(self):
         j = IndicatorSeries(1, np.array([1, 1, 0, 0, 1], dtype=np.uint8))
-        words, counts, _, n_windows = _word_count_array(j, 1, 3)
-        np.testing.assert_array_equal(words, [0, 1])
-        np.testing.assert_array_equal(counts, [1, 2])
-        assert n_windows == 3
+        d = extract_words(j, 1, 3)
+        assert list(d.counts.items()) == [("0", 1), ("1", 2)]
+        assert d.total == 3
 
     def test_against_reference(self):
         # dense (2**L <= windows) and sparse (more words than windows) sides
@@ -580,18 +578,21 @@ class TestWordCountArray:
                     n_win = n - (L - 1) * m
                     if n_win < 1:
                         continue
+                    j = IndicatorSeries(m, bits)
                     for restrict in (None, (n_win + 1) // 2):
-                        words, counts, prefix, got_win = _word_count_array(
-                            IndicatorSeries(m, bits), L, restrict)
+                        d = extract_words(j, L, restrict)
                         want_win = n_win if restrict is None else restrict
                         want = reference_words(bits, L, m, want_win)
-                        assert got_win == want_win == counts.sum()
-                        assert dict(zip((format(w, f"0{L}b") for w in words.tolist()),
-                                        counts.tolist())) == want
+                        assert d.total == want_win == sum(d.counts.values())
+                        assert d.counts == want
+                        assert list(d.counts) == sorted(want)
+                        if L == 1:
+                            continue  # the one empty prefix counts d.total
                         prefixes = Counter()
                         for word, c in want.items():
                             prefixes[word[:-1]] += c
-                        assert prefix.tolist() == [prefixes[k] for k in sorted(prefixes)]
+                        prefix = extract_words(j, L - 1, n_windows=want_win).counts
+                        assert list(prefix.items()) == sorted(prefixes.items())
 
 
 class TestWordDistribution:
