@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .series import MAX_L, IndicatorSeries, PriceSeries, WordDistribution, _is_integer, \
+from .series import MAX_L, IndicatorSeries, PriceSeries, WordDistribution, _count, _freeze, \
     _marginal_counts, _sign_indicators, _word_windows
 
 LN2 = math.log(2.0)
@@ -55,8 +55,7 @@ def market_information(j: IndicatorSeries, lags: int) -> float:
     the start-index range of the longer word, so the prefix counts are exact
     marginals of the full counts.
     """
-    if not _is_integer(lags) or lags < 1:
-        raise ValueError("lags must be a positive integer")
+    lags = _count(lags, "lags must be a positive integer")
     order, _ = _word_windows(j, lags + 1)
     _, n_windows, counts, prefix = next(_marginal_counts(j.bits, j.m, order))
     return 1.0 + _entropy_bits(prefix, n_windows) - _entropy_bits(counts, n_windows)
@@ -146,13 +145,12 @@ def gamma_quantile(shape: int, scale: float, p: float) -> float:
     unit-scale quantile, found from the finite (Erlang) survival sum
     exp(-y) * sum_{j<shape} y**j/j! without any incomplete-gamma machinery.
     """
-    if not isinstance(shape, (int, np.integer)) or shape < 1:
-        raise ValueError("shape must be an integer >= 1")
+    shape = _count(shape, "shape must be an integer >= 1")
     if not scale > 0.0:
         raise ValueError("scale must be positive")
     if not 0.0 < p < 1.0:
         raise ValueError("quantile level must be in (0, 1)")
-    return scale * _unit_gamma_quantile(int(shape), p)
+    return scale * _unit_gamma_quantile(shape, p)
 
 
 @dataclass(frozen=True)
@@ -172,10 +170,8 @@ def significance_bound(n: int, lags: int, m: int, confidence: float) -> Signific
     order-(lags+1) information estimate is Gamma(2**(lags-1),
     1/((n - m*lags) ln 2)); the bound is its `confidence` quantile.
     """
-    if lags < 1:
-        raise ValueError("lags must be a positive integer")
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    lags = _count(lags, "lags must be a positive integer")
+    m = _count(m, "m must be a positive integer")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
     dof = n - m * lags
@@ -239,13 +235,12 @@ def information_profile(
     j_family maps each m to the indicator series built at horizon m from one
     underlying price series; all series must imply the same price count.
     """
-    if L_max < 1:
-        raise ValueError("L_max must be a positive integer")
+    L_max = _count(L_max, "L_max must be a positive integer")
     if L_max > MAX_L:
         raise ValueError(f"L_max must be at most {MAX_L}")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
-    m_values = tuple(int(m) for m in m_values)
+    m_values = tuple(_count(m, "m_values must be positive integers") for m in m_values)
     if len(set(m_values)) != len(m_values) or not m_values:
         raise ValueError("m_values must be nonempty and distinct")
 
@@ -296,12 +291,9 @@ def information_profile(
     # no order-1 bound exists, so the bounds' first difference starts from zero
     partial_bounds[1:] = np.diff(bounds[1:], axis=0, prepend=0.0)
 
-    for arr in (H, I, partial, bounds, partial_bounds):
-        arr.flags.writeable = False
-    n_obs.flags.writeable = False
-    ep = EntropyProfile(m_values, L_max, H, n_obs)
-    ip = InformationProfile(m_values, L_max, int(n_underlying), confidence,
-                            I, partial, bounds, partial_bounds)
+    ep = EntropyProfile(m_values, L_max, _freeze(H), _freeze(n_obs))
+    ip = InformationProfile(m_values, L_max, n, confidence, _freeze(I),
+                            _freeze(partial), _freeze(bounds), _freeze(partial_bounds))
     return ep, ip
 
 
@@ -312,7 +304,7 @@ def profile_from_prices(
     confidence: float = 0.95,
 ) -> tuple[EntropyProfile, InformationProfile]:
     """Build indicator series at each m from one price series, then profile them."""
-    j_family = {int(m): _sign_indicators(prices, int(m)) for m in m_values}
+    j_family = {j.m: j for j in (_sign_indicators(prices, m) for m in m_values)}
     return information_profile(j_family, L_max, m_values, confidence)
 
 
@@ -326,7 +318,7 @@ def entropy_rate_slope(profile: EntropyProfile, m: int, lags: Sequence[int]) -> 
     col = profile.m_values.index(m)
     xs, ys = [], []
     for lag in lags:
-        order = lag + 1
+        order = _count(lag, "lags must be non-negative integers", minimum=0) + 1
         if not 1 <= order <= profile.L_max + 1:
             continue
         h = profile.H[order - 1, col]

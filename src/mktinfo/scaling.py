@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .series import _freeze, _held
+from .series import _count, _freeze, _held
 
 DEFAULT_MAX_SCALE = 20
 DEFAULT_FIT_RANGE = (1, 5)
@@ -25,9 +25,10 @@ DEFAULT_FIT_RANGE = (1, 5)
 def _split_scales(n_points: int, scales: Sequence[int]) -> tuple[list, list]:
     """The requested scales, deduplicated and sorted, split into those shorter
     than the series (usable) and the rest (dropped)."""
-    req = sorted({int(s) for s in scales})
-    if not req or req[0] < 1:
-        raise ValueError("scales must be positive integers")
+    message = "scales must be positive integers"
+    req = sorted({_count(s, message) for s in scales})
+    if not req:
+        raise ValueError(message)
     return [s for s in req if s < n_points], [s for s in req if s >= n_points]
 
 
@@ -86,7 +87,8 @@ class LogLogCurve:
         object.__setattr__(self, "scales", s)
         object.__setattr__(self, "moments", m)
         object.__setattr__(self, "fit_range", tuple(self.fit_range))
-        object.__setattr__(self, "dropped_scales", tuple(int(s) for s in self.dropped_scales))
+        dropped = tuple(_count(s, "scales must be positive integers") for s in self.dropped_scales)
+        object.__setattr__(self, "dropped_scales", dropped)
 
     @property
     def log2_scales(self) -> np.ndarray:

@@ -26,6 +26,15 @@ _TIMESTAMP_COLUMNS = ("timestamp", "date", "time", "datetime")
 MAX_L = 30
 
 
+def _count(value, message: str, minimum: int = 1) -> int:
+    """`value` as an int when it is a Python or numpy integer of at least
+    `minimum`; anything else (a bool, any float, a string, a smaller value)
+    raises ValueError(message)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(message)
+    return int(value)
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -121,9 +130,7 @@ class ReturnSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.m, (int, np.integer)) or self.m < 1:
-            raise ValueError("return horizon m must be a positive integer")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", _count(self.m, "return horizon m must be a positive integer"))
         values = _held(np.asarray(self.values, dtype=np.float64), self.values)
         object.__setattr__(self, "values", values)
         if not np.all(np.isfinite(values)):
@@ -141,9 +148,7 @@ class IndicatorSeries:
     bits: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.m, (int, np.integer)) or self.m < 1:
-            raise ValueError("indicator horizon m must be a positive integer")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", _count(self.m, "indicator horizon m must be a positive integer"))
         bits = _held(np.ascontiguousarray(self.bits, dtype=np.uint8), self.bits)
         object.__setattr__(self, "bits", bits)
         if bits.size and int(bits.max()) > 1:
@@ -163,8 +168,9 @@ class WordDistribution:
     total: int
 
     def __post_init__(self):
-        if self.word_length < 1 or self.stride < 1:
-            raise ValueError("word length and stride must be positive")
+        for name in ("word_length", "stride"):
+            value = _count(getattr(self, name), "word length and stride must be positive")
+            object.__setattr__(self, name, value)
         if self.total < 1:
             raise ValueError("no observations")
         for word, c in self.counts.items():
@@ -328,11 +334,10 @@ def write_prices(p: PriceSeries, stream: IO[str]) -> None:
 
 
 def _horizon(p: PriceSeries, m: int) -> int:
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError("return horizon m must be a positive integer")
+    m = _count(m, "return horizon m must be a positive integer")
     if m >= len(p.prices):
         raise ValueError("horizon exceeds series length")
-    return int(m)
+    return m
 
 
 def compute_returns(p: PriceSeries, m: int) -> ReturnSeries:
@@ -361,27 +366,21 @@ def _sign_indicators(p: PriceSeries, m: int) -> IndicatorSeries:
     return IndicatorSeries(m, _freeze(bits))
 
 
-def _is_integer(x) -> bool:
-    """A Python or numpy integer; a bool is not taken for a number."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 def _word_windows(j: IndicatorSeries, word_length, n_windows=None) -> tuple[int, int]:
     """(word_length, n_windows) as ints, checked against the series: the
     length-L words at horizon j.m over the first n_windows starts, the
     maximal number of starts when n_windows is None."""
-    if not _is_integer(word_length) or word_length < 1:
-        raise ValueError("word length must be a positive integer")
+    word_length = _count(word_length, "word length must be a positive integer")
     if word_length > MAX_L + 1:
         raise ValueError(f"word length {word_length} exceeds the limit of {MAX_L + 1}")
     max_windows = len(j.bits) - (word_length - 1) * j.m
     if n_windows is None:
         n_windows = max_windows
-    elif not _is_integer(n_windows):
-        raise ValueError("number of windows must be an integer")
+    else:
+        n_windows = _count(n_windows, "number of windows must be an integer")
     if not 1 <= n_windows <= max_windows:
         raise ValueError(f"series too short for (L={word_length}, m={j.m})")
-    return int(word_length), int(n_windows)
+    return word_length, n_windows
 
 
 def extract_words(j: IndicatorSeries, word_length: int, n_windows: int | None = None) -> WordDistribution:

@@ -19,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .series import PriceSeries, _freeze, _held, _is_integer
+from .series import PriceSeries, _count, _freeze, _held
 from .theory import DelampertizedParams, FbmParams, delampertized_autocovariance
 
 
@@ -37,9 +37,7 @@ class PseudoPeriodicParams:
     def __post_init__(self):
         if not -1.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (-1, 1)")
-        if not isinstance(self.tau, (int, np.integer)) or self.tau < 1:
-            raise ValueError("tau must be a positive integer")
-        object.__setattr__(self, "tau", int(self.tau))
+        object.__setattr__(self, "tau", _count(self.tau, "tau must be a positive integer"))
 
 
 ModelParams = Union[FbmParams, DelampertizedParams, PseudoPeriodicParams]
@@ -59,15 +57,6 @@ class SimulatedPath:
     def __post_init__(self):
         values = _held(np.asarray(self.values, dtype=np.float64), self.values)
         object.__setattr__(self, "values", values)
-
-
-def _path_length(n, minimum: int) -> int:
-    """The number of values a simulator is asked for, as an int."""
-    if not _is_integer(n):
-        raise ValueError("n must be an integer")
-    if n < minimum:
-        raise ValueError(f"n must be at least {minimum}")
-    return int(n)
 
 
 def _autocovariance(params: FbmParams | DelampertizedParams, dt: float,
@@ -138,7 +127,7 @@ def _circulant_sample(root: np.ndarray, n: int, rng: np.random.Generator) -> np.
 
 def simulate_fbm(params: FbmParams, n: int, dt: float = 1.0, seed: int = 0) -> SimulatedPath:
     """Exact sample of fBm at times dt, 2*dt, ..., n*dt."""
-    n = _path_length(n, 2)
+    n = _count(n, "n must be an integer >= 2", minimum=2)
     root = _circulant_root(params, dt, n)
     increments = _circulant_sample(root, n, np.random.default_rng(seed))
     return SimulatedPath("fbm", params, dt, seed, _freeze(np.cumsum(increments)))
@@ -147,7 +136,7 @@ def simulate_fbm(params: FbmParams, n: int, dt: float = 1.0, seed: int = 0) -> S
 def simulate_delampertized(params: DelampertizedParams, n: int, dt: float = 1.0,
                            seed: int = 0) -> SimulatedPath:
     """Exact sample of the stationary delampertized process on a uniform grid."""
-    n = _path_length(n, 2)
+    n = _count(n, "n must be an integer >= 2", minimum=2)
     root = _circulant_root(params, dt, n)
     values = _circulant_sample(root, n, np.random.default_rng(seed))
     return SimulatedPath("delampertized", params, dt, seed, _freeze(values))
@@ -160,7 +149,7 @@ def simulate_pseudo_periodic(beta: float, tau: int, n: int, seed: int = 0) -> Si
     recursion, so the whole series is stationary with unit variance.
     """
     params = PseudoPeriodicParams(beta, tau)
-    n = _path_length(n, 1)
+    n = _count(n, "n must be an integer >= 1")
     shocks = np.random.default_rng(seed).standard_normal(n)
     scale = float(np.sqrt(1.0 - params.beta ** 2))
     values = _lagged_recursion(shocks, params.beta, params.tau, scale)
@@ -194,8 +183,8 @@ def to_price_series(path: SimulatedPath, p0: float = 100.0) -> PriceSeries:
     (1 + R[i]); a return <= -1 would drive the price nonpositive and is
     rejected, as is a price that overflows or underflows to 0.
     """
-    if not p0 > 0.0:
-        raise ValueError("p0 must be positive")
+    if not 0.0 < p0 < math.inf:
+        raise ValueError("p0 must be positive and finite")
     if path.model in ("fbm", "delampertized"):
         kind = "log-price"
         with np.errstate(over="ignore"):

@@ -79,6 +79,12 @@ def rho_fbm(hurst: float) -> float:
     return 2.0 ** (2.0 * hurst - 1.0) - 1.0
 
 
+def _sinh_power(hurst: float, x: np.ndarray) -> np.ndarray:
+    """(2 sinh(x/2))**(2H) for x >= 0, as exp(2H log(.)), so x = 0 gives 0."""
+    with np.errstate(divide="ignore"):
+        return np.exp(2.0 * hurst * np.log(2.0 * np.sinh(0.5 * x)))
+
+
 def h_lamperti(hurst: float, x):
     """h(x) = 2 cosh(H x) - (2 sinh(x/2))**(2H) for x >= 0.
 
@@ -95,10 +101,7 @@ def h_lamperti(hurst: float, x):
     out = np.empty_like(arr)
     small = arr <= 1.0
     xs = arr[small]
-    with np.errstate(divide="ignore"):
-        # (2 sinh(x/2))**(2H) via exp(2H log(.)); log(0) -> -inf -> term 0
-        term = np.exp(2.0 * hurst * np.log(2.0 * np.sinh(0.5 * xs)))
-    out[small] = 2.0 * np.cosh(hurst * xs) - term
+    out[small] = 2.0 * np.cosh(hurst * xs) - _sinh_power(hurst, xs)
     xl = arr[~small]
     # exp(Hx) * (1 - (1-exp(-x))**(2H)) assembled in log space so that huge
     # x underflows to 0 instead of overflowing the exp(Hx) factor; from x = 40
@@ -118,9 +121,7 @@ def _two_minus_h(hurst: float, x):
     out = np.empty_like(arr)
     small = arr <= 1.0
     xs = arr[small]
-    with np.errstate(divide="ignore"):
-        term = np.exp(2.0 * hurst * np.log(2.0 * np.sinh(0.5 * xs)))
-    out[small] = term - 4.0 * np.sinh(0.5 * hurst * xs) ** 2
+    out[small] = _sinh_power(hurst, xs) - 4.0 * np.sinh(0.5 * hurst * xs) ** 2
     out[~small] = 2.0 - h_lamperti(hurst, arr[~small])
     return out if arr.ndim else float(out)
 

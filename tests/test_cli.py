@@ -118,7 +118,8 @@ class TestSimulate:
     @pytest.mark.parametrize("model, option, value", [
         ("delampertized", "--theta", "inf"), ("delampertized", "--theta", "nan"),
         ("fbm", "--dt", "inf"), ("delampertized", "--dt", "inf"),
-        ("fbm", "--sigma", "inf"), ("delampertized", "--sigma", "nan")])
+        ("fbm", "--sigma", "inf"), ("delampertized", "--sigma", "nan"),
+        ("fbm", "--p0", "inf"), ("pseudo-periodic", "--p0", "inf")])
     def test_non_finite_parameter_is_data_error(self, capsys, model, option, value):
         code, out, err = run(capsys, "simulate", model, option, value, "--n", "50")
         assert code == 3 and out == ""

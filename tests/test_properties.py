@@ -1,7 +1,9 @@
 """Invariants checked over generated inputs."""
 
+import dataclasses
 import io
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -12,16 +14,20 @@ from hypothesis import given, strategies as st
 from mktinfo.information import (
     _entropy_bits,
     empirical_entropy,
+    entropy_rate_slope,
     gamma_quantile,
     information_profile,
     market_information,
     profile_from_prices,
+    significance_bound,
 )
-from mktinfo.series import IndicatorSeries, PriceSeries, load_prices, write_prices, \
-    _timestamp_keys
-from mktinfo.simulate import SimulatedPath, to_price_series
+from mktinfo.scaling import LogLogCurve, estimate_hurst, structure_function
+from mktinfo.series import IndicatorSeries, PriceSeries, ReturnSeries, WordDistribution, \
+    compute_returns, extract_words, load_prices, write_prices, _timestamp_keys
+from mktinfo.simulate import SimulatedPath, simulate_delampertized, simulate_fbm, \
+    simulate_pseudo_periodic, to_price_series
 from mktinfo.simulate import PseudoPeriodicParams
-from mktinfo.theory import info_from_rho, orthant_probability
+from mktinfo.theory import DelampertizedParams, FbmParams, info_from_rho, orthant_probability
 
 from markov_oracle import entropy_curve
 
@@ -212,3 +218,132 @@ def test_digit_label_keys_are_python_floats(labels):
     # digit labels beyond 2**53 too must give what float() of the str gives
     keys = _timestamp_keys(np.array([t.encode() for t in labels]))
     assert keys.tobytes() == np.array([float(t) for t in labels]).tobytes()
+
+
+# inputs of the count table: 40 prices, their sign series and log-prices
+_PRICES = PriceSeries(range(40), np.exp(np.cumsum(np.random.default_rng(5).normal(size=40))))
+_BITS = (np.diff(_PRICES.prices) > 0).view(np.uint8)
+_LOGP = np.log(_PRICES.prices)
+_EP, _ = profile_from_prices(_PRICES, L_max=4, m_values=(1, 2))
+
+
+def _bad(floor, *extra):
+    """Values every count of floor `floor` rejects, then the cases `extra`."""
+    return (2.0, np.float64(2), True, floor - 1) + extra
+
+
+def _in_list(values, *rest):
+    """Each value as the first entry of a list argument ending in `rest`."""
+    return [[v, *rest] for v in values]
+
+
+# (call of one count argument, its message, values it rejects, and a numpy
+# integer value with the Python value it must act as)
+COUNT_ARGUMENTS = {
+    "compute_returns-m": (lambda m: compute_returns(_PRICES, m),
+                          "return horizon m must be a positive integer", _bad(1), (np.int64(2), 2)),
+    "ReturnSeries-m": (lambda m: ReturnSeries(m, np.ones(3)),
+                       "return horizon m must be a positive integer", _bad(1), (np.int64(2), 2)),
+    "IndicatorSeries-m": (lambda m: IndicatorSeries(m, _BITS),
+                          "indicator horizon m must be a positive integer", _bad(1),
+                          (np.int64(2), 2)),
+    "WordDistribution-word_length": (lambda L: WordDistribution(L, 1, {"01": 1}, 1),
+                                     "word length and stride must be positive", _bad(1),
+                                     (np.int64(2), 2)),
+    "WordDistribution-stride": (lambda s: WordDistribution(2, s, {"01": 1}, 1),
+                                "word length and stride must be positive", _bad(1),
+                                (np.int64(2), 2)),
+    "extract_words-word_length": (lambda L: extract_words(IndicatorSeries(1, _BITS), L),
+                                  "word length must be a positive integer", _bad(1),
+                                  (np.int64(2), 2)),
+    "extract_words-n_windows": (lambda n: extract_words(IndicatorSeries(1, _BITS), 2, n),
+                                "number of windows must be an integer", _bad(1),
+                                (np.int64(2), 2)),
+    "empirical_entropy-word_length": (lambda L: empirical_entropy(IndicatorSeries(1, _BITS), L),
+                                      "word length must be a positive integer", _bad(1),
+                                      (np.int64(2), 2)),
+    "market_information-lags": (lambda k: market_information(IndicatorSeries(1, _BITS), k),
+                                "lags must be a positive integer", _bad(1), (np.int64(2), 2)),
+    "gamma_quantile-shape": (lambda k: gamma_quantile(k, 1.0, 0.5),
+                             "shape must be an integer >= 1", _bad(1), (np.int64(2), 2)),
+    "significance_bound-lags": (lambda k: significance_bound(100, k, 1, 0.95),
+                                "lags must be a positive integer", _bad(1), (np.int64(2), 2)),
+    "significance_bound-m": (lambda m: significance_bound(100, 2, m, 0.95),
+                             "m must be a positive integer", _bad(1, 1.5), (np.int64(2), 2)),
+    "information_profile-L_max": (
+        lambda L: information_profile({1: IndicatorSeries(1, _BITS)}, L, (1,)),
+        "L_max must be a positive integer", _bad(1, 2.5), (np.int64(2), 2)),
+    "information_profile-m_values": (
+        lambda ms: information_profile({1: IndicatorSeries(1, _BITS)}, 2, ms),
+        "m_values must be positive integers", _in_list(_bad(1)), ([np.int64(1)], [1])),
+    "profile_from_prices-L_max": (lambda L: profile_from_prices(_PRICES, L, (1,)),
+                                  "L_max must be a positive integer", _bad(1, 2.5),
+                                  (np.int64(2), 2)),
+    "profile_from_prices-m_values": (lambda ms: profile_from_prices(_PRICES, 2, ms),
+                                     "return horizon m must be a positive integer",
+                                     _in_list(_bad(1, 1.5)), ([np.int64(2)], [2])),
+    "entropy_rate_slope-lags": (lambda lags: entropy_rate_slope(_EP, 1, lags),
+                                "lags must be non-negative integers",
+                                _in_list(_bad(0), 3) + [[0.5, 1.5]],
+                                ([np.int64(2), 3], [2, 3])),
+    "PseudoPeriodicParams-tau": (lambda tau: PseudoPeriodicParams(0.5, tau),
+                                 "tau must be a positive integer", _bad(1), (np.int64(2), 2)),
+    "simulate_fbm-n": (lambda n: simulate_fbm(FbmParams(0.6), n, seed=1),
+                       "n must be an integer >= 2", _bad(2), (np.int64(3), 3)),
+    "simulate_delampertized-n": (
+        lambda n: simulate_delampertized(DelampertizedParams(0.6, 1.0), n, seed=1),
+        "n must be an integer >= 2", _bad(2), (np.int64(3), 3)),
+    "simulate_pseudo_periodic-n": (lambda n: simulate_pseudo_periodic(0.5, 2, n, seed=1),
+                                   "n must be an integer >= 1", _bad(1), (np.int64(2), 2)),
+    "estimate_hurst-scales": (lambda scales: estimate_hurst(_LOGP, scales),
+                              "scales must be positive integers",
+                              _in_list(_bad(1), 3) + [[1.5, 2.7, 3.2]],
+                              ([np.int64(2), 3], [2, 3])),
+    "structure_function-scales": (lambda scales: structure_function(_LOGP, scales),
+                                  "scales must be positive integers", _in_list(_bad(1), 3),
+                                  ([np.int64(2), 3], [2, 3])),
+    "LogLogCurve-dropped_scales": (
+        lambda dropped: LogLogCurve([1, 2], [1.0, 2.0], (1, 2), 1.0, 0.0, 0.5, dropped),
+        "scales must be positive integers", _in_list(_bad(1)), ([np.int64(50)], [50])),
+}
+
+
+def _same(a, b) -> bool:
+    """Equal results, down to the type of each scalar and the dtype of each array."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if dataclasses.is_dataclass(a):
+        return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    return a == b
+
+
+@pytest.mark.parametrize("call, message, rejected, numpy_and_python",
+                         COUNT_ARGUMENTS.values(), ids=COUNT_ARGUMENTS.keys())
+def test_count_arguments_take_only_integers(call, message, rejected, numpy_and_python):
+    for value in rejected:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+    numpy_value, python_value = numpy_and_python
+    assert _same(call(numpy_value), call(python_value))
+
+
+_maybe_counts = st.one_of(st.integers(-3, 8), st.floats(allow_nan=True), st.booleans())
+
+
+@given(_maybe_counts)
+def test_a_count_is_an_integer_or_a_value_error(x):
+    """Each call raises ValueError unless x is a non-bool integer at or above
+    its floor, and then acts as int(x)."""
+    calls = [(lambda v: profile_from_prices(_PRICES, 3, (v,)), 1),
+             (lambda v: estimate_hurst(_LOGP, [v, v + 1], fit_range=(1, 9)), 1),
+             (lambda v: significance_bound(100, v, 1, 0.95), 1)]
+    for call, floor in calls:
+        if isinstance(x, int) and not isinstance(x, bool) and x >= floor:
+            assert _same(call(x), call(int(x)))
+        else:
+            with pytest.raises(ValueError):
+                call(x)

@@ -102,10 +102,10 @@ class TestParams:
 
     @pytest.mark.parametrize("n", [10.5, 10.0, True, "10", None])
     def test_n_must_be_an_integer(self, n):
-        for simulate in (lambda: simulate_fbm(FbmParams(0.5), n),
-                         lambda: simulate_delampertized(DelampertizedParams(0.5, 1.0), n),
-                         lambda: simulate_pseudo_periodic(0.5, 2, n)):
-            with pytest.raises(ValueError, match="n must be an integer"):
+        for simulate, floor in ((lambda: simulate_fbm(FbmParams(0.5), n), 2),
+                                (lambda: simulate_delampertized(DelampertizedParams(0.5, 1.0), n), 2),
+                                (lambda: simulate_pseudo_periodic(0.5, 2, n), 1)):
+            with pytest.raises(ValueError, match=f"^n must be an integer >= {floor}$"):
                 simulate()
 
     def test_numpy_integer_n(self):
@@ -301,7 +301,7 @@ class TestSimulateFbm:
 
     def test_validation(self):
         p = FbmParams(0.4)
-        with pytest.raises(ValueError, match="n must be at least 2"):
+        with pytest.raises(ValueError, match="n must be an integer >= 2"):
             simulate_fbm(p, 1)
         for dt in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="dt must be positive and finite"):
@@ -336,7 +336,7 @@ class TestSimulateDelampertized:
 
     def test_validation(self):
         p = DelampertizedParams(0.5, 1.0)
-        with pytest.raises(ValueError, match="n must be at least 2"):
+        with pytest.raises(ValueError, match="n must be an integer >= 2"):
             simulate_delampertized(p, 1)
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             simulate_delampertized(p, 8, dt=math.inf)
@@ -431,7 +431,7 @@ class TestSimulatePseudoPeriodic:
         assert vals.var() == pytest.approx(1.0, rel=0.1)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="n must be at least 1"):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
             simulate_pseudo_periodic(0.5, 2, 0)
 
 
@@ -481,6 +481,8 @@ class TestToPriceSeries:
             to_price_series(p)
 
     def test_p0_validation(self):
-        path = simulate_fbm(FbmParams(0.5, 0.01), 8, seed=0)
-        with pytest.raises(ValueError, match="p0 must be positive"):
-            to_price_series(path, p0=0.0)
+        for path in (simulate_fbm(FbmParams(0.5, 0.01), 8, seed=0),
+                     simulate_pseudo_periodic(0.5, 2, 8, seed=0)):
+            for p0 in (0.0, -1.0, math.inf, math.nan):
+                with pytest.raises(ValueError, match="^p0 must be positive and finite$"):
+                    to_price_series(path, p0=p0)
