@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .series import MAX_L, IndicatorSeries, PriceSeries, WordDistribution, _count, _freeze, \
-    _marginal_counts, _sign_indicators, _word_windows
+    _json_floats, _marginal_counts, _real, _sign_indicators, _word_windows
 
 LN2 = math.log(2.0)
 
@@ -146,10 +146,8 @@ def gamma_quantile(shape: int, scale: float, p: float) -> float:
     exp(-y) * sum_{j<shape} y**j/j! without any incomplete-gamma machinery.
     """
     shape = _count(shape, "shape must be an integer >= 1")
-    if not scale > 0.0:
-        raise ValueError("scale must be positive")
-    if not 0.0 < p < 1.0:
-        raise ValueError("quantile level must be in (0, 1)")
+    scale = _real(scale, "scale must be positive and finite", 0.0, math.inf)
+    p = _real(p, "quantile level must be in (0, 1)", 0.0, 1.0)
     return scale * _unit_gamma_quantile(shape, p)
 
 
@@ -170,13 +168,11 @@ def significance_bound(n: int, lags: int, m: int, confidence: float) -> Signific
     order-(lags+1) information estimate is Gamma(2**(lags-1),
     1/((n - m*lags) ln 2)); the bound is its `confidence` quantile.
     """
+    n = _count(n, "n must be a positive integer")
     lags = _count(lags, "lags must be a positive integer")
     m = _count(m, "m must be a positive integer")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
-    dof = n - m * lags
-    if dof <= 0:
-        raise ValueError("degrees of freedom exhausted")
+    confidence = _real(confidence, "confidence must be in (0, 1)", 0.0, 1.0)
+    dof = _count(n - m * lags, "degrees of freedom exhausted")
     shape = 2 ** (lags - 1)
     scale = 1.0 / (dof * LN2)
     return SignificanceBound(shape, scale, confidence, gamma_quantile(shape, scale, confidence))
@@ -195,7 +191,7 @@ class EntropyProfile:
     n_obs: np.ndarray
 
     def cell(self, order: int, m: int) -> float:
-        return float(self.H[order - 1, self.m_values.index(m)])
+        return float(self.H[_cell_index(self, order, m)])
 
 
 @dataclass(frozen=True)
@@ -221,7 +217,19 @@ class InformationProfile:
     partial_bounds: np.ndarray
 
     def cell(self, order: int, m: int) -> float:
-        return float(self.I[order - 1, self.m_values.index(m)])
+        return float(self.I[_cell_index(self, order, m)])
+
+
+def _cell_index(profile, order: int, m: int) -> tuple[int, int]:
+    """Grid index of the cell at `order`, one of 1..L_max+1, and horizon m,
+    one of the profile's m_values."""
+    orders = f"order must be an integer in 1..{profile.L_max + 1}"
+    if _count(order, orders) > profile.L_max + 1:
+        raise ValueError(orders)
+    m_values = f"m must be one of the profile's m_values {profile.m_values}"
+    if _count(m, m_values) not in profile.m_values:
+        raise ValueError(m_values)
+    return int(order) - 1, profile.m_values.index(m)
 
 
 def information_profile(
@@ -238,8 +246,7 @@ def information_profile(
     L_max = _count(L_max, "L_max must be a positive integer")
     if L_max > MAX_L:
         raise ValueError(f"L_max must be at most {MAX_L}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
+    confidence = _real(confidence, "confidence must be in (0, 1)", 0.0, 1.0)
     m_values = tuple(_count(m, "m_values must be positive integers") for m in m_values)
     if len(set(m_values)) != len(m_values) or not m_values:
         raise ValueError("m_values must be nonempty and distinct")
@@ -315,7 +322,7 @@ def entropy_rate_slope(profile: EntropyProfile, m: int, lags: Sequence[int]) -> 
     with the order-(L+1) word, matching the axis on which the entropy growth
     is usually read.  A sign sequence with no memory has slope 1.
     """
-    col = profile.m_values.index(m)
+    _, col = _cell_index(profile, 1, m)
     xs, ys = [], []
     for lag in lags:
         order = _count(lag, "lags must be non-negative integers", minimum=0) + 1
@@ -331,19 +338,15 @@ def entropy_rate_slope(profile: EntropyProfile, m: int, lags: Sequence[int]) -> 
     return float(slope)
 
 
-def _matrix_to_lists(arr: np.ndarray) -> list:
-    return [[None if not np.isfinite(v) else float(v) for v in row] for row in arr]
-
-
 def profile_to_json(ep: EntropyProfile, ip: InformationProfile) -> str:
     """Serialize a profile pair to a JSON object with null for absent cells."""
     payload = {
         "m_values": list(ep.m_values),
         "L_max": ep.L_max,
-        "H": _matrix_to_lists(ep.H),
-        "I": _matrix_to_lists(ip.I),
-        "partial": _matrix_to_lists(ip.partial),
-        "bounds": _matrix_to_lists(ip.bounds),
+        "H": _json_floats(ep.H),
+        "I": _json_floats(ip.I),
+        "partial": _json_floats(ip.partial),
+        "bounds": _json_floats(ip.bounds),
         "confidence": ip.confidence,
         "n": ip.n,
     }

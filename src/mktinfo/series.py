@@ -11,6 +11,7 @@ import csv
 import itertools
 import os
 import re
+import sys
 from dataclasses import dataclass
 from typing import IO, Iterable, Union
 
@@ -33,6 +34,28 @@ def _count(value, message: str, minimum: int = 1) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ValueError(message)
     return int(value)
+
+
+def _real(value, message: str, low: float, high: float, closed: bool = False):
+    """`value`, a real number or an array of them, as a float (an array as a
+    float64 array) when every entry lies in (low, high), or in [low, high]
+    when `closed`; a bool, a string, NaN (which min and max carry through)
+    or an entry outside raises ValueError(message)."""
+    if type(value) is int:  # np.asarray holds an int past 2**64 as an object
+        value = float(value) if abs(value) <= sys.float_info.max else np.sign(value) * np.inf
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(message)
+    arr = arr.astype(np.float64, copy=False)
+    lo, hi = (arr.min(initial=np.inf), arr.max(initial=-np.inf)) if arr.ndim else (float(arr),) * 2
+    if not (low <= lo and hi <= high if closed else low < lo and hi < high):
+        raise ValueError(message)
+    return lo if arr.ndim == 0 else arr
+
+
+def _json_floats(arr: np.ndarray) -> list:
+    """A float array as (nested) lists for JSON, None (null) for NaN and infinities."""
+    return np.where(np.isfinite(arr), arr, None).tolist()
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -108,8 +131,7 @@ class PriceSeries:
             raise ValueError("timestamps and prices differ in length")
         if len(prices) < 2:
             raise ValueError("price series needs at least 2 points")
-        if not np.all(np.isfinite(prices)):
-            raise ValueError("prices must be finite")
+        _real(prices, "prices must be finite", -np.inf, np.inf)
         if np.any(prices <= 0.0):
             i = int(np.argmax(prices <= 0.0))
             raise ValueError(f"non-positive price at row {i + 1}")
@@ -131,10 +153,8 @@ class ReturnSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "m", _count(self.m, "return horizon m must be a positive integer"))
-        values = _held(np.asarray(self.values, dtype=np.float64), self.values)
-        object.__setattr__(self, "values", values)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("returns must be finite")
+        values = _real(self.values, "returns must be finite", -np.inf, np.inf)
+        object.__setattr__(self, "values", _held(np.asarray(values), self.values))
 
     def __len__(self) -> int:
         return len(self.values)

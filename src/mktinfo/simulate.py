@@ -19,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .series import PriceSeries, _count, _freeze, _held
+from .series import PriceSeries, _count, _freeze, _held, _real
 from .theory import DelampertizedParams, FbmParams, delampertized_autocovariance
 
 
@@ -35,8 +35,7 @@ class PseudoPeriodicParams:
     tau: int
 
     def __post_init__(self):
-        if not -1.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (-1, 1)")
+        _real(self.beta, "beta must lie in (-1, 1)", -1.0, 1.0)
         object.__setattr__(self, "tau", _count(self.tau, "tau must be a positive integer"))
 
 
@@ -83,8 +82,6 @@ def _circulant_root(params: FbmParams | DelampertizedParams, dt: float,
     """Square roots of the eigenvalues (rfft bins 0..M) of the smallest
     nonnegative-definite circulant embedding, of length 2M with M = n * 2**k,
     of the autocovariance at lags 0..M."""
-    if not 0.0 < dt < math.inf:
-        raise ValueError("dt must be positive and finite")
     cap = max(4 * n, _MIN_EMBEDDING_CAP)
     m = n
     while True:
@@ -128,7 +125,7 @@ def _circulant_sample(root: np.ndarray, n: int, rng: np.random.Generator) -> np.
 def simulate_fbm(params: FbmParams, n: int, dt: float = 1.0, seed: int = 0) -> SimulatedPath:
     """Exact sample of fBm at times dt, 2*dt, ..., n*dt."""
     n = _count(n, "n must be an integer >= 2", minimum=2)
-    root = _circulant_root(params, dt, n)
+    root = _circulant_root(params, _real(dt, "dt must be positive and finite", 0.0, math.inf), n)
     increments = _circulant_sample(root, n, np.random.default_rng(seed))
     return SimulatedPath("fbm", params, dt, seed, _freeze(np.cumsum(increments)))
 
@@ -137,7 +134,7 @@ def simulate_delampertized(params: DelampertizedParams, n: int, dt: float = 1.0,
                            seed: int = 0) -> SimulatedPath:
     """Exact sample of the stationary delampertized process on a uniform grid."""
     n = _count(n, "n must be an integer >= 2", minimum=2)
-    root = _circulant_root(params, dt, n)
+    root = _circulant_root(params, _real(dt, "dt must be positive and finite", 0.0, math.inf), n)
     values = _circulant_sample(root, n, np.random.default_rng(seed))
     return SimulatedPath("delampertized", params, dt, seed, _freeze(values))
 
@@ -183,8 +180,7 @@ def to_price_series(path: SimulatedPath, p0: float = 100.0) -> PriceSeries:
     (1 + R[i]); a return <= -1 would drive the price nonpositive and is
     rejected, as is a price that overflows or underflows to 0.
     """
-    if not 0.0 < p0 < math.inf:
-        raise ValueError("p0 must be positive and finite")
+    p0 = _real(p0, "p0 must be positive and finite", 0.0, math.inf)
     if path.model in ("fbm", "delampertized"):
         kind = "log-price"
         with np.errstate(over="ignore"):

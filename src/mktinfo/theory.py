@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .series import _freeze, _held
+from .series import _freeze, _held, _real
 
 _RHO_EPS = 1e-15
 
@@ -34,10 +34,8 @@ class FbmParams:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.hurst < 1.0:
-            raise ValueError("hurst must lie in (0, 1)")
-        if not 0.0 < self.sigma < math.inf:
-            raise ValueError("sigma must be positive and finite")
+        _real(self.hurst, "hurst must lie in (0, 1)", 0.0, 1.0)
+        _real(self.sigma, "sigma must be positive and finite", 0.0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -53,30 +51,23 @@ class DelampertizedParams:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.hurst < 1.0:
-            raise ValueError("hurst must lie in (0, 1)")
-        if not 0.0 < self.theta < math.inf:
-            raise ValueError("theta must be positive and finite")
-        if not 0.0 < self.sigma < math.inf:
-            raise ValueError("sigma must be positive and finite")
+        _real(self.hurst, "hurst must lie in (0, 1)", 0.0, 1.0)
+        _real(self.theta, "theta must be positive and finite", 0.0, math.inf)
+        _real(self.sigma, "sigma must be positive and finite", 0.0, math.inf)
 
 
 def f_xlog2x(x):
     """x * log2(x) extended by continuity with f(0) = 0; domain x >= 0."""
-    arr = np.asarray(x, dtype=np.float64)
-    if np.any(arr < 0.0):
-        raise ValueError("f_xlog2x requires x >= 0")
+    arr = np.asarray(_real(x, "f_xlog2x requires x >= 0", 0.0, math.inf, closed=True))
     out = np.zeros_like(arr)
     pos = arr > 0.0
     out[pos] = arr[pos] * np.log2(arr[pos])
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def rho_fbm(hurst: float) -> float:
     """Correlation of consecutive equal-horizon fBm increments: 2**(2H-1) - 1."""
-    if not 0.0 < hurst < 1.0:
-        raise ValueError("hurst must lie in (0, 1)")
-    return 2.0 ** (2.0 * hurst - 1.0) - 1.0
+    return 2.0 ** (2.0 * _real(hurst, "hurst must lie in (0, 1)", 0.0, 1.0) - 1.0) - 1.0
 
 
 def _sinh_power(hurst: float, x: np.ndarray) -> np.ndarray:
@@ -93,11 +84,8 @@ def h_lamperti(hurst: float, x):
     x, while for large x both terms grow like exp(Hx) and the difference is
     reconstructed from exp(-Hx) - exp(Hx) * expm1(2H * log1p(-exp(-x))).
     """
-    if not 0.0 < hurst < 1.0:
-        raise ValueError("hurst must lie in (0, 1)")
-    arr = np.asarray(x, dtype=np.float64)
-    if np.any(arr < 0.0):
-        raise ValueError("h_lamperti requires x >= 0")
+    hurst = _real(hurst, "hurst must lie in (0, 1)", 0.0, 1.0)
+    arr = np.asarray(_real(x, "h_lamperti requires x >= 0", 0.0, math.inf, closed=True))
     out = np.empty_like(arr)
     small = arr <= 1.0
     xs = arr[small]
@@ -112,7 +100,7 @@ def h_lamperti(hurst: float, x):
     xm = xl[mid]
     log_tail[mid] = hurst * xm + np.log(-np.expm1(2.0 * hurst * np.log1p(-np.exp(-xm))))
     out[~small] = np.exp(-hurst * xl) + np.exp(log_tail)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def _two_minus_h(hurst: float, x):
@@ -133,10 +121,11 @@ def rho_delampertized(hurst: float, m_theta: float) -> float:
     as m_theta -> 0 and to -1/2 as m_theta -> infinity; for hurst = 1/2 it
     reduces to (exp(-m_theta/2) - 1)/2.
     """
-    if not 0.0 < hurst < 1.0:
-        raise ValueError("hurst must lie in (0, 1)")
-    if not m_theta > 0.0:
-        raise ValueError("m_theta must be positive")
+    hurst = _real(hurst, "hurst must lie in (0, 1)", 0.0, 1.0)
+    m_theta = _real(m_theta, "m_theta must be positive and finite", 0.0, math.inf)
+    if m_theta < 1e-150:  # x**(2H) may underflow; 2 - h(x) = x**(2H) (1 - H**2 x**(2-2H)) + ...
+        d = hurst ** 2 * m_theta ** (2.0 - 2.0 * hurst)
+        return 2.0 ** (2.0 * hurst - 1.0) * (1.0 - 2.0 ** (2.0 - 2.0 * hurst) * d) / (1.0 - d) - 1.0
     num = _two_minus_h(hurst, 2.0 * m_theta)
     den = _two_minus_h(hurst, m_theta)
     return float(num / (2.0 * den) - 1.0)
@@ -144,16 +133,14 @@ def rho_delampertized(hurst: float, m_theta: float) -> float:
 
 def orthant_probability(rho: float) -> float:
     """P(Y > 0, Z <= 0) for standard bivariate normals with correlation rho."""
-    if not -1.0 < rho < 1.0:
-        raise ValueError("rho must lie in (-1, 1)")
+    rho = _real(rho, "rho must lie in (-1, 1)", -1.0, 1.0)
     return 0.25 - math.asin(rho) / (2.0 * math.pi)
 
 
 def info_from_rho(rho: float) -> float:
     """Market information of a Gaussian walk whose consecutive increments
     have correlation rho: 1 + f(1/2 - asin(rho)/pi) + f(1/2 + asin(rho)/pi)."""
-    if not -1.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [-1, 1]")
+    rho = _real(rho, "rho must lie in [-1, 1]", -1.0, 1.0, closed=True)
     if abs(abs(rho) - 1.0) < _RHO_EPS:
         return 1.0  # deterministic sign: limit of the entropy expression
     t = math.asin(rho) / math.pi
@@ -166,13 +153,17 @@ def info_fbm(hurst: float) -> float:
     return info_from_rho(rho_fbm(hurst))
 
 
+def _m_theta(m: float, theta: float) -> float:
+    """The product of a checked m and theta, held at the largest float where it
+    overflows: there rho_delampertized is its limit -1/2."""
+    m = _real(m, "m must be positive and finite", 0.0, math.inf)
+    theta = _real(theta, "theta must be positive and finite", 0.0, math.inf)
+    return min(m * theta, math.nextafter(math.inf, 0.0))
+
+
 def info_delampertized(hurst: float, m: float, theta: float) -> float:
     """Closed-form market information of the stationary counterpart at horizon m."""
-    if not m > 0.0:
-        raise ValueError("m must be positive")
-    if not theta > 0.0:
-        raise ValueError("theta must be positive")
-    return info_from_rho(rho_delampertized(hurst, m * theta))
+    return info_from_rho(rho_delampertized(hurst, _m_theta(m, theta)))
 
 
 def fbm_covariance(s, t, params: FbmParams):
@@ -202,8 +193,9 @@ class TheoryCurve:
     fixed_params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        a = _held(np.asarray(self.abscissa, dtype=np.float64), self.abscissa)
-        o = _held(np.asarray(self.ordinate, dtype=np.float64), self.ordinate)
+        a = np.asarray(_real(self.abscissa, "abscissa must be finite", -math.inf, math.inf))
+        o = np.asarray(_real(self.ordinate, "ordinate out of [0, 1]", -1e-12, 1 + 1e-12, closed=True))
+        a, o = _held(a, self.abscissa), _held(o, self.ordinate)
         object.__setattr__(self, "abscissa", a)
         object.__setattr__(self, "ordinate", o)
         object.__setattr__(self, "fixed_params", dict(self.fixed_params))
@@ -211,8 +203,6 @@ class TheoryCurve:
             raise ValueError("abscissa and ordinate must be 1-D and same length")
         if np.any(np.diff(a) <= 0.0):
             raise ValueError("abscissa must be strictly increasing")
-        if np.any(o < -1e-12) or np.any(o > 1.0 + 1e-12):
-            raise ValueError("ordinate out of [0, 1]")
 
     def to_csv(self) -> str:
         fixed = " ".join(f"{k}={v}" for k, v in self.fixed_params.items())
@@ -244,21 +234,17 @@ def theory_curve(model: str, param_grid: Sequence[float],
     'hurst'.
     """
     fixed = dict(fixed or {})
-    grid = np.asarray(list(param_grid), dtype=np.float64)
+    grid = np.asarray(list(param_grid))
     if model == "fbm":
         ordinate = np.array([info_fbm(h) for h in grid])
+    elif model == "delampertized" and "hurst" in fixed:
+        ordinate = np.array([info_from_rho(rho_delampertized(fixed["hurst"], x)) for x in grid])
     elif model == "delampertized":
-        if "hurst" in fixed:
-            hurst = float(fixed["hurst"])
-            ordinate = np.array([info_from_rho(rho_delampertized(hurst, x))
-                                 for x in grid])
-        else:
-            if "theta" not in fixed:
-                raise ValueError("delampertized curve needs 'theta' (or 'hurst') in fixed")
-            m = float(fixed.get("m", 1.0))
-            theta = float(fixed["theta"])
-            fixed["m"] = m
-            ordinate = np.array([info_delampertized(h, m, theta) for h in grid])
+        if "theta" not in fixed:
+            raise ValueError("delampertized curve needs 'theta' (or 'hurst') in fixed")
+        m_theta = _m_theta(fixed.get("m", 1.0), fixed["theta"])
+        fixed["m"] = float(fixed.get("m", 1.0))
+        ordinate = np.array([info_from_rho(rho_delampertized(h, m_theta)) for h in grid])
     else:
         raise ValueError(f"unknown model {model!r}")
     return TheoryCurve(model, _freeze(grid), _freeze(ordinate), fixed)

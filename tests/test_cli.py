@@ -326,6 +326,14 @@ class TestTheory:
         assert docs[1]["fixed_params"]["theta"] == 15.0
         assert docs[1]["I2"][1] == pytest.approx(info_delampertized(0.5, 1.0, 15.0))
 
+    def test_delampertized_product_past_largest_float(self, capsys):
+        # both flags are finite; their product overflows, where the curve is flat
+        code, out, err = run(capsys, "theory", "delampertized", "--theta", "1e300", "--m", "1e10")
+        assert code == 0 and err == ""
+        rows = [line.split(",") for line in out.strip().split("\n")[2:]]
+        assert len(rows) == 19
+        assert {float(i2) for _, i2 in rows} == {info_delampertized(0.3, 1e10, 1e300)}
+
     def test_wide_range_builds_only_points_inside(self, capsys):
         # the range holds 2e13 steps but only 19 points inside (0, 1)
         _, default, _ = run(capsys, "theory", "fbm")
@@ -382,6 +390,25 @@ class TestHurst:
         code, out, err = run(capsys, "hurst", str(price_file), "--max-scale", str(10 ** 20))
         assert code == 3 and out == ""
         assert err == f"error: max-scale must be at most {cli._MAX_SCALE_LIMIT}\n"
+
+    def test_zero_moment_is_json_null(self, capsys, tmp_path):
+        # closes cycling 1, 2, 4, 2 repeat every 4 steps, so the scale-4 moment is 0
+        dest = tmp_path / "cycle.csv"
+        dest.write_text("timestamp,close\n" + "".join(f"{i},{(1, 2, 4, 2)[i % 4]}\n"
+                                                      for i in range(40)))
+        code, out, err = run(capsys, "hurst", str(dest), "--scales", "1", "2", "3", "4",
+                             "--fit-min", "1", "--fit-max", "3")
+        assert code == 0 and err == ""
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["log2_moment"][3] is None and None not in doc["log2_moment"][:3]
+        assert doc["second_differences"][1] is None
+        code, out, _ = run(capsys, "hurst", str(dest), "--scales", "1", "2", "3", "4",
+                           "--fit-min", "1", "--fit-max", "3", "--format", "csv")
+        assert code == 0 and out.split("\n")[5] == "2.0,-inf,0"
 
 
 class TestEndToEnd:

@@ -27,7 +27,9 @@ from mktinfo.series import IndicatorSeries, PriceSeries, ReturnSeries, WordDistr
 from mktinfo.simulate import SimulatedPath, simulate_delampertized, simulate_fbm, \
     simulate_pseudo_periodic, to_price_series
 from mktinfo.simulate import PseudoPeriodicParams
-from mktinfo.theory import DelampertizedParams, FbmParams, info_from_rho, orthant_probability
+from mktinfo.theory import DelampertizedParams, FbmParams, TheoryCurve, f_xlog2x, h_lamperti, \
+    info_delampertized, info_from_rho, orthant_probability, rho_delampertized, rho_fbm, \
+    theory_curve
 
 from markov_oracle import entropy_curve
 
@@ -224,7 +226,7 @@ def test_digit_label_keys_are_python_floats(labels):
 _PRICES = PriceSeries(range(40), np.exp(np.cumsum(np.random.default_rng(5).normal(size=40))))
 _BITS = (np.diff(_PRICES.prices) > 0).view(np.uint8)
 _LOGP = np.log(_PRICES.prices)
-_EP, _ = profile_from_prices(_PRICES, L_max=4, m_values=(1, 2))
+_EP, _IP = profile_from_prices(_PRICES, L_max=4, m_values=(1, 2))
 
 
 def _bad(floor, *extra):
@@ -270,6 +272,9 @@ COUNT_ARGUMENTS = {
                                 "lags must be a positive integer", _bad(1), (np.int64(2), 2)),
     "significance_bound-m": (lambda m: significance_bound(100, 2, m, 0.95),
                              "m must be a positive integer", _bad(1, 1.5), (np.int64(2), 2)),
+    "significance_bound-n": (lambda n: significance_bound(n, 2, 1, 0.95),
+                             "n must be a positive integer", _bad(1, 100.5, math.nan, math.inf),
+                             (np.int64(100), 100)),
     "information_profile-L_max": (
         lambda L: information_profile({1: IndicatorSeries(1, _BITS)}, L, (1,)),
         "L_max must be a positive integer", _bad(1, 2.5), (np.int64(2), 2)),
@@ -302,6 +307,27 @@ COUNT_ARGUMENTS = {
     "structure_function-scales": (lambda scales: structure_function(_LOGP, scales),
                                   "scales must be positive integers", _in_list(_bad(1), 3),
                                   ([np.int64(2), 3], [2, 3])),
+    "LogLogCurve-scales": (
+        lambda scales: LogLogCurve(scales, [1.0, 2.0], (1, 2), 1.0, 0.0, 0.5),
+        "scales must be positive integers",
+        _in_list(_bad(1), 2) + [[1.5, 2.5], np.array([1.5, 2.5]), np.array([True, True]),
+                                np.array([0, 2]), np.array([1, -2]),
+                                range(0, 2), np.array([[1, 2]])],
+        (np.array([1, 2], dtype=np.int32), [1, 2])),
+    "EntropyProfile.cell-order": (lambda order: _EP.cell(order, 1),
+                                  "order must be an integer in 1..5", _bad(1, 6), (np.int64(2), 2)),
+    "InformationProfile.cell-order": (lambda order: _IP.cell(order, 2),
+                                      "order must be an integer in 1..5", _bad(1, -1, 6),
+                                      (np.int64(5), 5)),
+    "EntropyProfile.cell-m": (lambda m: _EP.cell(3, m),
+                              "m must be one of the profile's m_values (1, 2)", _bad(1, 3),
+                              (np.int64(2), 2)),
+    "InformationProfile.cell-m": (lambda m: _IP.cell(3, m),
+                                  "m must be one of the profile's m_values (1, 2)", _bad(1, 3),
+                                  (np.int64(1), 1)),
+    "entropy_rate_slope-m": (lambda m: entropy_rate_slope(_EP, m, [1, 2, 3]),
+                             "m must be one of the profile's m_values (1, 2)", _bad(1, 3),
+                             (np.int64(2), 2)),
     "LogLogCurve-dropped_scales": (
         lambda dropped: LogLogCurve([1, 2], [1.0, 2.0], (1, 2), 1.0, 0.0, 0.5, dropped),
         "scales must be positive integers", _in_list(_bad(1)), ([np.int64(50)], [50])),
@@ -344,6 +370,181 @@ def test_a_count_is_an_integer_or_a_value_error(x):
     for call, floor in calls:
         if isinstance(x, int) and not isinstance(x, bool) and x >= floor:
             assert _same(call(x), call(int(x)))
+        else:
+            with pytest.raises(ValueError):
+                call(x)
+
+
+def _outside(low, high, closed=False, like=None):
+    """Values a real argument bounded by (low, high), or [low, high] when
+    `closed`, rejects: NaN, a bool, a string, the nearest float outside each
+    finite bound (the bound itself when open) and the infinity beyond it, and
+    an infinite bound that is open.  With `like`, an array, each value is put
+    in an array argument: the last entry of `like` replaced by it, or for a
+    bool or a string, which a float array cannot hold, an array of that value
+    alone."""
+    values = [math.nan, True, "0.5"]
+    for bound, beyond in ((low, -math.inf), (high, math.inf)):
+        if math.isfinite(bound):
+            values += [np.nextafter(bound, beyond) if closed else bound, beyond]
+        elif not closed:
+            values.append(bound)
+    if like is None:
+        return values
+    arrays = []
+    for v in values:
+        if isinstance(v, (bool, str)):
+            arrays.append(np.full(len(like), v))
+        else:
+            arrays.append(np.array(like, dtype=np.float64))
+            arrays[-1][-1] = v
+    return arrays
+
+
+_HURST = "hurst must lie in (0, 1)"
+_UNIT = (0.0, 1.0)
+_POSITIVE = (0.0, math.inf)
+_PATH = simulate_fbm(FbmParams(0.6), 16, seed=1)
+
+# (call of one real argument, its message, values it rejects, and a numpy
+# value with the Python value it must act as)
+REAL_ARGUMENTS = {
+    "FbmParams-hurst": (lambda h: simulate_fbm(FbmParams(h), 16, seed=1).values, _HURST,
+                        _outside(*_UNIT), (np.float64(0.3), 0.3)),
+    "FbmParams-sigma": (lambda s: simulate_fbm(FbmParams(0.5, s), 16, seed=1).values,
+                        "sigma must be positive and finite", _outside(*_POSITIVE),
+                        (np.float64(2.5), 2.5)),
+    "DelampertizedParams-hurst": (
+        lambda h: simulate_delampertized(DelampertizedParams(h, 1.0), 16, seed=1).values,
+        _HURST, _outside(*_UNIT), (np.float64(0.3), 0.3)),
+    "DelampertizedParams-theta": (
+        lambda t: simulate_delampertized(DelampertizedParams(0.3, t), 16, seed=1).values,
+        "theta must be positive and finite", _outside(*_POSITIVE), (np.float64(2.5), 2.5)),
+    "DelampertizedParams-sigma": (
+        lambda s: simulate_delampertized(DelampertizedParams(0.3, 1.0, s), 16, seed=1).values,
+        "sigma must be positive and finite", _outside(*_POSITIVE), (np.float64(2.5), 2.5)),
+    "f_xlog2x-x": (f_xlog2x, "f_xlog2x requires x >= 0", _outside(0.0, math.inf, closed=True),
+                   (np.float64(0.3), 0.3)),
+    "f_xlog2x-x-array": (f_xlog2x, "f_xlog2x requires x >= 0",
+                         _outside(0.0, math.inf, closed=True, like=[0.5, 0.25]),
+                         (np.array([0.5, 0.0]), [0.5, 0.0])),
+    "h_lamperti-x": (lambda x: h_lamperti(0.5, x), "h_lamperti requires x >= 0",
+                     _outside(0.0, math.inf, closed=True), (np.float64(3.0), 3.0)),
+    "h_lamperti-x-array": (lambda x: h_lamperti(0.3, x), "h_lamperti requires x >= 0",
+                           _outside(0.0, math.inf, closed=True, like=[0.5, 3.0]),
+                           (np.array([0.5, 3.0]), [0.5, 3.0])),
+    "h_lamperti-hurst": (lambda h: h_lamperti(h, 1.5), _HURST, _outside(*_UNIT),
+                         (np.float64(0.3), 0.3)),
+    "rho_fbm-hurst": (rho_fbm, _HURST, _outside(*_UNIT), (np.float64(0.3), 0.3)),
+    "rho_delampertized-hurst": (lambda h: rho_delampertized(h, 1.0), _HURST, _outside(*_UNIT),
+                                (np.float64(0.3), 0.3)),
+    "rho_delampertized-m_theta": (lambda x: rho_delampertized(0.3, x),
+                                  "m_theta must be positive and finite", _outside(*_POSITIVE),
+                                  (np.float64(2.5), 2.5)),
+    "orthant_probability-rho": (orthant_probability, "rho must lie in (-1, 1)",
+                                _outside(-1.0, 1.0), (np.float64(-0.3), -0.3)),
+    "info_from_rho-rho": (info_from_rho, "rho must lie in [-1, 1]",
+                          _outside(-1.0, 1.0, closed=True), (np.float64(-0.3), -0.3)),
+    "info_delampertized-m": (lambda m: info_delampertized(0.3, m, 1.0),
+                             "m must be positive and finite", _outside(*_POSITIVE),
+                             (np.float64(2.5), 2.5)),
+    "info_delampertized-theta": (lambda t: info_delampertized(0.3, 1.0, t),
+                                 "theta must be positive and finite", _outside(*_POSITIVE),
+                                 (np.float64(2.5), 2.5)),
+    "theory_curve-grid": (lambda h: theory_curve("fbm", [h]), _HURST, _outside(*_UNIT),
+                          (np.float64(0.3), 0.3)),
+    "theory_curve-hurst": (lambda h: theory_curve("delampertized", [1.0], {"hurst": h}), _HURST,
+                           _outside(*_UNIT), (np.float64(0.3), 0.3)),
+    "theory_curve-m": (lambda m: theory_curve("delampertized", [0.3], {"theta": 1.0, "m": m}),
+                       "m must be positive and finite", _outside(*_POSITIVE),
+                       (np.float64(2.5), 2.5)),
+    "TheoryCurve-abscissa": (lambda a: TheoryCurve("fbm", a, [0.1, 0.2]), "abscissa must be finite",
+                             _outside(-math.inf, math.inf, like=[0.1, 0.2]),
+                             (np.array([0.1, 0.2]), [0.1, 0.2])),
+    "TheoryCurve-ordinate": (lambda o: TheoryCurve("fbm", [0.1, 0.2], o), "ordinate out of [0, 1]",
+                             _outside(-1e-12, 1.0 + 1e-12, closed=True, like=[0.1, 0.2])
+                             + [[math.nan, 0.1]], (np.array([0.0, 1.0]), [0.0, 1.0])),
+    "gamma_quantile-scale": (lambda s: gamma_quantile(1, s, 0.5),
+                             "scale must be positive and finite", _outside(*_POSITIVE),
+                             (np.float64(2.5), 2.5)),
+    "gamma_quantile-p": (lambda p: gamma_quantile(3, 1.0, p), "quantile level must be in (0, 1)",
+                         _outside(*_UNIT), (np.float64(0.3), 0.3)),
+    "significance_bound-confidence": (lambda c: significance_bound(100, 2, 1, c),
+                                      "confidence must be in (0, 1)", _outside(*_UNIT),
+                                      (np.float64(0.3), 0.3)),
+    "information_profile-confidence": (
+        lambda c: information_profile({1: IndicatorSeries(1, _BITS)}, 2, (1,), c),
+        "confidence must be in (0, 1)", _outside(*_UNIT), (np.float64(0.3), 0.3)),
+    "PseudoPeriodicParams-beta": (lambda b: simulate_pseudo_periodic(b, 2, 16, seed=1).values,
+                                  "beta must lie in (-1, 1)", _outside(-1.0, 1.0),
+                                  (np.float64(-0.3), -0.3)),
+    "simulate_fbm-dt": (lambda dt: simulate_fbm(FbmParams(0.6), 16, dt, seed=1).values,
+                        "dt must be positive and finite", _outside(*_POSITIVE),
+                        (np.float64(2.5), 2.5)),
+    "simulate_delampertized-dt": (
+        lambda dt: simulate_delampertized(DelampertizedParams(0.3, 1.0), 16, dt, seed=1).values,
+        "dt must be positive and finite", _outside(*_POSITIVE), (np.float64(2.5), 2.5)),
+    "to_price_series-p0": (lambda p0: to_price_series(_PATH, p0).prices,
+                           "p0 must be positive and finite", _outside(*_POSITIVE),
+                           (np.float64(2.5), 2.5)),
+    "structure_function-logprices": (lambda x: structure_function(x, [1, 2]),
+                                     "log-prices must be finite",
+                                     _outside(-math.inf, math.inf, like=_LOGP),
+                                     (_LOGP, list(_LOGP))),
+    "estimate_hurst-logprices": (estimate_hurst, "log-prices must be finite",
+                                 _outside(-math.inf, math.inf, like=_LOGP), (_LOGP, list(_LOGP))),
+}
+
+
+@pytest.mark.parametrize("call, message, rejected, numpy_and_python",
+                         REAL_ARGUMENTS.values(), ids=REAL_ARGUMENTS.keys())
+def test_real_arguments_take_only_values_in_range(call, message, rejected, numpy_and_python):
+    for value in rejected:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+    numpy_value, python_value = numpy_and_python
+    assert _same(call(numpy_value), call(python_value))
+
+
+@pytest.mark.parametrize("call, big", [
+    (lambda s: simulate_fbm(FbmParams(0.5, s), 16, seed=1).values, 2 ** 64),
+    (lambda p0: to_price_series(_PATH, p0).prices, 10 ** 20),
+    (lambda s: gamma_quantile(1, s, 0.5), 10 ** 20)],
+    ids=["FbmParams-sigma", "to_price_series-p0", "gamma_quantile-scale"])
+def test_a_python_int_past_int64_is_its_float(call, big):
+    assert _same(call(big), call(float(big)))
+
+
+def test_a_python_int_past_the_floats_is_infinite():
+    with pytest.raises(ValueError, match="^scale must be positive and finite$"):
+        gamma_quantile(1, 10 ** 400, 0.5)
+    with pytest.raises(ValueError, match=r"^f_xlog2x requires x >= 0$"):
+        f_xlog2x(-10 ** 400)
+    assert f_xlog2x(10 ** 400) == math.inf
+
+
+def test_closed_bound_at_infinity_takes_infinity():
+    assert f_xlog2x(math.inf) == math.inf
+    assert h_lamperti(0.3, math.inf) == 0.0
+    assert np.array_equal(f_xlog2x(np.array([0.0, math.inf])), [0.0, math.inf])
+
+
+_maybe_reals = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.booleans())
+
+
+@given(_maybe_reals)
+def test_a_real_is_in_range_or_a_value_error(x):
+    """Each call raises ValueError unless x is a non-bool float in its range,
+    and then gives a float in the range of its result."""
+    in_unit = not isinstance(x, bool) and 0.0 < x < 1.0
+    positive = not isinstance(x, bool) and 0.0 < x < math.inf
+    calls = [(lambda v: FbmParams(v).hurst, in_unit, (0.0, 1.0)),
+             (lambda v: info_delampertized(0.3, 1.0, v), positive, (0.0, 1.0)),
+             (lambda v: gamma_quantile(1, 1.0, v), in_unit, (0.0, math.inf))]
+    for call, accepted, (low, high) in calls:
+        if accepted:
+            result = call(x)
+            assert isinstance(result, float) and math.isfinite(result) and low <= result <= high
         else:
             with pytest.raises(ValueError):
                 call(x)

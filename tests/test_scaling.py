@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import mktinfo.scaling as scaling
 from mktinfo.scaling import (
     DEFAULT_FIT_RANGE,
     DEFAULT_MAX_SCALE,
@@ -67,6 +68,12 @@ class TestFitLogLog:
         with pytest.raises(ValueError, match="degenerate moment"):
             fit_loglog(np.array([1, 2]), np.array([0.0, 1.0]), (1, 2))
 
+    @pytest.mark.parametrize("moment", [np.nan, np.inf])
+    def test_non_finite_moment_in_range_is_degenerate(self, moment):
+        # each gave a slope of nan
+        with pytest.raises(ValueError, match="^degenerate moment in fit range$"):
+            fit_loglog(np.array([1, 2, 3]), np.array([1.0, 2.0, moment]), (1, 3))
+
 
 class TestEstimateHurst:
     def test_straight_line_is_h_one(self):
@@ -100,6 +107,16 @@ class TestEstimateHurst:
         assert json.loads(curve.to_json())["dropped_scales"] == [5, 9]
         assert curve.to_csv().split("\n")[0].endswith(" dropped_scales=[5,9]")
         assert estimate_hurst(np.arange(9, dtype=float)).dropped_scales == ()
+
+    def test_a_range_of_scales_is_checked_whole(self, monkeypatch):
+        # neither the range nor the arrays split from it pass scale by scale
+        # through _count, so 2**20 scales cost no Python loop
+        calls = []
+        monkeypatch.setattr(scaling, "_count", lambda *args: calls.append(args))
+        curve = estimate_hurst(np.arange(40, dtype=float), range(2 ** 20, 0, -1))
+        assert calls == []
+        assert curve.scales.tolist() == list(range(1, 40))
+        assert curve.dropped_scales == tuple(range(40, 2 ** 20 + 1))
 
     def test_no_usable_scales(self):
         with pytest.raises(ValueError, match="no usable scales requested"):

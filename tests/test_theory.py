@@ -146,6 +146,21 @@ class TestRhoDelampertized:
                     assert rho_delampertized(hurst, x) == pytest.approx(
                         want, rel=2e-9, abs=1e-12), (hurst, x)
 
+    def test_tiny_m_theta_against_high_precision(self):
+        # down to the smallest subnormal, where x**(2H) underflows for H > 1/2
+        with mpmath.workdps(700):
+            for hurst in (0.01, 0.3, 0.5, 0.7, 0.99):
+                H = mpmath.mpf(hurst)
+
+                def two_minus_h(y):
+                    return (2 * mpmath.sinh(y / 2)) ** (2 * H) - 4 * mpmath.sinh(H * y / 2) ** 2
+
+                for x in (5e-324, 1.5e-323, 1e-310, 1e-300, 1e-200, 9.9e-151):
+                    x_hp = mpmath.mpf(x)
+                    want = float(two_minus_h(2 * x_hp) / (2 * two_minus_h(x_hp)) - 1)
+                    assert rho_delampertized(hurst, x) == pytest.approx(want, rel=0, abs=1e-15)
+        assert info_delampertized(0.7, 1.0, 5e-324) == pytest.approx(info_fbm(0.7), abs=1e-6)
+
     def test_stays_inside_unit_interval(self):
         grid = np.logspace(-8, np.log10(50.0), 300)
         worst = max(abs(rho_delampertized(h, float(x)))
@@ -238,6 +253,14 @@ class TestClosedFormInfo:
             info_delampertized(0.3, 0.0, 1.0)
         with pytest.raises(ValueError, match="theta must be positive"):
             info_delampertized(0.3, 1.0, 0.0)
+
+    @pytest.mark.parametrize("m, theta", [(1e10, 1e300), (1e300, 1e10), (1.0, sys.float_info.max)])
+    def test_delampertized_product_past_largest_float_is_its_limit(self, m, theta):
+        # m * theta overflows to inf; the information is that of rho = -1/2
+        for h in (0.1, 0.3, 0.5, 0.9):
+            assert info_delampertized(h, m, theta) == info_from_rho(-0.5)
+        curve = theory_curve("delampertized", [0.3, 0.7], {"m": m, "theta": theta})
+        assert list(curve.ordinate) == [info_from_rho(-0.5)] * 2
 
 
 class TestCovariances:
