@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -104,6 +105,8 @@ def _normal_quantile(p: float) -> float:
     return z if p > 0.5 else -z
 
 
+# a profile asks for the same few (shape, p) pairs on every call
+@lru_cache(maxsize=64)
 def _unit_gamma_quantile(shape: int, p: float) -> float:
     """Quantile of Gamma(shape, 1) for integer shape >= 1 and p in (0, 1).
 

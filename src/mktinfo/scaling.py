@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -97,7 +98,9 @@ class LogLogCurve:
 
     def __post_init__(self):
         s = _held(_scale_array(self.scales), self.scales)
-        m = _held(np.asarray(self.moments, dtype=np.float64), self.moments)
+        m = np.asarray(_real(self.moments, "moments must be finite and non-negative",
+                             0.0, sys.float_info.max, closed=True))
+        m = _held(m, self.moments)
         object.__setattr__(self, "scales", s)
         object.__setattr__(self, "moments", m)
         object.__setattr__(self, "fit_range", tuple(self.fit_range))

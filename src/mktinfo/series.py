@@ -121,7 +121,8 @@ class PriceSeries:
     price_mode: str = "close"
 
     def __post_init__(self):
-        prices = _held(np.asarray(self.prices, dtype=np.float64), self.prices)
+        prices = np.asarray(_real(self.prices, "prices must be finite", -np.inf, np.inf))
+        prices = _held(prices, self.prices)
         object.__setattr__(self, "prices", prices)
         timestamps = _held(_label_array(self.timestamps), self.timestamps)
         object.__setattr__(self, "timestamps", timestamps)
@@ -131,7 +132,6 @@ class PriceSeries:
             raise ValueError("timestamps and prices differ in length")
         if len(prices) < 2:
             raise ValueError("price series needs at least 2 points")
-        _real(prices, "prices must be finite", -np.inf, np.inf)
         if np.any(prices <= 0.0):
             i = int(np.argmax(prices <= 0.0))
             raise ValueError(f"non-positive price at row {i + 1}")
@@ -289,7 +289,9 @@ def _parse_prices(stream: Iterable[str], mode: str) -> PriceSeries:
 
     if n_rows < 2:
         raise ValueError("price series needs at least 2 rows")
-    return PriceSeries(_freeze(np.concatenate(labels)), _freeze(np.concatenate(prices)), mode)
+    # rebound, so the per-block arrays are freed before the series is checked
+    labels, prices = _freeze(np.concatenate(labels)), _freeze(np.concatenate(prices))
+    return PriceSeries(labels, prices, mode)
 
 
 # the characters str.strip() removes that are ASCII; bytes.strip() keeps \x1c-\x1f
@@ -323,10 +325,13 @@ def _read_block(read, block: list, label, first_row: int) -> np.ndarray:
 
 
 def _block_prices(table: np.ndarray, first_row: int) -> np.ndarray:
-    """The rows' prices; each price field must be positive, the price finite."""
+    """The rows' prices, in a new array; each price field must be positive,
+    the price finite."""
     fields = [table[name] for name in table.dtype.names[1:]]
     with np.errstate(over="ignore"):  # an overflowing midpoint is reported below
-        price = fields[0] if len(fields) == 1 else 0.5 * (fields[0] + fields[1])
+        # a copy of the close column: a view of it would keep the block's
+        # whole table, labels and all, alive as long as the prices
+        price = fields[0].copy() if len(fields) == 1 else 0.5 * (fields[0] + fields[1])
     non_positive = np.logical_or.reduce([f <= 0.0 for f in fields])
     bad = non_positive | ~np.isfinite(price)
     if bad.any():

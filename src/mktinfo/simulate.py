@@ -62,13 +62,21 @@ def _autocovariance(params: FbmParams | DelampertizedParams, dt: float,
                     n_lags: int) -> np.ndarray:
     """Autocovariance at lags 0..n_lags of the stationary sequence a simulator
     draws: fBm increments, or the delampertized process itself."""
-    k = np.arange(n_lags + 1, dtype=np.float64)
     if isinstance(params, DelampertizedParams):
-        return delampertized_autocovariance(dt * k, params)
+        return delampertized_autocovariance(dt * np.arange(n_lags + 1, dtype=np.float64), params)
     h2 = 2.0 * params.hurst
     # in float64, so a huge sigma or dt gives inf, not a Python OverflowError
     scale = 0.5 * np.float64(params.sigma) ** 2 * np.float64(dt) ** h2
-    return scale * (np.abs(k + 1) ** h2 - 2.0 * k ** h2 + np.abs(k - 1) ** h2)
+    # scale * ((|k+1|**2H - 2 k**2H) + |k-1|**2H), in that order, from one
+    # array of powers p[j] = j**2H: |k+1| = k+1, and |k-1| is k-1 but 1 at k = 0
+    powers = np.arange(n_lags + 2, dtype=np.float64)
+    powers **= h2
+    gamma = np.multiply(powers[:-1], 2.0)
+    np.subtract(powers[1:], gamma, out=gamma)
+    gamma[1:] += powers[:-2]
+    gamma[0] += powers[1]
+    gamma *= scale
+    return gamma
 
 
 # the embedding may grow to max(4n, _MIN_EMBEDDING_CAP) lags; the padding a
@@ -88,7 +96,16 @@ def _circulant_root(params: FbmParams | DelampertizedParams, dt: float,
         # an overflow is reported just below, as a covariance that is not finite
         with np.errstate(over="ignore", invalid="ignore"):
             gamma = _autocovariance(params, dt, m)
-            lam = np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+            # lags 0..M and their mirror M-1..1, the first row of the circulant
+            row = np.empty(2 * m)
+            row[: m + 1] = gamma
+            row[m + 1 :] = gamma[-2:0:-1]
+            del gamma
+            spectrum = np.fft.rfft(row)
+            del row
+            # a copy, so that the root does not keep the complex spectrum alive
+            lam = spectrum.real.copy()
+            del spectrum
         if not np.all(np.isfinite(lam)):
             raise NumericError("autocovariance is not finite")
         if lam.min() >= -1e-8 * lam.max():
@@ -96,7 +113,13 @@ def _circulant_root(params: FbmParams | DelampertizedParams, dt: float,
         m *= 2
         if m > cap:
             raise NumericError(f"no nonnegative circulant embedding within {cap} lags")
-    return _freeze(np.sqrt(np.clip(lam, 0.0, None)))
+    np.clip(lam, 0.0, None, out=lam)
+    return _freeze(np.sqrt(lam, out=lam))
+
+
+# normals are drawn this many at a time into one scratch block, then scaled
+# into the spectrum: a small block, so the draw holds no second 2M-float array
+_DRAW_BLOCK = 1 << 16
 
 
 def _circulant_sample(root: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -104,19 +127,24 @@ def _circulant_sample(root: np.ndarray, n: int, rng: np.random.Generator) -> np.
     roots are `root`: 2M normals fill the DC bin, the Nyquist bin, then the
     real and imaginary parts of bins 1..M-1 of the half spectrum irfft takes."""
     m = len(root) - 1
-    draws = rng.standard_normal(2 * m)
     z = np.empty(m + 1, dtype=np.complex128)
-    z[0] = draws[0]
-    z[m] = draws[1]
+    scratch = np.empty(min(_DRAW_BLOCK, m + 1))
+    # drawn in blocks, the normals are the same stream as one 2M draw
+    z[0], z[m] = rng.standard_normal(out=scratch[:2])
     # bins 1..M-1 hold (a + ib)/sqrt(2), written straight into z's real and
     # imaginary parts; numpy divides a complex by a real d as a*(1/d) and
     # b*(1/d), so these are its bits for the complex division too
     half = 1.0 / np.sqrt(2.0)
-    np.multiply(draws[2 : m + 1], half, out=z.real[1:m])
-    np.multiply(draws[m + 1 :], half, out=z.imag[1:m])
-    del draws
+    for part in (z.real[1:m], z.imag[1:m]):
+        for start in range(0, m - 1, _DRAW_BLOCK):
+            block = rng.standard_normal(out=scratch[: min(_DRAW_BLOCK, m - 1 - start)])
+            np.multiply(block, half, out=part[start : start + len(block)])
+    # views of z and of the scratch would keep them alive through the irfft
+    del scratch, block, part
     z *= root
-    x = np.fft.irfft(z, 2 * m)
+    # the 2M real values are written over z's own buffer (numpy copies its
+    # input first when they overlap), so no second 2M-float array outlives it
+    x = np.fft.irfft(z, 2 * m, out=z.view(np.float64)[: 2 * m])
     del z
     # a new array of n values, so that no caller keeps all 2M alive
     return np.sqrt(2 * m) * x[:n]
@@ -126,8 +154,9 @@ def simulate_fbm(params: FbmParams, n: int, dt: float = 1.0, seed: int = 0) -> S
     """Exact sample of fBm at times dt, 2*dt, ..., n*dt."""
     n = _count(n, "n must be an integer >= 2", minimum=2)
     root = _circulant_root(params, _real(dt, "dt must be positive and finite", 0.0, math.inf), n)
-    increments = _circulant_sample(root, n, np.random.default_rng(seed))
-    return SimulatedPath("fbm", params, dt, seed, _freeze(np.cumsum(increments)))
+    values = _circulant_sample(root, n, np.random.default_rng(seed))
+    np.cumsum(values, out=values)  # the increments, summed in place
+    return SimulatedPath("fbm", params, dt, seed, _freeze(values))
 
 
 def simulate_delampertized(params: DelampertizedParams, n: int, dt: float = 1.0,
@@ -181,17 +210,25 @@ def to_price_series(path: SimulatedPath, p0: float = 100.0) -> PriceSeries:
     rejected, as is a price that overflows or underflows to 0.
     """
     p0 = _real(p0, "p0 must be positive and finite", 0.0, math.inf)
+    # each branch builds its prices in place, in one buffer
     if path.model in ("fbm", "delampertized"):
         kind = "log-price"
+        prices = np.subtract(path.values, path.values[0])
         with np.errstate(over="ignore"):
-            prices = p0 * np.exp(path.values - path.values[0])
+            np.exp(prices, out=prices)
+            prices *= p0
     elif path.model == "pseudo_periodic":
         bad = np.nonzero(path.values <= -1.0)[0]
         if bad.size:
             raise ValueError(f"price would become non-positive at step {int(bad[0]) + 1}")
         kind = "compounded price"
+        prices = np.empty(len(path.values) + 1)
+        prices[0] = p0
+        growth = prices[1:]
+        np.add(path.values, 1.0, out=growth)
         with np.errstate(over="ignore"):
-            prices = np.concatenate([[p0], p0 * np.cumprod(1.0 + path.values)])
+            np.cumprod(growth, out=growth)
+            growth *= p0
     else:
         raise ValueError(f"unknown model {path.model!r}")
     if not (np.all(np.isfinite(prices)) and prices.min() > 0.0):

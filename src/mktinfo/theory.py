@@ -169,8 +169,8 @@ def info_delampertized(hurst: float, m: float, theta: float) -> float:
 def fbm_covariance(s, t, params: FbmParams):
     """Cov(B_s, B_t) = sigma**2/2 (|s|**2H + |t|**2H - |t-s|**2H)."""
     H2 = 2.0 * params.hurst
-    s = np.asarray(s, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
+    s = _real(s, "times must be finite", -math.inf, math.inf)
+    t = _real(t, "times must be finite", -math.inf, math.inf)
     out = 0.5 * np.float64(params.sigma) ** 2 * (
         np.abs(s) ** H2 + np.abs(t) ** H2 - np.abs(t - s) ** H2)
     return float(out) if out.ndim == 0 else out
@@ -178,7 +178,7 @@ def fbm_covariance(s, t, params: FbmParams):
 
 def delampertized_autocovariance(tau, params: DelampertizedParams):
     """Stationary autocovariance (sigma**2/2) h(theta * |tau|)."""
-    tau = np.abs(np.asarray(tau, dtype=np.float64))
+    tau = np.abs(_real(tau, "lags must be finite", -math.inf, math.inf))
     out = 0.5 * np.float64(params.sigma) ** 2 * h_lamperti(params.hurst, params.theta * tau)
     return float(out) if np.ndim(out) == 0 else out
 

@@ -28,8 +28,8 @@ from mktinfo.simulate import SimulatedPath, simulate_delampertized, simulate_fbm
     simulate_pseudo_periodic, to_price_series
 from mktinfo.simulate import PseudoPeriodicParams
 from mktinfo.theory import DelampertizedParams, FbmParams, TheoryCurve, f_xlog2x, h_lamperti, \
-    info_delampertized, info_from_rho, orthant_probability, rho_delampertized, rho_fbm, \
-    theory_curve
+    delampertized_autocovariance, fbm_covariance, info_delampertized, info_from_rho, \
+    orthant_probability, rho_delampertized, rho_fbm, theory_curve
 
 from markov_oracle import entropy_curve
 
@@ -493,6 +493,23 @@ REAL_ARGUMENTS = {
                                      (_LOGP, list(_LOGP))),
     "estimate_hurst-logprices": (estimate_hurst, "log-prices must be finite",
                                  _outside(-math.inf, math.inf, like=_LOGP), (_LOGP, list(_LOGP))),
+    "fbm_covariance-s": (lambda s: fbm_covariance(s, 2.0, FbmParams(0.7)), "times must be finite",
+                         _outside(-math.inf, math.inf), (np.float64(2.5), 2.5)),
+    "fbm_covariance-t": (lambda t: fbm_covariance([1.0, 2.0], t, FbmParams(0.7)),
+                         "times must be finite", _outside(-math.inf, math.inf),
+                         (np.float64(2.5), 2.5)),
+    "delampertized_autocovariance-tau": (
+        lambda tau: delampertized_autocovariance(tau, DelampertizedParams(0.5, 1.0)),
+        "lags must be finite", _outside(-math.inf, math.inf, like=[0.0, 1.0]),
+        (np.array([0.0, -1.5]), [0.0, -1.5])),
+    "PriceSeries-prices": (lambda p: PriceSeries(range(2), p).prices, "prices must be finite",
+                           _outside(-math.inf, math.inf, like=[1.0, 2.0]),
+                           (np.array([1.0, 2.0]), [1.0, 2.0])),
+    "LogLogCurve-moments": (lambda m: LogLogCurve([1, 2], m, (1, 2), 1.0, 0.0, 0.5).moments,
+                            "moments must be finite and non-negative",
+                            _outside(0.0, math.inf, closed=True, like=[1.0, 2.0])
+                            + [[1.0, math.inf]],
+                            (np.array([0.0, 2.0]), [0.0, 2.0])),
 }
 
 

@@ -1,6 +1,7 @@
 """Price ingestion, returns, indicators, and word extraction."""
 
 import io
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -192,6 +193,26 @@ class TestIngestEdgeCases:
             p = load_prices(io.StringIO(text), mode)
             np.testing.assert_array_equal(p.prices, expected[0])
             np.testing.assert_array_equal(p.timestamps, [t.encode() for t in expected[1]])
+
+    def test_peak_memory(self, tmp_path):
+        # each block's prices are copied out of its parsed table, so the
+        # tables die with their blocks; a view of the close column kept every
+        # table alive, labels at full line width and all (4.7 times the
+        # bytes held on this file)
+        rows = 200_000
+        prices = 100.0 * np.exp(np.cumsum(np.random.default_rng(1).normal(0.0, 1e-3, rows)))
+        f = tmp_path / "p.csv"
+        with open(f, "w") as fh:
+            write_prices(PriceSeries(range(rows), prices), fh)
+        tracemalloc.start()
+        try:
+            p = load_prices(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.prices.tobytes() == prices.tobytes()
+        held = p.prices.nbytes + p.timestamps.nbytes
+        assert peak <= 3 * held, peak / held
 
     @pytest.mark.parametrize("eol", [b"\r\n", b"\r"])
     def test_crlf_and_cr_files(self, tmp_path, eol):

@@ -74,6 +74,32 @@ def half_spectrum_sample(root, n, rng):
     return np.sqrt(2 * m) * np.fft.irfft(root * z, 2 * m)[:n]
 
 
+def concatenated_root(params, dt, n):
+    """The embedding's roots as first written: fBm's lags as three powers of
+    k in one expression, the circulant's first row built by concatenation,
+    the root taken out of place.  The sampler must match it bit for bit."""
+    m = n
+    while True:
+        k = np.arange(m + 1, dtype=np.float64)
+        if isinstance(params, DelampertizedParams):
+            gamma = delampertized_autocovariance(dt * k, params)
+        else:
+            h2 = 2.0 * params.hurst
+            scale = 0.5 * np.float64(params.sigma) ** 2 * np.float64(dt) ** h2
+            gamma = scale * (np.abs(k + 1) ** h2 - 2.0 * k ** h2 + np.abs(k - 1) ** h2)
+        lam = np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+        if lam.min() >= -1e-8 * lam.max():
+            return np.sqrt(np.clip(lam, 0.0, None))
+        m *= 2
+
+
+def out_of_place_prices(path, p0):
+    """to_price_series' prices as first written, one new array per step."""
+    if path.model == "pseudo_periodic":
+        return np.concatenate([[p0], p0 * np.cumprod(1.0 + path.values)])
+    return p0 * np.exp(path.values - path.values[0])
+
+
 def sampled_values(params, n, dt, seed):
     """What the sampler draws: fBm increments, or the stationary values."""
     if isinstance(params, FbmParams):
@@ -234,9 +260,10 @@ class TestCirculantSampleInPlace:
         assert simulate_delampertized(stationary, 1000, seed=5).values.tobytes() == want.tobytes()
 
     def test_peak_memory(self, fresh_roots):
-        # normals (2M floats) then the half spectrum (M + 1 complex), then the
-        # spectrum and irfft's output (2M floats): 32 bytes per bin at most;
-        # the out-of-place version held twice that
+        # the half spectrum (M + 1 complex) and a small block of normals, then
+        # the spectrum and irfft's copy of it while the output is written
+        # over the spectrum: 32 bytes per bin at most; the out-of-place
+        # version held twice that
         m = 1 << 17
         root = sim._circulant_root(FbmParams(0.7), 1.0, m)
         assert len(root) == m + 1
@@ -248,6 +275,54 @@ class TestCirculantSampleInPlace:
         finally:
             tracemalloc.stop()
         assert peak <= 40 * m, peak / m
+
+
+class TestColdPathInPlace:
+    @pytest.mark.parametrize("n", [999, 1000, 100_000])
+    @pytest.mark.parametrize("hurst", [0.05, 0.3, 0.7, 0.99])
+    def test_fbm_bit_identical_to_out_of_place(self, fresh_roots, hurst, n):
+        params = FbmParams(hurst, 1e-4)
+        root = concatenated_root(params, 1.0, n)
+        assert sim._circulant_root(params, 1.0, n).tobytes() == root.tobytes()
+        path = simulate_fbm(params, n, seed=3)
+        want = np.cumsum(half_spectrum_sample(root, n, np.random.default_rng(3)))
+        assert path.values.tobytes() == want.tobytes()
+        assert to_price_series(path, 50.0).prices.tobytes() == out_of_place_prices(path, 50.0).tobytes()
+
+    @pytest.mark.parametrize("params, n, m", [
+        (DelampertizedParams(0.3, 2.0), 1001, 1001),
+        (DelampertizedParams(0.95, 0.01), 1000, 8000),  # padded
+    ])
+    def test_delampertized_bit_identical_to_out_of_place(self, fresh_roots, params, n, m):
+        root = concatenated_root(params, 1.0, n)
+        assert len(root) == m + 1
+        assert sim._circulant_root(params, 1.0, n).tobytes() == root.tobytes()
+        path = simulate_delampertized(params, n, seed=3)
+        want = half_spectrum_sample(root, n, np.random.default_rng(3))
+        assert path.values.tobytes() == want.tobytes()
+        assert to_price_series(path).prices.tobytes() == out_of_place_prices(path, 100.0).tobytes()
+
+    def test_pseudo_periodic_prices_bit_identical_to_out_of_place(self):
+        path = simulate_pseudo_periodic(-0.9, 5, 100_000, seed=7)
+        path = SimulatedPath(path.model, path.params, path.dt, path.seed, 0.01 * path.values)
+        want = out_of_place_prices(path, 50.0)
+        assert to_price_series(path, 50.0).prices.tobytes() == want.tobytes()
+
+    def test_root_peak_memory(self, fresh_roots):
+        # the lags (M + 1 floats) are copied into the circulant's first row
+        # (2M floats) and freed before the rfft, whose half spectrum (M + 1
+        # complex) then lives beside the row alone: 4 floats per lag at the
+        # peak, where the concatenated row and its temporaries held 5
+        n = 1 << 16
+        np.fft.rfft(np.zeros(2 * n))  # numpy's one-off set-up for this length is not counted
+        tracemalloc.start()
+        try:
+            root = sim._circulant_root(FbmParams(0.7), 1.0, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(root) == n + 1
+        assert peak <= 4.25 * 8 * n, peak / (8 * n)
 
 
 class TestSimulateFbm:
