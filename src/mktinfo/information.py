@@ -30,7 +30,8 @@ def _entropy_bits(counts: np.ndarray, total: int) -> float:
     if c.size == 0:
         raise ValueError("no observations")
     p = c / float(total)
-    return float(-(p * np.log2(p)).sum())
+    # 0.0 - s, not -s, so that a zero entropy is +0.0
+    return 0.0 - float((p * np.log2(p)).sum())
 
 
 def shannon_entropy(dist: WordDistribution) -> float:
@@ -178,7 +179,7 @@ def significance_bound(n: int, lags: int, m: int, confidence: float) -> Signific
     dof = _count(n - m * lags, "degrees of freedom exhausted")
     shape = 2 ** (lags - 1)
     scale = 1.0 / (dof * LN2)
-    return SignificanceBound(shape, scale, confidence, gamma_quantile(shape, scale, confidence))
+    return SignificanceBound(shape, scale, confidence, scale * _unit_gamma_quantile(shape, confidence))
 
 
 @dataclass(frozen=True)
@@ -266,16 +267,6 @@ def information_profile(
             raise ValueError("indicator series disagree on underlying price count")
     n = n_underlying
 
-    # The null quantile scales as 1/dof, so one unit-scale quantile per lag
-    # count serves every m.  An order-(lags+1) cell has n + 1 - m*(lags+1)
-    # windows, so it exists for some m exactly when it exists for the smallest.
-    m_min = min(m_values)
-    unit_bound = {}
-    for lags in range(1, L_max + 1):
-        if n >= m_min * (lags + 1):
-            b = significance_bound(n, lags, m_min, confidence)
-            unit_bound[lags] = b.value / b.scale
-
     n_orders = L_max + 1
     shape = (n_orders, len(m_values))
     H = np.full(shape, np.nan)
@@ -289,12 +280,12 @@ def information_profile(
             row = order - 1
             H[row, col] = _entropy_bits(counts, n_windows)
             n_obs[row, col] = n_windows
-            if order == 1:
-                I[row, col] = 1.0 - H[row, col]
-            else:
-                I[row, col] = 1.0 + _entropy_bits(prefix, n_windows) - H[row, col]
-                lags = row
-                bounds[row, col] = unit_bound[lags] / ((n - m * lags) * LN2)
+            # order 1's prefix is the empty word, whose entropy is 0
+            I[row, col] = 1.0 + _entropy_bits(prefix, n_windows) - H[row, col]
+            if order > 1:
+                # row is the lag count; a counted cell has n_windows >= 1, so
+                # its null has dof = n - m*row = n_windows + m - 1 >= 1
+                bounds[row, col] = significance_bound(n, row, m, confidence).value
 
     # first differences down the orders; a difference with an absent cell is NaN
     partial = np.diff(I, axis=0, prepend=0.0)

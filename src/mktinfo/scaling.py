@@ -68,13 +68,15 @@ def structure_function(logprices: np.ndarray, scales: Sequence[int]):
 def fit_loglog(scales: np.ndarray, moments: np.ndarray, fit_range: tuple):
     """OLS fit of log2 moment against log2 scale inside fit_range (inclusive)."""
     scales = np.asarray(scales)
-    moments = np.asarray(moments, dtype=np.float64)
+    moments = np.asarray(_real(moments, "moments must be finite and non-negative",
+                               0.0, sys.float_info.max, closed=True))
     lo, hi = fit_range
     mask = (scales >= lo) & (scales <= hi)
     if int(mask.sum()) < 2:
         raise ValueError(
             f"fewer than 2 scales in fit range {lo}..{hi};"
             f" usable scales: {list(map(int, scales))}")
+    # a zero moment has no logarithm
     _real(moments[mask], "degenerate moment in fit range", 0.0, math.inf)
     slope, intercept = np.polyfit(np.log2(scales[mask]), np.log2(moments[mask]), 1)
     return float(slope), float(intercept)

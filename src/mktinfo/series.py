@@ -229,7 +229,7 @@ def load_prices(source: Union[str, os.PathLike, IO[str]], mode: str = "close") -
         raise ValueError(f"unknown price mode {mode!r}")
     if hasattr(source, "read"):
         return _parse_prices(source, mode)
-    with open(source, "r") as fh:
+    with open(source, "r", encoding="utf-8-sig") as fh:
         return _parse_prices(fh, mode)
 
 
@@ -247,6 +247,9 @@ def _data_lines(block: list, text: str) -> list:
 
 def _parse_prices(stream: Iterable[str], mode: str) -> PriceSeries:
     lines = iter(stream)
+    # a stream not opened as utf-8-sig may still start with a byte-order mark
+    first = next(lines, "")
+    lines = itertools.chain([first.removeprefix("\ufeff")], lines)
     header = next((line for line in lines if not _is_skipped(line)), None)
     if header is None:
         raise ValueError("empty input")

@@ -54,7 +54,8 @@ class SimulatedPath:
     values: np.ndarray
 
     def __post_init__(self):
-        values = _held(np.asarray(self.values, dtype=np.float64), self.values)
+        values = np.asarray(_real(self.values, "values must be finite", -math.inf, math.inf))
+        values = _held(values, self.values)
         object.__setattr__(self, "values", values)
 
 

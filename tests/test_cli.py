@@ -165,6 +165,17 @@ class TestAnalyze:
         assert doc["n"] == 399
         assert doc["bounds"][0] == [None, None]
 
+    def test_zero_entropy_is_written_as_zero(self, capsys, tmp_path):
+        # rising prices give one word only; its entropy, a sum of 0.0
+        # negated, was written as -0.0
+        rising = tmp_path / "rising.csv"
+        rising.write_text("timestamp,close\n1,1\n2,2\n3,3\n")
+        code, out, _ = run(capsys, "analyze", str(rising), "--m-values", "1")
+        assert code == 0
+        assert "-0.0" not in out and json.loads(out)["H"][0][0] == 0.0
+        ep, _ = profile_from_prices(load_prices(rising), m_values=(1,))
+        assert math.copysign(1.0, ep.H[0, 0]) == 1.0
+
     def test_csv_format(self, price_file, capsys):
         code, out, _ = run(capsys, "analyze", str(price_file), "--L-max", "2",
                            "--m-values", "1", "--format", "csv")

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import mktinfo.information as information
 from mktinfo.information import (
     MAX_L,
     EntropyProfile,
@@ -367,7 +368,44 @@ class TestInformationProfile:
                                    np.diff(ip.bounds[1:], axis=0), atol=1e-18)
         # bound columns reproduce the standalone function
         want = significance_bound(ip.n, 2, 2, 0.95).value
-        assert ip.bounds[2, 1] == pytest.approx(want, rel=1e-14)
+        assert ip.bounds[2, 1] == want
+
+    @pytest.mark.parametrize("n_prices, L_max, m_values, confidence", [
+        (300, 4, (1, 2), 0.95), (9, 6, (1, 2, 3), 0.95), (40, 12, (2, 5, 3), 0.99),
+        (2000, 10, (1, 4), 0.95), (1000, 8, (3, 1, 7), 0.99)])
+    def test_every_bound_is_significance_bound(self, n_prices, L_max, m_values, confidence):
+        # the short series leave their deepest cells without windows
+        rng = np.random.default_rng(n_prices)
+        prices = PriceSeries(tuple(range(n_prices)),
+                             np.exp(np.cumsum(rng.normal(0, 0.01, n_prices))))
+        _, ip = profile_from_prices(prices, L_max, m_values, confidence)
+        absent = np.isnan(ip.I)
+        absent[0] = True  # order 1 has no null bound
+        assert np.array_equal(np.isnan(ip.bounds), absent)
+        for row, col in zip(*np.nonzero(~absent)):
+            want = significance_bound(ip.n, int(row), m_values[col], confidence).value
+            assert ip.bounds[row, col] == want, (row, col)
+
+    def test_one_bound_call_per_bound_cell(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return significance_bound(*args)
+
+        monkeypatch.setattr(information, "significance_bound", counted)
+        rng = np.random.default_rng(13)
+        prices = PriceSeries(tuple(range(9)), np.exp(np.cumsum(rng.normal(0, 0.01, 9))))
+        _, ip = profile_from_prices(prices, L_max=6, m_values=(1, 2, 3))
+        cells = [(ip.n, int(row), ip.m_values[col], ip.confidence)
+                 for row, col in zip(*np.nonzero(np.isfinite(ip.bounds)))]
+        assert sorted(calls) == sorted(cells)
+
+    def test_order_one_is_one_minus_the_entropy(self):
+        rng = np.random.default_rng(14)
+        prices = PriceSeries(tuple(range(500)), np.exp(np.cumsum(rng.normal(0, 0.01, 500))))
+        ep, ip = profile_from_prices(prices, L_max=3, m_values=(1, 2, 5))
+        assert (1.0 - ep.H[0]).tobytes() == ip.I[0].tobytes()
 
     def test_price_count_disagreement(self):
         j = {1: bits_series(np.ones(8, dtype=np.uint8), m=1),

@@ -21,7 +21,7 @@ from mktinfo.information import (
     profile_from_prices,
     significance_bound,
 )
-from mktinfo.scaling import LogLogCurve, estimate_hurst, structure_function
+from mktinfo.scaling import LogLogCurve, estimate_hurst, fit_loglog, structure_function
 from mktinfo.series import IndicatorSeries, PriceSeries, ReturnSeries, WordDistribution, \
     compute_returns, extract_words, load_prices, write_prices, _timestamp_keys
 from mktinfo.simulate import SimulatedPath, simulate_delampertized, simulate_fbm, \
@@ -510,6 +510,16 @@ REAL_ARGUMENTS = {
                             _outside(0.0, math.inf, closed=True, like=[1.0, 2.0])
                             + [[1.0, math.inf]],
                             (np.array([0.0, 2.0]), [0.0, 2.0])),
+    "SimulatedPath-values": (lambda v: SimulatedPath("fbm", FbmParams(0.5), 1.0, 0, v).values,
+                             "values must be finite",
+                             _outside(-math.inf, math.inf, like=[1.0, 2.0]),
+                             (np.array([1.0, 2.0]), [1.0, 2.0])),
+    # the last moment lies outside the fit range, and is checked all the same
+    "fit_loglog-moments": (lambda mo: fit_loglog(np.array([1, 2, 3]), mo, (1, 2)),
+                           "moments must be finite and non-negative",
+                           _outside(0.0, math.inf, closed=True, like=[1.0, 2.0, 4.0])
+                           + [[1.0, 2.0, math.inf]],
+                           (np.array([1.0, 2.0, 4.0]), [1.0, 2.0, 4.0])),
 }
 
 

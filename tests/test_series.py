@@ -84,6 +84,16 @@ class TestLoadPrices:
         p = load_prices(io.StringIO(text))
         np.testing.assert_allclose(p.prices, [5.0, 6.0])
 
+    @pytest.mark.parametrize("text", ["timestamp,close\n1,2\n2,3\n",
+                                      "# note\ntimestamp,close\n1,2\n2,3\n"],
+                             ids=["before the header", "before a comment"])
+    def test_byte_order_mark(self, tmp_path, text):
+        f = tmp_path / "p.csv"
+        f.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        for p in (load_prices(f), load_prices(io.StringIO("\ufeff" + text))):
+            np.testing.assert_array_equal(p.prices, [2.0, 3.0])
+            np.testing.assert_array_equal(p.timestamps, [b"1", b"2"])
+
     def test_midrange(self):
         text = "time,high,low\n1,12,8\n2,14,10\n"
         p = load_prices(io.StringIO(text), mode="midrange")
