@@ -22,7 +22,7 @@ import numpy as np
 
 from .information import profile_from_prices, profile_to_csv, profile_to_json
 from .scaling import DEFAULT_FIT_RANGE, estimate_hurst
-from .series import _freeze, load_prices, write_prices
+from .series import _csv_header, _freeze, _utf8_text, load_prices, write_prices
 from .simulate import NumericError, simulate_delampertized, simulate_fbm, \
     simulate_pseudo_periodic, to_price_series
 from .theory import DelampertizedParams, FbmParams, theory_curve
@@ -50,7 +50,8 @@ def _emit(text: str, output: str | None) -> None:
 
 def _load(path: str, mode: str):
     if path == "-":
-        return load_prices(sys.stdin, mode)
+        # stdin's bytes are read as a file's are; a text stream without bytes, as given
+        path = _utf8_text(sys.stdin.buffer) if hasattr(sys.stdin, "buffer") else sys.stdin
     return load_prices(path, mode)
 
 
@@ -84,28 +85,25 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     sigma = 1.0 if args.sigma is None else args.sigma
+    run = {"n": args.n, "dt": args.dt}
     if args.model == "fbm":
         path = simulate_fbm(FbmParams(args.hurst, sigma), args.n, args.dt, args.seed)
-        header = (f"# model=fbm hurst={args.hurst} sigma={sigma}"
-                  f" n={args.n} dt={args.dt} seed={args.seed} p0={args.p0}")
     elif args.model == "delampertized":
         path = simulate_delampertized(
             DelampertizedParams(args.hurst, args.theta, sigma),
             args.n, args.dt, args.seed)
-        header = (f"# model=delampertized hurst={args.hurst} theta={args.theta}"
-                  f" sigma={sigma} n={args.n} dt={args.dt}"
-                  f" seed={args.seed} p0={args.p0}")
     else:
         path = simulate_pseudo_periodic(args.beta, args.tau, args.n, args.seed)
         # unit-variance returns cannot compound into positive prices, so the
         # CLI applies a volatility scale (signs, hence information, unchanged)
         scale = 0.01 if args.sigma is None else args.sigma
         path = dataclasses.replace(path, values=_freeze(scale * path.values))
-        header = (f"# model=pseudo-periodic beta={args.beta} tau={args.tau}"
-                  f" sigma={scale} n={args.n} seed={args.seed} p0={args.p0}")
+        run = {"sigma": scale, "n": args.n}
+    header = {"model": args.model, **dataclasses.asdict(path.params), **run,
+              "seed": args.seed, "p0": args.p0}
     prices = to_price_series(path, args.p0)
     with _output(args.output) as fh:
-        fh.write(header + "\n")
+        fh.write(_csv_header(header))
         write_prices(prices, fh)
     return EXIT_OK
 

@@ -18,8 +18,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .series import MAX_L, IndicatorSeries, PriceSeries, WordDistribution, _count, _freeze, \
-    _json_floats, _marginal_counts, _real, _sign_indicators, _word_windows
+from .series import MAX_L, IndicatorSeries, PriceSeries, WordDistribution, _count, _csv_table, \
+    _freeze, _json_floats, _marginal_counts, _real, _sign_indicators, _word_windows
 
 LN2 = math.log(2.0)
 
@@ -349,18 +349,9 @@ def profile_to_json(ep: EntropyProfile, ip: InformationProfile) -> str:
 
 def profile_to_csv(ep: EntropyProfile, ip: InformationProfile) -> str:
     """Long-format CSV: one row per (order L, m) cell, blank for absent values."""
-    def fmt(v: float) -> str:
-        return "" if not np.isfinite(v) else repr(float(v))
-
-    lines = [
-        f"# n={ip.n} confidence={ip.confidence} m_values={','.join(map(str, ep.m_values))}",
-        "L,m,H,I,partial,bound",
-    ]
-    for row in range(ep.L_max + 1):
-        for col, m in enumerate(ep.m_values):
-            lines.append(",".join([
-                str(row + 1), str(m),
-                fmt(ep.H[row, col]), fmt(ip.I[row, col]),
-                fmt(ip.partial[row, col]), fmt(ip.bounds[row, col]),
-            ]))
-    return "\n".join(lines) + "\n"
+    header = {"n": ip.n, "confidence": ip.confidence, "m_values": ",".join(map(str, ep.m_values))}
+    orders = np.arange(1, ep.L_max + 2)
+    return _csv_table(header, {"L": np.repeat(orders, len(ep.m_values)),
+                               "m": np.tile(ep.m_values, len(orders)), "H": ep.H.ravel(),
+                               "I": ip.I.ravel(), "partial": ip.partial.ravel(),
+                               "bound": ip.bounds.ravel()})

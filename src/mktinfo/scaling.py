@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .series import _count, _freeze, _held, _json_floats, _real
+from .series import _count, _csv_table, _freeze, _held, _json_floats, _real
 
 DEFAULT_MAX_SCALE = 20
 DEFAULT_FIT_RANGE = (1, 5)
@@ -67,9 +67,11 @@ def structure_function(logprices: np.ndarray, scales: Sequence[int]):
 
 def fit_loglog(scales: np.ndarray, moments: np.ndarray, fit_range: tuple):
     """OLS fit of log2 moment against log2 scale inside fit_range (inclusive)."""
-    scales = np.asarray(scales)
+    scales = _scale_array(scales)
     moments = np.asarray(_real(moments, "moments must be finite and non-negative",
                                0.0, sys.float_info.max, closed=True))
+    if moments.shape != scales.shape:
+        raise ValueError("scales and moments differ in length")
     lo, hi = fit_range
     mask = (scales >= lo) & (scales <= hi)
     if int(mask.sum()) < 2:
@@ -103,6 +105,8 @@ class LogLogCurve:
         m = np.asarray(_real(self.moments, "moments must be finite and non-negative",
                              0.0, sys.float_info.max, closed=True))
         m = _held(m, self.moments)
+        if m.shape != s.shape:
+            raise ValueError("scales and moments differ in length")
         object.__setattr__(self, "scales", s)
         object.__setattr__(self, "moments", m)
         object.__setattr__(self, "fit_range", tuple(self.fit_range))
@@ -135,16 +139,11 @@ class LogLogCurve:
         return np.diff(local)
 
     def to_csv(self) -> str:
-        lines = [
-            f"# slope={self.slope!r} hurst_estimate={self.hurst_estimate!r}"
-            f" intercept={self.intercept!r}"
-            f" fit_range={self.fit_range[0]}..{self.fit_range[1]}"
-            f" dropped_scales=[{','.join(map(str, self.dropped_scales))}]",
-            "log2_scale,log2_moment,in_fit_range",
-        ]
-        for ls, lm, f in zip(self.log2_scales, self.log2_moments, self.in_fit_range):
-            lines.append(f"{float(ls)!r},{float(lm)!r},{int(f)}")
-        return "\n".join(lines) + "\n"
+        header = {"slope": self.slope, "hurst_estimate": self.hurst_estimate,
+                  "intercept": self.intercept, "fit_range": "..".join(map(str, self.fit_range)),
+                  "dropped_scales": f"[{','.join(map(str, self.dropped_scales))}]"}
+        return _csv_table(header, {"log2_scale": self.log2_scales, "log2_moment": self.log2_moments,
+                                   "in_fit_range": self.in_fit_range})
 
     def to_json_dict(self) -> dict:
         return {

@@ -8,6 +8,7 @@ indicator steps apart (overlapping windows, start indices stepping by 1).
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import os
 import re
@@ -56,6 +57,22 @@ def _real(value, message: str, low: float, high: float, closed: bool = False):
 def _json_floats(arr: np.ndarray) -> list:
     """A float array as (nested) lists for JSON, None (null) for NaN and infinities."""
     return np.where(np.isfinite(arr), arr, None).tolist()
+
+
+def _csv_header(fields: dict) -> str:
+    """The `# k=v k=v` comment line that opens every output CSV, each value by str()."""
+    return "# " + " ".join(f"{k}={v!s}" for k, v in fields.items()) + "\n"
+
+
+def _csv_table(header: dict, columns: dict) -> str:
+    """An output CSV: the header line, the column names, then one row per
+    entry of the equal-length columns.  A float cell is written by repr, the
+    shortest text that reads back to it, NaN as a blank; an int or a bool as
+    an integer."""
+    cells = [["" if v != v else repr(v) if isinstance(v, float) else str(int(v))
+              for v in np.asarray(column).tolist()] for column in columns.values()]
+    rows = [",".join(columns)] + [",".join(row) for row in zip(*cells, strict=True)]
+    return _csv_header(header) + "\n".join(rows) + "\n"
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -169,10 +186,17 @@ class IndicatorSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "m", _count(self.m, "indicator horizon m must be a positive integer"))
-        bits = _held(np.ascontiguousarray(self.bits, dtype=np.uint8), self.bits)
-        object.__setattr__(self, "bits", bits)
-        if bits.size and int(bits.max()) > 1:
+        bits = np.asarray(self.bits)
+        if bits.dtype == np.bool_:
+            bits = bits.view(np.uint8)
+        if bits.dtype == np.uint8:
+            bad = bits.size and int(bits.max()) > 1
+        else:  # checked as given: a cast to uint8 would wrap 256 to 0 and cut 0.5 to 0
+            bad = bits.dtype.kind not in "iuf" or not np.all((bits == 0) | (bits == 1))
+        if bad or bits.ndim != 1:
             raise ValueError("indicator values must be 0 or 1")
+        bits = _held(np.ascontiguousarray(bits, dtype=np.uint8), self.bits)
+        object.__setattr__(self, "bits", bits)
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -191,13 +215,12 @@ class WordDistribution:
         for name in ("word_length", "stride"):
             value = _count(getattr(self, name), "word length and stride must be positive")
             object.__setattr__(self, name, value)
-        if self.total < 1:
-            raise ValueError("no observations")
+        total = _count(self.total, "no observations: total must be a positive integer")
+        object.__setattr__(self, "total", total)
         for word, c in self.counts.items():
             if len(word) != self.word_length or set(word) - {"0", "1"}:
                 raise ValueError(f"malformed word key {word!r}")
-            if c < 0:
-                raise ValueError("negative count")
+            _count(c, "counts must be non-negative integers", minimum=0)
         if sum(self.counts.values()) != self.total:
             raise ValueError("counts do not sum to total")
         if len(self.counts) > 2 ** self.word_length:
@@ -212,6 +235,9 @@ _BLOCK_ROWS = 1 << 14
 # A blank or comment line holds a '#' or starts with whitespace (an empty line
 # starts with its line break), so a block whose text has neither is kept whole.
 _SPACE_AFTER_NEWLINE = re.compile(r"\n\s")
+
+# a byte that is not UTF-8, read by _utf8_text, is a lone surrogate
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def load_prices(source: Union[str, os.PathLike, IO[str]], mode: str = "close") -> PriceSeries:
@@ -229,8 +255,14 @@ def load_prices(source: Union[str, os.PathLike, IO[str]], mode: str = "close") -
         raise ValueError(f"unknown price mode {mode!r}")
     if hasattr(source, "read"):
         return _parse_prices(source, mode)
-    with open(source, "r", encoding="utf-8-sig") as fh:
+    with _utf8_text(open(source, "rb")) as fh:
         return _parse_prices(fh, mode)
+
+
+def _utf8_text(binary: IO[bytes]) -> IO[str]:
+    """Price bytes as text, for a path and the CLI's stdin alike: UTF-8, each
+    byte that is not UTF-8 kept as a lone surrogate so its row can be named."""
+    return io.TextIOWrapper(binary, encoding="utf-8", errors="surrogateescape")
 
 
 def _is_skipped(line: str) -> bool:
@@ -247,7 +279,7 @@ def _data_lines(block: list, text: str) -> list:
 
 def _parse_prices(stream: Iterable[str], mode: str) -> PriceSeries:
     lines = iter(stream)
-    # a stream not opened as utf-8-sig may still start with a byte-order mark
+    # one byte-order mark, which UTF-8 text may start with, is dropped
     first = next(lines, "")
     lines = itertools.chain([first.removeprefix("\ufeff")], lines)
     header = next((line for line in lines if not _is_skipped(line)), None)
@@ -279,16 +311,23 @@ def _parse_prices(stream: Iterable[str], mode: str) -> PriceSeries:
     for block in iter(lambda: list(itertools.islice(lines, _BLOCK_ROWS)), []):
         text = "".join(block)
         block = _data_lines(block, text)
-        if block:
+        is_ascii = text.isascii()
+        # a non-ASCII block is read up to its first line that does not encode
+        # back to UTF-8, so an earlier bad row is still the one named
+        valid = block if is_ascii else list(
+            itertools.takewhile(lambda line: _SURROGATE.search(line) is None, block))
+        if valid:
             # numpy's C reader, prices straight to float64.  An ASCII block
             # reads its labels as bytes as wide as its longest line, so none is
             # cut short; loadtxt would encode other text as Latin-1, so a block
             # with any non-ASCII text reads its labels as str
-            label = f"S{max(map(len, block))}" if text.isascii() else object
-            table = _read_block(read, block, label, n_rows + 1)
+            label = f"S{max(map(len, valid))}" if is_ascii else object
+            table = _read_block(read, valid, label, n_rows + 1)
             prices.append(_block_prices(table, n_rows + 1))
             labels.append(_block_labels(table["timestamp"]))
             n_rows += len(table)
+        if len(valid) < len(block):
+            raise ValueError(f"invalid UTF-8 at row {n_rows + 1}")
 
     if n_rows < 2:
         raise ValueError("price series needs at least 2 rows")

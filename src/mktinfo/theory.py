@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .series import _freeze, _held, _real
+from .series import _csv_table, _freeze, _held, _real
 
 _RHO_EPS = 1e-15
 
@@ -205,12 +205,8 @@ class TheoryCurve:
             raise ValueError("abscissa must be strictly increasing")
 
     def to_csv(self) -> str:
-        fixed = " ".join(f"{k}={v}" for k, v in self.fixed_params.items())
-        lines = [f"# model={self.model}" + (f" {fixed}" if fixed else ""),
-                 "abscissa,I2"]
-        lines += [f"{repr(float(a))},{repr(float(o))}"
-                  for a, o in zip(self.abscissa, self.ordinate)]
-        return "\n".join(lines) + "\n"
+        return _csv_table({"model": self.model, **self.fixed_params},
+                          {"abscissa": self.abscissa, "I2": self.ordinate})
 
     def to_json_dict(self) -> dict:
         return {

@@ -63,7 +63,8 @@ class TestSimulate:
                            "--n", "3000", "--seed", "0")
         assert code == 0
         lines = out.strip().split("\n")
-        assert "sigma=0.01" in lines[0]
+        assert lines[0] == ("# model=pseudo-periodic beta=-0.9 tau=5 sigma=0.01"
+                            " n=3000 seed=0 p0=100.0")
         vals = np.array([float(l.split(",")[1]) for l in lines[2:]])
         assert vals.shape == (3001,)
         assert np.all(vals > 0.0)
@@ -73,6 +74,8 @@ class TestSimulate:
                           "--seed", "3")
         _, out_b, _ = run(capsys, "simulate", "pseudo-periodic", "--n", "10",
                           "--seed", "3", "--sigma", "0.005")
+        assert out_b.split("\n")[0] == ("# model=pseudo-periodic beta=-0.9 tau=5 sigma=0.005"
+                                        " n=10 seed=3 p0=100.0")
         ra = np.diff(np.log([float(l.split(",")[1]) for l in out_a.strip().split("\n")[2:]]))
         rb = np.diff(np.log([float(l.split(",")[1]) for l in out_b.strip().split("\n")[2:]]))
         # same signs, smaller magnitude
@@ -92,7 +95,8 @@ class TestSimulate:
                            "--theta", "2.0", "--sigma", "0.01", "--n", "32",
                            "--seed", "7")
         assert code == 0
-        assert out.startswith("# model=delampertized hurst=0.3 theta=2.0")
+        assert out.split("\n")[0] == ("# model=delampertized hurst=0.3 theta=2.0 sigma=0.01"
+                                      " n=32 dt=1.0 seed=7 p0=100.0")
 
     def test_numeric_failure_exit_code(self, capsys, monkeypatch):
         def boom(*a, **k):
@@ -190,12 +194,49 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["L_max"] == 2
 
+    def test_csv_of_a_short_series_is_pinned(self, capsys, tmp_path):
+        # orders 3 and 4 have no window, so their cells are blank, as is order 1's bound
+        rising = tmp_path / "rising.csv"
+        rising.write_text("timestamp,close\n1,1\n2,2\n3,3\n")
+        code, out, _ = run(capsys, "analyze", str(rising), "--L-max", "3", "--m-values", "1",
+                           "--format", "csv")
+        assert code == 0
+        assert out == ("# n=2 confidence=0.95 m_values=1\n"
+                       "L,m,H,I,partial,bound\n"
+                       "1,1,0.0,1.0,1.0,\n"
+                       "2,1,0.0,1.0,0.0,4.321928094887361\n"
+                       "3,1,,,,\n"
+                       "4,1,,,,\n")
+
     def test_stdin_error_names_row(self, capsys, monkeypatch):
         text = "# from a pipe\ntimestamp,close\n1,100\n\n2,oops\n3,102\n"
         monkeypatch.setattr(cli.sys, "stdin", io.StringIO(text))
         code, out, err = run(capsys, "analyze", "-")
         assert code == 3 and out == ""
         assert err == "error: unparseable price at row 2\n"
+
+    @pytest.mark.parametrize("source", ["path", "stdin"])
+    @pytest.mark.parametrize("data, message", [
+        (b"timestamp,close\n1,100\n2\xff,101\n3,102\n", "invalid UTF-8 at row 2"),
+        (b"timestamp,close\n1,100\n2,10\xff1\n3,102\n", "invalid UTF-8 at row 2"),
+        (b"timestamp,close,note\n1,100,a\n2,101,\xff\n3,102,b\n", "invalid UTF-8 at row 2"),
+        (b"timestamp,close\n" + b"".join(b"%d,%d\n" % (i, 100 + i % 7) for i in range(1, 20001))
+         .replace(b"\n17000,", b"\n17000\xff,"), "invalid UTF-8 at row 17000"),
+        (b"timestamp,close\n1,100\n2,oops\n3\xff,102\n", "unparseable price at row 2"),
+    ], ids=["label", "price", "ignored-column", "second-block", "earlier-bad-price"])
+    def test_invalid_utf8_names_its_row(self, capsys, monkeypatch, tmp_path, source, data,
+                                        message):
+        # a path raised the codec's error at a byte offset; stdin failed to
+        # encode the label back, and passed the byte in an ignored column
+        if source == "path":
+            arg = tmp_path / "bad.csv"
+            arg.write_bytes(data)
+        else:
+            arg = "-"
+            monkeypatch.setattr(cli.sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        code, out, err = run(capsys, "analyze", str(arg), "--L-max", "1", "--m-values", "1")
+        assert code == 3 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "analyze", str(tmp_path / "nope.csv"))
@@ -326,6 +367,11 @@ class TestTheory:
         for h, i2 in rows:
             assert float(i2) == pytest.approx(info_fbm(float(h)), rel=1e-12)
 
+    def test_delampertized_csv_header(self, capsys):
+        code, out, _ = run(capsys, "theory", "delampertized", "--theta", "0.1", "--m", "2")
+        assert code == 0
+        assert out.split("\n")[:2] == ["# model=delampertized theta=0.1 m=2.0", "abscissa,I2"]
+
     def test_delampertized_multi_theta_json(self, capsys):
         code, out, _ = run(capsys, "theory", "delampertized", "--theta", "0.1",
                            "15", "--m", "1", "--hurst-min", "0.25",
@@ -389,6 +435,23 @@ class TestHurst:
         code, out, err = run(capsys, "hurst", str(dest), "--max-scale", "50", "--format", "csv")
         assert code == 0 and err == ""
         assert out.split("\n")[0].endswith(" dropped_scales=[49,50]")
+
+    def test_csv_is_pinned(self, capsys, tmp_path):
+        # alternating closes: the scale-4 moment is 0, written -inf, and 20, 30 are dropped
+        dest = tmp_path / "alternating.csv"
+        dest.write_text("timestamp,close\n" + "".join(f"{i},{101 - i % 2}\n" for i in range(10)))
+        argv = ["hurst", str(dest), "--scales", "1", "3", "4", "20", "30",
+                "--fit-min", "1", "--fit-max", "3"]
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert code == 0 and err == ""
+        want = estimate_hurst(np.log(load_prices(dest).prices), [1, 3, 4, 20, 30], (1, 3))
+        lines = out.split("\n")
+        assert lines[0] == (f"# slope={want.slope!r} hurst_estimate={want.hurst_estimate!r}"
+                            f" intercept={want.intercept!r} fit_range=1..3"
+                            " dropped_scales=[20,30]")
+        log2_3, m1, m3 = (float(v) for v in (want.log2_scales[1], *want.log2_moments[:2]))
+        assert lines[1:] == ["log2_scale,log2_moment,in_fit_range",
+                             f"0.0,{m1!r},1", f"{log2_3!r},{m3!r},1", "2.0,-inf,0", ""]
 
     def test_narrow_fit_range_is_data_error(self, price_file, capsys):
         code, _, err = run(capsys, "hurst", str(price_file), "--scales", "1",

@@ -314,6 +314,12 @@ COUNT_ARGUMENTS = {
                                 np.array([0, 2]), np.array([1, -2]),
                                 range(0, 2), np.array([[1, 2]])],
         (np.array([1, 2], dtype=np.int32), [1, 2])),
+    "fit_loglog-scales": (
+        lambda scales: fit_loglog(scales, [1.0, 2.0, 4.0], (1, 3)),
+        "scales must be positive integers",
+        _in_list(_bad(1), 2, 3) + [[1.5, 2, 3], np.array([1.5, 2.0, 3.0]), ["1", "2", "3"],
+                                   np.array(["1", "2", "3"]), np.array([True, True, True])],
+        (np.array([1, 2, 3], dtype=np.int32), [1, 2, 3])),
     "EntropyProfile.cell-order": (lambda order: _EP.cell(order, 1),
                                   "order must be an integer in 1..5", _bad(1, 6), (np.int64(2), 2)),
     "InformationProfile.cell-order": (lambda order: _IP.cell(order, 2),

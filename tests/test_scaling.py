@@ -68,6 +68,14 @@ class TestFitLogLog:
         with pytest.raises(ValueError, match="degenerate moment"):
             fit_loglog(np.array([1, 2]), np.array([0.0, 1.0]), (1, 2))
 
+    def test_scales_and_moments_differ_in_length(self):
+        # the boolean mask of three scales indexed two moments: IndexError
+        with pytest.raises(ValueError, match="^scales and moments differ in length$"):
+            fit_loglog(np.array([1, 2, 3]), [1.0, 2.0], (1, 2))
+        # the curve was built, and its CSV cut to two rows
+        with pytest.raises(ValueError, match="^scales and moments differ in length$"):
+            LogLogCurve([1, 2, 3], [1.0, 2.0], (1, 2), 1.0, 0.0, 0.5)
+
     @pytest.mark.parametrize("moment", [np.nan, np.inf])
     def test_non_finite_moment_in_range_is_degenerate(self, moment):
         # each gave a slope of nan; every moment is checked as LogLogCurve checks it
@@ -168,6 +176,15 @@ class TestCurveOutputs:
         cells = lines[2].split(",")
         assert float(cells[0]) == 0.0
         assert cells[2] == "1"
+
+    def test_csv_header_of_numpy_floats(self):
+        # the header wrote each by repr: slope=np.float64(2.0)
+        curve = LogLogCurve([1, 2], [1.0, 4.0], (1, 2), np.float64(2.0), np.float64(0.0),
+                            np.float64(1.0), [7, 9])
+        assert curve.to_csv() == ("# slope=2.0 hurst_estimate=1.0 intercept=0.0 fit_range=1..2"
+                                  " dropped_scales=[7,9]\n"
+                                  "log2_scale,log2_moment,in_fit_range\n"
+                                  "0.0,0.0,1\n1.0,2.0,1\n")
 
 
 class TestScalingShapes:

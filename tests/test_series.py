@@ -94,6 +94,20 @@ class TestLoadPrices:
             np.testing.assert_array_equal(p.prices, [2.0, 3.0])
             np.testing.assert_array_equal(p.timestamps, [b"1", b"2"])
 
+    def test_invalid_utf8_in_a_comment_is_skipped(self, tmp_path):
+        f = tmp_path / "p.csv"
+        f.write_bytes(b"timestamp,close\n# caf\xe9\n1,2\n2,3\n")
+        for p in (load_prices(f), load_prices(io.StringIO(f.read_bytes().decode(
+                "utf-8", "surrogateescape")))):
+            np.testing.assert_array_equal(p.prices, [2.0, 3.0])
+
+    def test_invalid_utf8_from_a_path_names_its_row(self, tmp_path):
+        # a byte that is not UTF-8 raised the codec's error, with a byte offset
+        f = tmp_path / "p.csv"
+        f.write_bytes(b"timestamp,close\n1,2\n2,3\n3\xff,4\n")
+        with pytest.raises(ValueError, match="^invalid UTF-8 at row 3$"):
+            load_prices(f)
+
     def test_midrange(self):
         text = "time,high,low\n1,12,8\n2,14,10\n"
         p = load_prices(io.StringIO(text), mode="midrange")
@@ -516,6 +530,27 @@ class TestReturnsAndIndicators:
         with pytest.raises(ValueError, match="positive integer"):
             IndicatorSeries(0, np.array([0, 1], dtype=np.uint8))
 
+    # each was cast to uint8 before the check: wrapped to 0 or truncated
+    @pytest.mark.parametrize("bits", [np.array([0, 256, 1]), np.array([0.5, 1.0, 0.0]),
+                                      [0, 1.7, 1], np.array([0, 1, 2 ** 32]),
+                                      np.array(["0", "1"]), np.array([[0, 1]]), np.uint8(1)],
+                             ids=["256", "half", "list-1.7", "2**32", "text", "2-D", "0-D"])
+    def test_indicators_not_exactly_0_or_1_are_rejected(self, bits):
+        with pytest.raises(ValueError, match="^indicator values must be 0 or 1$"):
+            IndicatorSeries(1, bits)
+
+    @pytest.mark.parametrize("bits", [[1, 0, 1], [1.0, 0.0, 1.0], [True, False, True],
+                                      np.array([1, 0, 1], dtype=np.int64)])
+    def test_indicators_of_any_numeric_type(self, bits):
+        j = IndicatorSeries(1, bits)
+        assert j.bits.dtype == np.uint8 and j.bits.tolist() == [1, 0, 1]
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.bool_])
+    def test_read_only_indicators_are_held_without_a_copy(self, dtype):
+        given = np.array([1, 0, 1], dtype=dtype)
+        given.flags.writeable = False
+        assert np.shares_memory(IndicatorSeries(1, given).bits, given)
+
 
 class TestExtractWords:
     def test_stride_one(self):
@@ -638,3 +673,20 @@ class TestWordDistribution:
     def test_no_observations(self):
         with pytest.raises(ValueError, match="no observations"):
             WordDistribution(1, 1, {}, 0)
+
+    @pytest.mark.parametrize("counts", [{"0": 1.5, "1": 1.5}, {"0": 2.0, "1": 1},
+                                        {"0": True, "1": 2}, {"0": -1, "1": 4}])
+    def test_counts_are_non_negative_integers(self, counts):
+        # 1.5 + 1.5 gave an entropy of 1.0566 bits, above a 1-letter word's 1-bit ceiling
+        with pytest.raises(ValueError, match="^counts must be non-negative integers$"):
+            WordDistribution(1, 1, counts, 3)
+
+    @pytest.mark.parametrize("total", [2.0, True, np.float64(2)],
+                             ids=["float", "bool", "numpy-float"])
+    def test_total_is_a_positive_integer(self, total):
+        with pytest.raises(ValueError, match="no observations"):
+            WordDistribution(1, 1, {"0": 1, "1": 1}, total)
+
+    def test_numpy_integer_counts(self):
+        d = WordDistribution(1, 1, {"0": np.int64(1), "1": 0}, np.int64(1))
+        assert d.total == 1 and type(d.total) is int
