@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import json
 import math
 import sys
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .information import profile_from_prices, profile_to_csv, profile_to_json
 from .scaling import DEFAULT_FIT_RANGE, estimate_hurst
-from .series import _csv_header, _freeze, _utf8_text, load_prices, write_prices
+from .series import _csv_header, _freeze, _json_text, _utf8_text, load_prices, write_prices
 from .simulate import NumericError, simulate_delampertized, simulate_fbm, \
     simulate_pseudo_periodic, to_price_series
 from .theory import DelampertizedParams, FbmParams, theory_curve
@@ -76,10 +75,7 @@ _positive_float = _float_type("must be positive and finite", lambda value: 0.0 <
 def cmd_analyze(args: argparse.Namespace) -> int:
     prices = _load(args.input, args.price_mode)
     ep, ip = profile_from_prices(prices, args.L_max, args.m_values, args.confidence)
-    if args.format == "json":
-        _emit(profile_to_json(ep, ip) + "\n", args.output)
-    else:
-        _emit(profile_to_csv(ep, ip), args.output)
+    _emit((profile_to_json if args.format == "json" else profile_to_csv)(ep, ip), args.output)
     return EXIT_OK
 
 
@@ -146,12 +142,9 @@ def cmd_theory(args: argparse.Namespace) -> int:
     else:
         curves = [theory_curve("delampertized", grid, {"theta": t, "m": args.m})
                   for t in args.theta]
-    if args.format == "json":
-        payload = [c.to_json_dict() for c in curves]
-        _emit(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2) + "\n",
-              args.output)
-    else:
-        _emit("".join(c.to_csv() for c in curves), args.output)
+    docs = [c.to_json_dict() for c in curves]
+    _emit(_json_text(docs[0] if len(docs) == 1 else docs) if args.format == "json"
+          else "".join(c.to_csv() for c in curves), args.output)
     return EXIT_OK
 
 
@@ -166,10 +159,7 @@ def cmd_hurst(args: argparse.Namespace) -> int:
     logprices = np.log(prices.prices)
     scales = args.scales if args.scales else range(1, args.max_scale + 1)
     curve = estimate_hurst(logprices, scales, (args.fit_min, args.fit_max))
-    if args.format == "json":
-        _emit(curve.to_json() + "\n", args.output)
-    else:
-        _emit(curve.to_csv(), args.output)
+    _emit(curve.to_json() if args.format == "json" else curve.to_csv(), args.output)
     return EXIT_OK
 
 

@@ -10,7 +10,6 @@ no-information null the estimator is asymptotically Gamma(2**(L-1),
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -19,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .series import MAX_L, IndicatorSeries, PriceSeries, WordDistribution, _count, _csv_table, \
-    _freeze, _json_floats, _marginal_counts, _real, _sign_indicators, _word_windows
+    _freeze, _json_text, _marginal_counts, _real, _sign_indicators, _word_windows
 
 LN2 = math.log(2.0)
 
@@ -255,17 +254,14 @@ def information_profile(
     if len(set(m_values)) != len(m_values) or not m_values:
         raise ValueError("m_values must be nonempty and distinct")
 
-    n_underlying = None
     for m in m_values:
-        j = j_family[m]
-        if j.m != m:
-            raise ValueError(f"indicator series at key {m} has horizon {j.m}")
-        n = len(j.bits) + m - 1  # price count minus one
-        if n_underlying is None:
-            n_underlying = n
-        elif n != n_underlying:
-            raise ValueError("indicator series disagree on underlying price count")
-    n = n_underlying
+        if j_family[m].m != m:
+            raise ValueError(f"indicator series at key {m} has horizon {j_family[m].m}")
+    # the price count minus one, which every series must imply
+    price_steps = {len(j_family[m].bits) + m - 1 for m in m_values}
+    if len(price_steps) > 1:
+        raise ValueError("indicator series disagree on underlying price count")
+    n = price_steps.pop()
 
     n_orders = L_max + 1
     shape = (n_orders, len(m_values))
@@ -334,17 +330,9 @@ def entropy_rate_slope(profile: EntropyProfile, m: int, lags: Sequence[int]) -> 
 
 def profile_to_json(ep: EntropyProfile, ip: InformationProfile) -> str:
     """Serialize a profile pair to a JSON object with null for absent cells."""
-    payload = {
-        "m_values": list(ep.m_values),
-        "L_max": ep.L_max,
-        "H": _json_floats(ep.H),
-        "I": _json_floats(ip.I),
-        "partial": _json_floats(ip.partial),
-        "bounds": _json_floats(ip.bounds),
-        "confidence": ip.confidence,
-        "n": ip.n,
-    }
-    return json.dumps(payload, indent=2)
+    return _json_text({"m_values": ep.m_values, "L_max": ep.L_max, "H": ep.H, "I": ip.I,
+                       "partial": ip.partial, "bounds": ip.bounds,
+                       "confidence": ip.confidence, "n": ip.n})
 
 
 def profile_to_csv(ep: EntropyProfile, ip: InformationProfile) -> str:

@@ -9,7 +9,6 @@ over a fit range of small scales estimates 2H.  Departures from linearity
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 import warnings
@@ -18,11 +17,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .series import _count, _csv_table, _freeze, _held, _json_floats, _real
+from .series import _count, _csv_table, _freeze, _held, _json_text, _real
 
 DEFAULT_MAX_SCALE = 20
 DEFAULT_FIT_RANGE = (1, 5)
 _SCALES = "scales must be positive integers"
+_FIT_RANGE = "fit_range must be two positive integers"
 
 
 def _scale_array(scales) -> np.ndarray:
@@ -36,6 +36,15 @@ def _scale_array(scales) -> np.ndarray:
     if arr.ndim != 1 or arr.size and (arr.dtype.kind not in "iu" or arr.min() < 1):
         raise ValueError(_SCALES)
     return arr.astype(np.int64, copy=False)
+
+
+def _fit_range(fit_range) -> tuple[int, int]:
+    """`fit_range` as (lo, hi), two Python ints, from two counts >= 1."""
+    try:
+        lo, hi = fit_range
+    except (TypeError, ValueError):
+        raise ValueError(_FIT_RANGE) from None
+    return _count(lo, _FIT_RANGE), _count(hi, _FIT_RANGE)
 
 
 def _split_scales(n_points: int, scales: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -72,12 +81,11 @@ def fit_loglog(scales: np.ndarray, moments: np.ndarray, fit_range: tuple):
                                0.0, sys.float_info.max, closed=True))
     if moments.shape != scales.shape:
         raise ValueError("scales and moments differ in length")
-    lo, hi = fit_range
+    lo, hi = _fit_range(fit_range)
     mask = (scales >= lo) & (scales <= hi)
     if int(mask.sum()) < 2:
-        raise ValueError(
-            f"fewer than 2 scales in fit range {lo}..{hi};"
-            f" usable scales: {list(map(int, scales))}")
+        raise ValueError(f"fewer than 2 scales in fit range {lo}..{hi};"
+                         f" usable scales: {scales.tolist()}")
     # a zero moment has no logarithm
     _real(moments[mask], "degenerate moment in fit range", 0.0, math.inf)
     slope, intercept = np.polyfit(np.log2(scales[mask]), np.log2(moments[mask]), 1)
@@ -109,7 +117,7 @@ class LogLogCurve:
             raise ValueError("scales and moments differ in length")
         object.__setattr__(self, "scales", s)
         object.__setattr__(self, "moments", m)
-        object.__setattr__(self, "fit_range", tuple(self.fit_range))
+        object.__setattr__(self, "fit_range", _fit_range(self.fit_range))
         dropped = tuple(_scale_array(self.dropped_scales).tolist())
         object.__setattr__(self, "dropped_scales", dropped)
 
@@ -133,10 +141,7 @@ class LogLogCurve:
         Zero for an exact power law; large values indicate curvature or
         oscillation in the scaling plot.
         """
-        x = self.log2_scales
-        y = self.log2_moments
-        local = np.diff(y) / np.diff(x)
-        return np.diff(local)
+        return np.diff(np.diff(self.log2_moments) / np.diff(self.log2_scales))
 
     def to_csv(self) -> str:
         header = {"slope": self.slope, "hurst_estimate": self.hurst_estimate,
@@ -145,22 +150,13 @@ class LogLogCurve:
         return _csv_table(header, {"log2_scale": self.log2_scales, "log2_moment": self.log2_moments,
                                    "in_fit_range": self.in_fit_range})
 
-    def to_json_dict(self) -> dict:
-        return {
-            "scales": [int(s) for s in self.scales],
-            "log2_scale": [float(v) for v in self.log2_scales],
-            "log2_moment": _json_floats(self.log2_moments),
-            "in_fit_range": [bool(b) for b in self.in_fit_range],
-            "fit_range": list(self.fit_range),
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "hurst_estimate": self.hurst_estimate,
-            "second_differences": _json_floats(self.second_differences()),
-            "dropped_scales": list(self.dropped_scales),
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return _json_text({"scales": self.scales, "log2_scale": self.log2_scales,
+                           "log2_moment": self.log2_moments, "in_fit_range": self.in_fit_range,
+                           "fit_range": self.fit_range, "slope": self.slope,
+                           "intercept": self.intercept, "hurst_estimate": self.hurst_estimate,
+                           "second_differences": self.second_differences(),
+                           "dropped_scales": self.dropped_scales})
 
 
 def estimate_hurst(logprices: np.ndarray, scales: Sequence[int] | None = None,
@@ -172,16 +168,15 @@ def estimate_hurst(logprices: np.ndarray, scales: Sequence[int] | None = None,
     shorter than the series are left out without a warning and listed in the
     curve's `dropped_scales`.
     """
-    x = np.asarray(logprices)  # its values are checked by structure_function
+    x = np.asarray(_real(logprices, "log-prices must be finite", -math.inf, math.inf))
     if x.ndim != 1 or x.size < 2:
         raise ValueError("need a 1-D series with at least 2 points")
     if scales is None:
         scales = range(1, min(DEFAULT_MAX_SCALE, x.size - 1) + 1)
-    fit_range = tuple(fit_range) if fit_range is not None else DEFAULT_FIT_RANGE
+    fit_range = DEFAULT_FIT_RANGE if fit_range is None else fit_range
     usable, dropped = _split_scales(x.size, scales)
     if not usable.size:
-        raise ValueError(f"no usable scales requested;"
-                         f" usable scales: 1..{x.size - 1}")
+        raise ValueError(f"no usable scales requested; usable scales: 1..{x.size - 1}")
     used, moments = structure_function(x, usable)
     slope, intercept = fit_loglog(used, moments, fit_range)
     return LogLogCurve(_freeze(used), _freeze(moments), fit_range, slope, intercept, slope / 2.0,

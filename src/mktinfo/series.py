@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
 import os
 import re
 import sys
@@ -41,7 +42,10 @@ def _real(value, message: str, low: float, high: float, closed: bool = False):
     """`value`, a real number or an array of them, as a float (an array as a
     float64 array) when every entry lies in (low, high), or in [low, high]
     when `closed`; a bool, a string, NaN (which min and max carry through)
-    or an entry outside raises ValueError(message)."""
+    or an entry outside raises ValueError(message), as does a bool entry of a
+    list or tuple, which numpy would read as 0 or 1."""
+    if isinstance(value, (list, tuple)) and any(isinstance(v, (bool, np.bool_)) for v in value):
+        raise ValueError(message)
     if type(value) is int:  # np.asarray holds an int past 2**64 as an object
         value = float(value) if abs(value) <= sys.float_info.max else np.sign(value) * np.inf
     arr = np.asarray(value)
@@ -54,9 +58,20 @@ def _real(value, message: str, low: float, high: float, closed: bool = False):
     return lo if arr.ndim == 0 else arr
 
 
-def _json_floats(arr: np.ndarray) -> list:
-    """A float array as (nested) lists for JSON, None (null) for NaN and infinities."""
-    return np.where(np.isfinite(arr), arr, None).tolist()
+def _json_value(value):
+    """A numpy array or scalar as JSON sees it: a float one as (nested) lists
+    with None (null) for NaN and the infinities, any other by tolist()."""
+    if not isinstance(value, (np.ndarray, np.generic)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if value.dtype.kind == "f":
+        value = np.where(np.isfinite(value), value, None)
+    return value.tolist()
+
+
+def _json_text(payload) -> str:
+    """An output JSON document: 2-space indent, keys in the payload's order,
+    numpy arrays and scalars as by _json_value, and a closing line break."""
+    return json.dumps(payload, indent=2, default=_json_value) + "\n"
 
 
 def _csv_header(fields: dict) -> str:
@@ -383,21 +398,35 @@ def _block_prices(table: np.ndarray, first_row: int) -> np.ndarray:
     return price
 
 
-def write_prices(p: PriceSeries, stream: IO[str]) -> None:
-    """Write a `timestamp,close` header and one row per price to `stream`.
+def _label_cells(labels: np.ndarray, first_row: int) -> list:
+    """Text labels as CSV cells load_prices reads back: in double quotes, each
+    inner one doubled, if holding a comma or a quote or starting with '#'.  A
+    label with a line break or surrounding whitespace raises naming its row."""
+    cells = []
+    for row, label in enumerate(labels.tolist(), first_row):
+        text = label.decode()
+        if "\n" in text or "\r" in text or text != text.strip():
+            raise ValueError(f"label at row {row} cannot be written: {text!r}")
+        if "," in text or '"' in text or text.startswith("#"):
+            text = '"' + text.replace('"', '""') + '"'
+        cells.append(text)
+    return cells
 
-    Prices are written by repr, the shortest text that parses back to the
-    same float64, so load_prices returns the same prices and labels (labels
-    are written as they are, unquoted).
-    """
+
+def write_prices(p: PriceSeries, stream: IO[str]) -> None:
+    """Write a `timestamp,close` header and one row per price to `stream`, for
+    load_prices to read back bit for bit: each price by repr, each label as
+    _label_cells writes it, every label checked before the first row."""
+    blocks = [slice(start, start + _BLOCK_ROWS) for start in range(0, len(p), _BLOCK_ROWS)]
+    text = p.timestamps.dtype.kind == "S"
+    if text:
+        for block in blocks:
+            _label_cells(p.timestamps[block], block.start + 1)
     stream.write("timestamp,close\n")
-    for start in range(0, len(p), _BLOCK_ROWS):
-        stop = start + _BLOCK_ROWS
-        labels = p.timestamps[start:stop].tolist()
-        if p.timestamps.dtype.kind == "S":
-            labels = [label.decode() for label in labels]
-        stream.write("".join([f"{t},{v!r}\n" for t, v in
-                              zip(labels, p.prices[start:stop].tolist())]))
+    for block in blocks:
+        labels = p.timestamps[block]
+        labels = _label_cells(labels, block.start + 1) if text else labels.tolist()
+        stream.write("".join([f"{t},{v!r}\n" for t, v in zip(labels, p.prices[block].tolist())]))
 
 
 def _horizon(p: PriceSeries, m: int) -> int:

@@ -14,14 +14,13 @@ product m*theta through h(x) = 2 cosh(Hx) - (2 sinh(x/2))**(2H).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .series import _csv_table, _freeze, _held, _real
+from .series import _csv_table, _freeze, _held, _json_text, _real
 
 _RHO_EPS = 1e-15
 
@@ -209,15 +208,12 @@ class TheoryCurve:
                           {"abscissa": self.abscissa, "I2": self.ordinate})
 
     def to_json_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "fixed_params": dict(self.fixed_params),
-            "abscissa": [float(v) for v in self.abscissa],
-            "I2": [float(v) for v in self.ordinate],
-        }
+        """The curve's JSON fields, arrays as they are, for _json_text."""
+        return {"model": self.model, "fixed_params": dict(self.fixed_params),
+                "abscissa": self.abscissa, "I2": self.ordinate}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return _json_text(self.to_json_dict())
 
 
 def theory_curve(model: str, param_grid: Sequence[float],

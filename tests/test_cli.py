@@ -16,7 +16,7 @@ from mktinfo.information import profile_from_prices, profile_to_json
 from mktinfo.scaling import estimate_hurst
 from mktinfo.series import load_prices
 from mktinfo.simulate import NumericError, simulate_fbm, to_price_series
-from mktinfo.theory import FbmParams, info_delampertized, info_fbm
+from mktinfo.theory import FbmParams, info_delampertized, info_fbm, theory_curve
 
 
 def run(capsys, *argv):
@@ -208,6 +208,67 @@ class TestAnalyze:
                        "3,1,,,,\n"
                        "4,1,,,,\n")
 
+    def test_json_of_a_short_series_is_pinned(self, capsys, tmp_path):
+        # order 3 has no window, so its cells are null, as is order 1's bound
+        rising = tmp_path / "rising.csv"
+        rising.write_text("timestamp,close\n1,1\n2,2\n3,3\n")
+        code, out, _ = run(capsys, "analyze", str(rising), "--L-max", "2", "--m-values", "1")
+        assert code == 0
+        assert out == """{
+  "m_values": [
+    1
+  ],
+  "L_max": 2,
+  "H": [
+    [
+      0.0
+    ],
+    [
+      0.0
+    ],
+    [
+      null
+    ]
+  ],
+  "I": [
+    [
+      1.0
+    ],
+    [
+      1.0
+    ],
+    [
+      null
+    ]
+  ],
+  "partial": [
+    [
+      1.0
+    ],
+    [
+      0.0
+    ],
+    [
+      null
+    ]
+  ],
+  "bounds": [
+    [
+      null
+    ],
+    [
+      4.321928094887361
+    ],
+    [
+      null
+    ]
+  ],
+  "confidence": 0.95,
+  "n": 2
+}
+"""
+        assert out == profile_to_json(*profile_from_prices(load_prices(rising), 2, (1,)))
+
     def test_stdin_error_names_row(self, capsys, monkeypatch):
         text = "# from a pipe\ntimestamp,close\n1,100\n\n2,oops\n3,102\n"
         monkeypatch.setattr(cli.sys, "stdin", io.StringIO(text))
@@ -383,6 +444,48 @@ class TestTheory:
         assert docs[1]["fixed_params"]["theta"] == 15.0
         assert docs[1]["I2"][1] == pytest.approx(info_delampertized(0.5, 1.0, 15.0))
 
+    def test_fbm_json_is_pinned(self, capsys):
+        code, out, _ = run(capsys, "theory", "fbm", "--hurst-min", "0.25", "--hurst-max", "0.75",
+                           "--hurst-step", "0.25", "--format", "json")
+        assert code == 0
+        assert out == f"""{{
+  "model": "fbm",
+  "fixed_params": {{}},
+  "abscissa": [
+    0.25,
+    0.5,
+    0.75
+  ],
+  "I2": [
+    {info_fbm(0.25)!r},
+    0.0,
+    {info_fbm(0.75)!r}
+  ]
+}}
+"""
+        assert out == theory_curve("fbm", [0.25, 0.5, 0.75]).to_json()
+
+    def test_delampertized_json_list_is_pinned(self, capsys):
+        code, out, _ = run(capsys, "theory", "delampertized", "--theta", "0.1", "15",
+                           "--hurst-min", "0.25", "--hurst-max", "0.5", "--hurst-step", "0.25",
+                           "--format", "json")
+        assert code == 0
+        curves = "  },\n  {\n".join(f"""    "model": "delampertized",
+    "fixed_params": {{
+      "theta": {theta!r},
+      "m": 1.0
+    }},
+    "abscissa": [
+      0.25,
+      0.5
+    ],
+    "I2": [
+      {info_delampertized(0.25, 1.0, theta)!r},
+      {info_delampertized(0.5, 1.0, theta)!r}
+    ]
+""" for theta in (0.1, 15.0))
+        assert out == "[\n  {\n" + curves + "  }\n]\n"
+
     def test_delampertized_product_past_largest_float(self, capsys):
         # both flags are finite; their product overflows, where the curve is flat
         code, out, err = run(capsys, "theory", "delampertized", "--theta", "1e300", "--m", "1e10")
@@ -452,6 +555,59 @@ class TestHurst:
         log2_3, m1, m3 = (float(v) for v in (want.log2_scales[1], *want.log2_moments[:2]))
         assert lines[1:] == ["log2_scale,log2_moment,in_fit_range",
                              f"0.0,{m1!r},1", f"{log2_3!r},{m3!r},1", "2.0,-inf,0", ""]
+
+    def test_json_is_pinned(self, capsys, tmp_path):
+        # the same alternating closes: a null moment and second difference, 20 and 30 dropped
+        dest = tmp_path / "alternating.csv"
+        dest.write_text("timestamp,close\n" + "".join(f"{i},{101 - i % 2}\n" for i in range(10)))
+        code, out, err = run(capsys, "hurst", str(dest), "--scales", "1", "3", "4", "20", "30",
+                             "--fit-min", "1", "--fit-max", "3")
+        assert code == 0 and err == ""
+        want = estimate_hurst(np.log(load_prices(dest).prices), [1, 3, 4, 20, 30], (1, 3))
+        log2_3, m1, m3 = (float(v) for v in (want.log2_scales[1], *want.log2_moments[:2]))
+        assert out == f"""{{
+  "scales": [
+    1,
+    3,
+    4
+  ],
+  "log2_scale": [
+    0.0,
+    {log2_3!r},
+    2.0
+  ],
+  "log2_moment": [
+    {m1!r},
+    {m3!r},
+    null
+  ],
+  "in_fit_range": [
+    true,
+    true,
+    false
+  ],
+  "fit_range": [
+    1,
+    3
+  ],
+  "slope": {want.slope!r},
+  "intercept": {want.intercept!r},
+  "hurst_estimate": {want.hurst_estimate!r},
+  "second_differences": [
+    null
+  ],
+  "dropped_scales": [
+    20,
+    30
+  ]
+}}
+"""
+        assert out == want.to_json()
+
+    def test_fit_range_below_one_is_data_error(self, price_file, capsys):
+        code, out, err = run(capsys, "hurst", str(price_file), "--fit-min", "0")
+        assert code == 3 and out == ""
+        assert err == "error: fit_range must be two positive integers\n"
 
     def test_narrow_fit_range_is_data_error(self, price_file, capsys):
         code, _, err = run(capsys, "hurst", str(price_file), "--scales", "1",

@@ -188,14 +188,14 @@ def test_pseudo_periodic_prices_compound(returns):
 
 
 
-# Labels write_prices can write unquoted and load_prices reads back: no
-# comma, quote, '#', line break or whitespace.  A leading "t" keeps every
-# label from parsing as a number, so they order as text.
-_label_text = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp"),
-                                    blacklist_characters=',"#'), max_size=8)
+# Labels load_prices reads back: no line break or whitespace, and commas,
+# quotes and '#' anywhere, which write_prices quotes.  A leading "t", '#' or
+# quote keeps every label from parsing as a number, so they order as text.
+_label_text = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")),
+                      max_size=8)
 _labels = st.one_of(
-    st.lists(_label_text, min_size=2, max_size=30, unique=True).map(
-        lambda v: sorted("t" + s for s in v)),
+    st.builds(lambda first, v: sorted(first + s for s in v), st.sampled_from('t#"'),
+              st.lists(_label_text, min_size=2, max_size=30, unique=True)),
     st.lists(st.integers(-2 ** 53, 2 ** 53), min_size=2, max_size=30, unique=True).map(sorted),
     st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=30,
              unique=True).map(lambda v: [repr(x) for x in sorted(v)]),
@@ -238,6 +238,10 @@ def _in_list(values, *rest):
     """Each value as the first entry of a list argument ending in `rest`."""
     return [[v, *rest] for v in values]
 
+
+# fit ranges every fit_range argument rejects: each end a count, two ends
+_FIT_RANGES = [(lo, 5) for lo in _bad(1)] + [(1, hi) for hi in _bad(1)] + [
+    ("a", "b"), "ab", (1,), (1, 2, 3), 5]
 
 # (call of one count argument, its message, values it rejects, and a numpy
 # integer value with the Python value it must act as)
@@ -334,6 +338,15 @@ COUNT_ARGUMENTS = {
     "entropy_rate_slope-m": (lambda m: entropy_rate_slope(_EP, m, [1, 2, 3]),
                              "m must be one of the profile's m_values (1, 2)", _bad(1, 3),
                              (np.int64(2), 2)),
+    "estimate_hurst-fit_range": (lambda fit: estimate_hurst(_LOGP, fit_range=fit),
+                                 "fit_range must be two positive integers", _FIT_RANGES,
+                                 (np.array([1, 5]), (1, 5))),
+    "fit_loglog-fit_range": (lambda fit: fit_loglog([1, 2, 3], [1.0, 2.0, 4.0], fit),
+                             "fit_range must be two positive integers", _FIT_RANGES,
+                             ((np.int64(1), np.int32(3)), (1, 3))),
+    "LogLogCurve-fit_range": (lambda fit: LogLogCurve([1, 2], [1.0, 2.0], fit, 1.0, 0.0, 0.5),
+                              "fit_range must be two positive integers", _FIT_RANGES,
+                              (np.array([1, 2], dtype=np.uint8), (1, 2))),
     "LogLogCurve-dropped_scales": (
         lambda dropped: LogLogCurve([1, 2], [1.0, 2.0], (1, 2), 1.0, 0.0, 0.5, dropped),
         "scales must be positive integers", _in_list(_bad(1)), ([np.int64(50)], [50])),
@@ -372,6 +385,7 @@ def test_a_count_is_an_integer_or_a_value_error(x):
     its floor, and then acts as int(x)."""
     calls = [(lambda v: profile_from_prices(_PRICES, 3, (v,)), 1),
              (lambda v: estimate_hurst(_LOGP, [v, v + 1], fit_range=(1, 9)), 1),
+             (lambda v: estimate_hurst(_LOGP, fit_range=(v, 9)), 1),
              (lambda v: significance_bound(100, v, 1, 0.95), 1)]
     for call, floor in calls:
         if isinstance(x, int) and not isinstance(x, bool) and x >= floor:
@@ -388,7 +402,7 @@ def _outside(low, high, closed=False, like=None):
     an infinite bound that is open.  With `like`, an array, each value is put
     in an array argument: the last entry of `like` replaced by it, or for a
     bool or a string, which a float array cannot hold, an array of that value
-    alone."""
+    alone, and a list and a tuple holding a bool entry are rejected too."""
     values = [math.nan, True, "0.5"]
     for bound, beyond in ((low, -math.inf), (high, math.inf)):
         if math.isfinite(bound):
@@ -404,7 +418,7 @@ def _outside(low, high, closed=False, like=None):
         else:
             arrays.append(np.array(like, dtype=np.float64))
             arrays[-1][-1] = v
-    return arrays
+    return arrays + [[*like[:-1], True], (np.True_, *like[1:])]
 
 
 _HURST = "hurst must lie in (0, 1)"

@@ -118,11 +118,13 @@ class TestEstimateHurst:
 
     def test_a_range_of_scales_is_checked_whole(self, monkeypatch):
         # neither the range nor the arrays split from it pass scale by scale
-        # through _count, so 2**20 scales cost no Python loop
-        calls = []
-        monkeypatch.setattr(scaling, "_count", lambda *args: calls.append(args))
+        # through _count, so 2**20 scales cost no Python loop; only the two
+        # ends of the fit range do, once in fit_loglog and once in the curve
+        calls, count = [], scaling._count
+        monkeypatch.setattr(scaling, "_count",
+                            lambda value, message: calls.append(message) or count(value, message))
         curve = estimate_hurst(np.arange(40, dtype=float), range(2 ** 20, 0, -1))
-        assert calls == []
+        assert calls == [scaling._FIT_RANGE] * 4
         assert curve.scales.tolist() == list(range(1, 40))
         assert curve.dropped_scales == tuple(range(40, 2 ** 20 + 1))
 
@@ -185,6 +187,15 @@ class TestCurveOutputs:
                                   " dropped_scales=[7,9]\n"
                                   "log2_scale,log2_moment,in_fit_range\n"
                                   "0.0,0.0,1\n1.0,2.0,1\n")
+
+    def test_json_of_numpy_scalars_is_that_of_python_scalars(self):
+        # each raised TypeError: Object of type ... is not JSON serializable
+        x = np.arange(60, dtype=float) * 0.5
+        assert (estimate_hurst(x, fit_range=np.array([1, 5])).to_json()
+                == estimate_hurst(x, fit_range=(1, 5)).to_json())
+        curve = LogLogCurve([1, 2], [1.0, 4.0], (1, 2), np.float32(1.5), 0.0, 0.75)
+        assert curve.to_json() == LogLogCurve([1, 2], [1.0, 4.0], (1, 2), 1.5, 0.0, 0.75).to_json()
+        assert curve.to_json().endswith("}\n")
 
 
 class TestScalingShapes:

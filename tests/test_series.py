@@ -366,6 +366,21 @@ class TestLabels:
         np.testing.assert_array_equal(p.timestamps, [t.encode() for t in labels])
         assert written(p) == text
 
+    def test_labels_with_comma_quote_or_leading_hash_are_quoted(self):
+        p = PriceSeries(["#x", "a,b", "c#", 'q"'], [1.0, 2.0, 3.0, 4.0])
+        assert written(p) == 'timestamp,close\n"#x",1.0\n"a,b",2.0\nc#,3.0\n"q""",4.0\n'
+        np.testing.assert_array_equal(load_prices(io.StringIO(written(p))).timestamps,
+                                      p.timestamps)
+
+    @pytest.mark.parametrize("labels, row", [
+        (["a", "a\nb"], 2), (["a", "a\rb"], 2), ([" a", "b"], 1), (["a", "ab\u3000"], 2),
+        ([f"a{i:05d}" for i in range(_BLOCK_ROWS)] + ["b "], _BLOCK_ROWS + 1)])
+    def test_label_load_prices_cannot_read_back_raises_before_any_row(self, labels, row):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=f"^label at row {row} cannot be written: "):
+            write_prices(PriceSeries(labels, np.arange(1.0, len(labels) + 1)), buf)
+        assert buf.getvalue() == ""
+
     def test_quoted_comma_and_surrounding_whitespace(self):
         text = ('timestamp,close\n"2024-01-02, 10:00",5\n \t2024-01-03 ,6\n'
                 '\x1c2024-01-04\x1f,7\n\u00a02024-01-05\u2003,8\n')

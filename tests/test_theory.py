@@ -346,6 +346,20 @@ class TestTheoryCurve:
         c = TheoryCurve("fbm", x, y)
         assert c.abscissa is x and c.ordinate is y
 
+    def test_json_dict_holds_arrays_and_a_copy_of_the_params(self):
+        c = theory_curve("delampertized", [0.3, 0.5], {"theta": 2.0})
+        d = c.to_json_dict()
+        assert list(d) == ["model", "fixed_params", "abscissa", "I2"]
+        assert d["abscissa"] is c.abscissa and d["I2"] is c.ordinate
+        d["fixed_params"]["theta"] = 3.0
+        assert c.fixed_params == {"theta": 2.0, "m": 1.0}
+
+    def test_json_of_a_numpy_scalar_param_is_that_of_its_python_float(self):
+        # np.float32 raised TypeError: Object of type float32 is not JSON serializable
+        given = theory_curve("delampertized", [0.3, 0.5], {"hurst": np.float32(0.3)})
+        want = theory_curve("delampertized", [0.3, 0.5], {"hurst": float(np.float32(0.3))})
+        assert given.to_json() == want.to_json()
+
     def test_serialization_roundtrip(self):
         c = theory_curve("fbm", [0.3, 0.5, 0.7])
         doc = json.loads(c.to_json())
