@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .information import profile_from_prices, profile_to_csv, profile_to_json
-from .scaling import DEFAULT_FIT_RANGE, estimate_hurst
+from .scaling import DEFAULT_FIT_RANGE, DEFAULT_MAX_SCALE, estimate_hurst
 from .series import _csv_header, _freeze, _json_text, _utf8_text, load_prices, write_prices
 from .simulate import NumericError, simulate_delampertized, simulate_fbm, \
     simulate_pseudo_periodic, to_price_series
@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     ph = sub.add_parser("hurst", help="structure-function scaling of a price CSV")
     ph.add_argument("input", help="price CSV path, or - for stdin")
     ph.add_argument("--scales", type=int, nargs="+", default=None)
-    ph.add_argument("--max-scale", dest="max_scale", type=int, default=20)
+    ph.add_argument("--max-scale", dest="max_scale", type=int, default=DEFAULT_MAX_SCALE)
     ph.add_argument("--fit-min", dest="fit_min", type=int, default=DEFAULT_FIT_RANGE[0])
     ph.add_argument("--fit-max", dest="fit_max", type=int, default=DEFAULT_FIT_RANGE[1])
     ph.add_argument("--price-mode", choices=("close", "midrange"), default="close")

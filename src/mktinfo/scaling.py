@@ -118,6 +118,8 @@ class LogLogCurve:
         object.__setattr__(self, "scales", s)
         object.__setattr__(self, "moments", m)
         object.__setattr__(self, "fit_range", _fit_range(self.fit_range))
+        for name in ("slope", "intercept", "hurst_estimate"):
+            _real(getattr(self, name), f"{name} must be finite", -math.inf, math.inf)
         dropped = tuple(_scale_array(self.dropped_scales).tolist())
         object.__setattr__(self, "dropped_scales", dropped)
 

@@ -70,8 +70,9 @@ def _json_value(value):
 
 def _json_text(payload) -> str:
     """An output JSON document: 2-space indent, keys in the payload's order,
-    numpy arrays and scalars as by _json_value, and a closing line break."""
-    return json.dumps(payload, indent=2, default=_json_value) + "\n"
+    numpy arrays and scalars as by _json_value, and a closing line break; a
+    Python float NaN or infinity raises ValueError, as JSON has no token for it."""
+    return json.dumps(payload, indent=2, allow_nan=False, default=_json_value) + "\n"
 
 
 def _csv_header(fields: dict) -> str:

@@ -118,34 +118,23 @@ def _circulant_root(params: FbmParams | DelampertizedParams, dt: float,
     return _freeze(np.sqrt(lam, out=lam))
 
 
-# normals are drawn this many at a time into one scratch block, then scaled
-# into the spectrum: a small block, so the draw holds no second 2M-float array
-_DRAW_BLOCK = 1 << 16
-
-
 def _circulant_sample(root: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     """First n values of one Gaussian draw from the embedding whose eigenvalue
     roots are `root`: 2M normals fill the DC bin, the Nyquist bin, then the
     real and imaginary parts of bins 1..M-1 of the half spectrum irfft takes."""
     m = len(root) - 1
+    normals = rng.standard_normal(2 * m)
     z = np.empty(m + 1, dtype=np.complex128)
-    scratch = np.empty(min(_DRAW_BLOCK, m + 1))
-    # drawn in blocks, the normals are the same stream as one 2M draw
-    z[0], z[m] = rng.standard_normal(out=scratch[:2])
+    z[0], z[m] = normals[:2]
     # bins 1..M-1 hold (a + ib)/sqrt(2), written straight into z's real and
     # imaginary parts; numpy divides a complex by a real d as a*(1/d) and
     # b*(1/d), so these are its bits for the complex division too
     half = 1.0 / np.sqrt(2.0)
-    for part in (z.real[1:m], z.imag[1:m]):
-        for start in range(0, m - 1, _DRAW_BLOCK):
-            block = rng.standard_normal(out=scratch[: min(_DRAW_BLOCK, m - 1 - start)])
-            np.multiply(block, half, out=part[start : start + len(block)])
-    # views of z and of the scratch would keep them alive through the irfft
-    del scratch, block, part
+    np.multiply(normals[2 : m + 1], half, out=z.real[1:m])
+    np.multiply(normals[m + 1 :], half, out=z.imag[1:m])
+    del normals
     z *= root
-    # the 2M real values are written over z's own buffer (numpy copies its
-    # input first when they overlap), so no second 2M-float array outlives it
-    x = np.fft.irfft(z, 2 * m, out=z.view(np.float64)[: 2 * m])
+    x = np.fft.irfft(z, 2 * m)
     del z
     # a new array of n values, so that no caller keeps all 2M alive
     return np.sqrt(2 * m) * x[:n]
@@ -193,11 +182,9 @@ def _lagged_recursion(shocks: np.ndarray, feedback: float, lag: int,
     |feedback|; each coefficient is one `**`, as squaring would compound errors."""
     n = len(shocks)
     shocks[lag:] *= innovation_scale
-    scratch = np.empty(max(n - lag, 0))
     step = lag
     while step < n and (coefficient := feedback ** (step // lag)) != 0.0:
-        np.multiply(shocks[: n - step], coefficient, out=scratch[: n - step])
-        shocks[step:] += scratch[: n - step]
+        shocks[step:] += coefficient * shocks[: n - step]
         step *= 2
     return shocks
 
@@ -211,25 +198,17 @@ def to_price_series(path: SimulatedPath, p0: float = 100.0) -> PriceSeries:
     rejected, as is a price that overflows or underflows to 0.
     """
     p0 = _real(p0, "p0 must be positive and finite", 0.0, math.inf)
-    # each branch builds its prices in place, in one buffer
     if path.model in ("fbm", "delampertized"):
         kind = "log-price"
-        prices = np.subtract(path.values, path.values[0])
         with np.errstate(over="ignore"):
-            np.exp(prices, out=prices)
-            prices *= p0
+            prices = p0 * np.exp(path.values - path.values[0])
     elif path.model == "pseudo_periodic":
         bad = np.nonzero(path.values <= -1.0)[0]
         if bad.size:
             raise ValueError(f"price would become non-positive at step {int(bad[0]) + 1}")
         kind = "compounded price"
-        prices = np.empty(len(path.values) + 1)
-        prices[0] = p0
-        growth = prices[1:]
-        np.add(path.values, 1.0, out=growth)
         with np.errstate(over="ignore"):
-            np.cumprod(growth, out=growth)
-            growth *= p0
+            prices = np.concatenate(([p0], p0 * np.cumprod(1.0 + path.values)))
     else:
         raise ValueError(f"unknown model {path.model!r}")
     if not (np.all(np.isfinite(prices)) and prices.min() > 0.0):

@@ -198,6 +198,8 @@ class TheoryCurve:
         object.__setattr__(self, "abscissa", a)
         object.__setattr__(self, "ordinate", o)
         object.__setattr__(self, "fixed_params", dict(self.fixed_params))
+        for name, value in self.fixed_params.items():
+            _real(value, f"fixed parameter {name} must be finite", -math.inf, math.inf)
         if a.shape != o.shape or a.ndim != 1 or a.size < 1:
             raise ValueError("abscissa and ordinate must be 1-D and same length")
         if np.any(np.diff(a) <= 0.0):
@@ -226,10 +228,15 @@ def theory_curve(model: str, param_grid: Sequence[float],
     'hurst'.
     """
     fixed = dict(fixed or {})
-    grid = np.asarray(list(param_grid))
+    by_m_theta = model == "delampertized" and "hurst" in fixed
+    # the grid holds m*theta values or Hurst values, read whole so that numpy
+    # takes no bool entry of a list as 0 or 1
+    message, high = (("m_theta must be positive and finite", math.inf) if by_m_theta
+                     else ("hurst must lie in (0, 1)", 1.0))
+    grid = np.asarray(_real(list(param_grid), message, 0.0, high))
     if model == "fbm":
         ordinate = np.array([info_fbm(h) for h in grid])
-    elif model == "delampertized" and "hurst" in fixed:
+    elif by_m_theta:
         ordinate = np.array([info_from_rho(rho_delampertized(fixed["hurst"], x)) for x in grid])
     elif model == "delampertized":
         if "theta" not in fixed:

@@ -478,12 +478,20 @@ REAL_ARGUMENTS = {
     "theory_curve-m": (lambda m: theory_curve("delampertized", [0.3], {"theta": 1.0, "m": m}),
                        "m must be positive and finite", _outside(*_POSITIVE),
                        (np.float64(2.5), 2.5)),
+    "theory_curve-m_theta-grid": (
+        lambda g: theory_curve("delampertized", g, {"hurst": 0.3}),
+        "m_theta must be positive and finite", _outside(*_POSITIVE, like=[1.0, 2.0]),
+        (np.array([1.0, 2.0]), [1.0, 2.0])),
     "TheoryCurve-abscissa": (lambda a: TheoryCurve("fbm", a, [0.1, 0.2]), "abscissa must be finite",
                              _outside(-math.inf, math.inf, like=[0.1, 0.2]),
                              (np.array([0.1, 0.2]), [0.1, 0.2])),
     "TheoryCurve-ordinate": (lambda o: TheoryCurve("fbm", [0.1, 0.2], o), "ordinate out of [0, 1]",
                              _outside(-1e-12, 1.0 + 1e-12, closed=True, like=[0.1, 0.2])
                              + [[math.nan, 0.1]], (np.array([0.0, 1.0]), [0.0, 1.0])),
+    "TheoryCurve-fixed_params": (
+        lambda x: TheoryCurve("fbm", [0.1], [0.2], {"x": x}).to_json(),
+        "fixed parameter x must be finite", _outside(-math.inf, math.inf),
+        (np.float64(2.5), 2.5)),
     "gamma_quantile-scale": (lambda s: gamma_quantile(1, s, 0.5),
                              "scale must be positive and finite", _outside(*_POSITIVE),
                              (np.float64(2.5), 2.5)),
@@ -530,6 +538,9 @@ REAL_ARGUMENTS = {
                             _outside(0.0, math.inf, closed=True, like=[1.0, 2.0])
                             + [[1.0, math.inf]],
                             (np.array([0.0, 2.0]), [0.0, 2.0])),
+    "LogLogCurve-slope": (lambda s: LogLogCurve([1, 2], [1.0, 2.0], (1, 2), s, 0.0, 0.5).to_json(),
+                          "slope must be finite", _outside(-math.inf, math.inf),
+                          (np.float64(2.5), 2.5)),
     "SimulatedPath-values": (lambda v: SimulatedPath("fbm", FbmParams(0.5), 1.0, 0, v).values,
                              "values must be finite",
                              _outside(-math.inf, math.inf, like=[1.0, 2.0]),

@@ -63,8 +63,8 @@ def full_fft_sample(root, n, seed):
 
 
 def half_spectrum_sample(root, n, rng):
-    """The sampler written out of place, as it first was: the in-place one
-    must match it bit for bit."""
+    """The sampler as first written, the scaled normals put together as one
+    complex array: the sampler must match it bit for bit."""
     m = len(root) - 1
     draws = rng.standard_normal(2 * m)
     z = np.empty(m + 1, dtype=np.complex128)
@@ -94,7 +94,8 @@ def concatenated_root(params, dt, n):
 
 
 def out_of_place_prices(path, p0):
-    """to_price_series' prices as first written, one new array per step."""
+    """to_price_series' prices as first written, one new array per step: a
+    rewrite of it must match them bit for bit."""
     if path.model == "pseudo_periodic":
         return np.concatenate([[p0], p0 * np.cumprod(1.0 + path.values)])
     return p0 * np.exp(path.values - path.values[0])
@@ -260,10 +261,10 @@ class TestCirculantSampleInPlace:
         assert simulate_delampertized(stationary, 1000, seed=5).values.tobytes() == want.tobytes()
 
     def test_peak_memory(self, fresh_roots):
-        # the half spectrum (M + 1 complex) and a small block of normals, then
-        # the spectrum and irfft's copy of it while the output is written
-        # over the spectrum: 32 bytes per bin at most; the out-of-place
-        # version held twice that
+        # the 2M normals and the half spectrum (M + 1 complex), then, with the
+        # normals freed, the spectrum and irfft's 2M-float output: 32 bytes
+        # per bin that tracemalloc sees (irfft's own buffers are not traced);
+        # the sampler as first written held twice that
         m = 1 << 17
         root = sim._circulant_root(FbmParams(0.7), 1.0, m)
         assert len(root) == m + 1
