@@ -26,8 +26,6 @@ LN2 = math.log(2.0)
 def _entropy_bits(counts: np.ndarray, total: int) -> float:
     """Plug-in Shannon entropy in bits; zero-count cells contribute nothing."""
     c = counts[counts > 0]
-    if c.size == 0:
-        raise ValueError("no observations")
     p = c / float(total)
     # 0.0 - s, not -s, so that a zero entropy is +0.0
     return 0.0 - float((p * np.log2(p)).sum())

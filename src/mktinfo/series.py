@@ -7,6 +7,7 @@ indicator steps apart (overlapping windows, start indices stepping by 1).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
@@ -59,9 +60,12 @@ def _real(value, message: str, low: float, high: float, closed: bool = False):
 
 
 def _json_value(value):
-    """A numpy array or scalar as JSON sees it: a float one as (nested) lists
-    with None (null) for NaN and the infinities, any other by tolist()."""
-    if not isinstance(value, (np.ndarray, np.generic)):
+    """A numpy scalar as its Python value, so a non-finite float raises as a
+    Python one does; an array as (nested) lists, a float one with None (null)
+    for NaN and the infinities."""
+    if isinstance(value, np.generic):
+        return value.item()
+    if not isinstance(value, np.ndarray):
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     if value.dtype.kind == "f":
         value = np.where(np.isfinite(value), value, None)
@@ -71,7 +75,7 @@ def _json_value(value):
 def _json_text(payload) -> str:
     """An output JSON document: 2-space indent, keys in the payload's order,
     numpy arrays and scalars as by _json_value, and a closing line break; a
-    Python float NaN or infinity raises ValueError, as JSON has no token for it."""
+    NaN or infinity outside an array raises ValueError: JSON has no token for it."""
     return json.dumps(payload, indent=2, allow_nan=False, default=_json_value) + "\n"
 
 
@@ -122,23 +126,15 @@ def _label_array(labels) -> np.ndarray:
 
 
 def _timestamp_keys(labels: np.ndarray) -> np.ndarray:
-    """Keys used to check ordering: float64 when every label parses by Python's
-    float(), else the UTF-8 text itself, whose byte order is code-point order."""
+    """Keys used to check ordering: an integer array as it is; text as float64
+    when every label is a number by Python's float() of its bytes, else the
+    UTF-8 text itself, whose byte order is code-point order."""
+    if labels.dtype.kind in "iu":
+        return labels
     try:
-        # numpy's cast reads ASCII text as float() does and rejects the rest
         return labels.astype(np.float64)
     except ValueError:
-        pass
-    keys = np.empty(len(labels))
-    # decoded first: float() of a str also reads Unicode digits and spaces
-    for start in range(0, len(labels), _BLOCK_ROWS):
-        chunk = labels[start : start + _BLOCK_ROWS].tolist()
-        try:
-            keys[start : start + len(chunk)] = np.fromiter(
-                map(float, map(bytes.decode, chunk)), np.float64, len(chunk))
-        except ValueError:
-            return labels
-    return keys
+        return labels
 
 
 @dataclass(frozen=True)
@@ -170,6 +166,11 @@ class PriceSeries:
             raise ValueError(f"non-positive price at row {i + 1}")
         keys = _timestamp_keys(timestamps)
         unordered = ~(keys[:-1] < keys[1:])
+        if unordered.any() and keys.dtype == np.float64:
+            # integer labels past 2**53 that float64 ties are compared exactly
+            with contextlib.suppress(ValueError, OverflowError):
+                exact = timestamps.astype(np.int64)
+                unordered = ~(exact[:-1] < exact[1:])
         if unordered.any():
             raise ValueError(f"non-monotone timestamps at row {int(np.argmax(unordered)) + 2}")
 
@@ -239,8 +240,6 @@ class WordDistribution:
             _count(c, "counts must be non-negative integers", minimum=0)
         if sum(self.counts.values()) != self.total:
             raise ValueError("counts do not sum to total")
-        if len(self.counts) > 2 ** self.word_length:
-            raise ValueError("too many distinct words")
 
 
 # Rows are read and written this many at a time: a parse error is then

@@ -4,7 +4,11 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -345,6 +349,20 @@ class TestAnalyze:
 
 
 class TestTheory:
+    def test_non_number_option_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["theory", "fbm", "--hurst-step", "abc"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --hurst-step: not a number: 'abc'" in captured.err
+
+    def test_python_m_runs_the_cli(self, capsys):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "mktinfo", "theory", "fbm"], env=env,
+                              capture_output=True, text=True, check=True)
+        assert (0, done.stdout, "") == run(capsys, "theory", "fbm")
+
     @pytest.mark.parametrize("step", ["0", "-0.1", "nan"])
     def test_non_positive_step_is_usage_error(self, capsys, step):
         with pytest.raises(SystemExit) as exc:

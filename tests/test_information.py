@@ -484,6 +484,10 @@ class TestEntropyRateSlope:
         ep2 = EntropyProfile((1,), ep.L_max, H, ep.n_obs)
         assert entropy_rate_slope(ep2, 1, range(1, 7)) == pytest.approx(0.8, abs=1e-12)
 
+    def test_lags_past_l_max_are_skipped(self):
+        ep = self.synthetic_profile(slope=0.7, L_max=6)
+        assert entropy_rate_slope(ep, 1, [1, 2, 6, 7, 50]) == entropy_rate_slope(ep, 1, [1, 2, 6])
+
     def test_insufficient_range(self):
         ep = self.synthetic_profile()
         with pytest.raises(ValueError, match="insufficient range"):

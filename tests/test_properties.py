@@ -196,7 +196,7 @@ _label_text = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl"
 _labels = st.one_of(
     st.builds(lambda first, v: sorted(first + s for s in v), st.sampled_from('t#"'),
               st.lists(_label_text, min_size=2, max_size=30, unique=True)),
-    st.lists(st.integers(-2 ** 53, 2 ** 53), min_size=2, max_size=30, unique=True).map(sorted),
+    st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=2, max_size=30, unique=True).map(sorted),
     st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=30,
              unique=True).map(lambda v: [repr(x) for x in sorted(v)]),
 )

@@ -90,6 +90,11 @@ class TestEstimateHurst:
         assert curve.slope == pytest.approx(2.0, abs=1e-12)
         np.testing.assert_allclose(curve.second_differences(), 0.0, atol=1e-10)
 
+    @pytest.mark.parametrize("x", [[1.0], [[1.0, 2.0], [3.0, 4.0]], 1.0])
+    def test_needs_a_one_dimensional_series_of_two_points(self, x):
+        with pytest.raises(ValueError, match="^need a 1-D series with at least 2 points$"):
+            estimate_hurst(x)
+
     def test_default_scales(self):
         curve = estimate_hurst(np.arange(200, dtype=float))
         np.testing.assert_array_equal(curve.scales,

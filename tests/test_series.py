@@ -21,6 +21,7 @@ from mktinfo.series import (
     to_indicators,
     write_prices,
     _BLOCK_ROWS,
+    _json_text,
     _sign_indicators,
     _timestamp_keys,
 )
@@ -295,14 +296,32 @@ class TestWritePrices:
         np.testing.assert_array_equal(back.timestamps, np.arange(n).astype("S"))
 
 
+class TestJsonText:
+    def test_numpy_scalars_are_written_as_their_python_values(self):
+        assert _json_text({"x": np.float32(0.1)}) == '{\n  "x": 0.10000000149011612\n}\n'
+        assert (_json_text([np.int64(3), np.bool_(True), np.float16(0.5), np.uint8(7)])
+                == _json_text([3, True, 0.5, 7]))
+
+    @pytest.mark.parametrize("value", [np.float32("nan"), np.float16("inf"),
+                                       np.float64("-inf"), float("nan")])
+    def test_a_non_finite_scalar_raises(self, value):
+        # np.float32('nan') and np.float16('inf') were written as null
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _json_text({"x": value})
+
+    def test_other_objects_raise_type_error(self):
+        with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
+            _json_text({"x": {1}})
+
+
 def written(series):
     buf = io.StringIO()
     write_prices(series, buf)
     return buf.getvalue()
 
 
-# ASCII number text and whitespace, and non-ASCII digits and spaces that only
-# float() of the decoded str reads
+# ASCII number text and whitespace, and non-ASCII digits and spaces, which
+# float() of a decoded str would read but float() of the bytes does not
 _ASCII_NUMBER_TEXT = "0123456789+-._eE" + "infatyINFATY" + " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
 _NON_ASCII_TEXT = "\u00a0\u0085\u2000\u3000\u0661\u0662\u06f3\u0967"
 _label_text = st.one_of(
@@ -324,10 +343,10 @@ class TestLabels:
     ordered as today's str labels and written back as they were read."""
 
     @given(st.lists(_label_text, min_size=1, max_size=20))
-    def test_keys_are_python_floats_of_the_decoded_text(self, labels):
+    def test_keys_are_python_floats_of_the_bytes(self, labels):
         raw = np.array([t.encode() for t in labels], dtype="S")
         try:
-            want = np.array([float(t) for t in labels])
+            want = np.array([float(t.encode()) for t in labels])
         except ValueError:
             want = None
         keys = _timestamp_keys(raw)
@@ -402,21 +421,27 @@ class TestLabels:
             load_prices(io.StringIO("timestamp,close\n10,5\n9,6\n"))
         with pytest.raises(ValueError, match="^non-monotone timestamps at row 3$"):
             load_prices(io.StringIO("timestamp,close\n007,5\n8,6\n08,7\n"))
-        # Unicode digits parse as numbers too, as float() of a str reads them
-        load_prices(io.StringIO("timestamp,close\n\u0669,5\n10,6\n"))
+        # non-ASCII digits are text, ordered by code point: 9 (U+0669) after 1 (U+0661)
+        with pytest.raises(ValueError, match="^non-monotone timestamps at row 2$"):
+            load_prices(io.StringIO("timestamp,close\n\u0669,5\n\u0661\u0660,6\n"))
 
     def test_integers_above_two_to_the_53(self):
-        # labels compare as the floats they round to, so two integers that
-        # round to the same float are not increasing
-        tie = ("9007199254740992", "9007199254740993")
-        with pytest.raises(ValueError, match="^non-monotone timestamps at row 2$"):
-            load_prices(io.StringIO("timestamp,close\n" + "".join(f"{t},5\n" for t in tie)))
-        with pytest.raises(ValueError, match="^non-monotone timestamps at row 2$"):
-            make_series([1.0, 2.0], np.array([2 ** 53, 2 ** 53 + 1]))
-        with pytest.raises(ValueError, match="^non-monotone timestamps at row 2$"):
-            make_series([1.0, 2.0], (2 ** 53, 2 ** 53 + 1))
-        make_series([1.0, 2.0], ("9007199254740993", "9007199254740995"))
+        # integers that round to one float64 still compare exactly:
+        # nanosecond epochs are spaced 1 apart where float64 is spaced 256
+        ns = "timestamp,close\n1700000000000000000,1\n1700000000000000001,2\n"
+        np.testing.assert_array_equal(load_prices(io.StringIO(ns)).timestamps,
+                                      [b"1700000000000000000", b"1700000000000000001"])
+        for pair in [(2 ** 53, 2 ** 53 + 1), (2 ** 63 - 2, 2 ** 63 - 1), (-2 ** 63, 1 - 2 ** 63)]:
+            for labels in (np.array(pair), pair, tuple(map(str, pair))):
+                make_series([1.0, 2.0], labels)
+        p = make_series([1.0, 2.0], np.array([2 ** 63 - 1, 2 ** 63], dtype=np.uint64))
+        assert p.timestamps.dtype == np.uint64
         make_series([1.0, 2.0], ("999999999999998", "999999999999999"))
+        for pair in [(2 ** 53 + 1, 2 ** 53 + 1), (2 ** 53 + 1, 2 ** 53), (1, "1.0"),
+                     ("9223372036854775807", "9223372036854775808")]:
+            for labels in (pair, np.array(pair)):
+                with pytest.raises(ValueError, match="^non-monotone timestamps at row 2$"):
+                    make_series([1.0, 2.0], labels)
 
     def test_compact_read_only_array(self):
         labels = ["2024-01-02T10:00:00", "2024-01-02T10:00:01", "2024-01-03 日本"]
@@ -478,6 +503,10 @@ class TestReturnsAndIndicators:
         p = make_series([100.0, 110.0, 99.0, 120.0])
         r = compute_returns(p, 2)
         np.testing.assert_allclose(r.values, [-0.01, 120.0 / 110.0 - 1.0])
+
+    def test_len_is_the_number_of_values(self):
+        assert len(ReturnSeries(2, [0.1, -0.2, 0.3])) == 3
+        assert len(IndicatorSeries(2, [1, 0])) == 2
 
     def test_horizon_too_long(self):
         p = make_series([1.0, 2.0, 3.0])
