@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import itertools
 import json
 import os
+import pickle
 import re
+import signal
 import sys
 from dataclasses import dataclass
 from typing import IO, Iterable, Union
@@ -242,17 +245,99 @@ class WordDistribution:
             raise ValueError("counts do not sum to total")
 
 
-# Rows are read and written this many at a time: a parse error is then
-# traced to its row by re-reading at most one block, and neither direction
-# holds the text of more than one block.
+# Rows are written this many at a time, and labels encoded: no step holds
+# the text of more than one block.
 _BLOCK_ROWS = 1 << 14
 
+# Text is read and parsed about this many characters at a time, cut after a
+# line break: a parse error is then traced to its row by re-reading at most
+# one chunk.
+_CHUNK_CHARS = 1 << 19
+
 # A blank or comment line holds a '#' or starts with whitespace (an empty line
-# starts with its line break), so a block whose text has neither is kept whole.
+# starts with its line break), so a chunk whose text has neither is kept whole.
 _SPACE_AFTER_NEWLINE = re.compile(r"\n\s")
 
 # a byte that is not UTF-8, read by _utf8_text, is a lone surrogate
 _SURROGATE = re.compile("[\ud800-\udfff]")
+
+# the pair _ordered_map makes of an odd number of tasks ends in this
+_NO_TASK = object()
+
+
+def _ordered_map(fn, tasks: Iterable):
+    """fn(task) for each task, in order.
+
+    When this process may run on two CPUs or more and there are two tasks or
+    more, every other task runs in one worker process forked for this call.
+    Its tasks go to it, and its results come back, pickled through pipes; it
+    reads all else, `fn` and what `fn` reads, from the memory fork shares.
+    An exception it raises is raised here in its result's place.  The worker
+    is ended and reaped when the generator finishes or is closed.
+    Otherwise every task runs in this process, as on a platform that reports
+    no CPU affinity (macOS, Windows).
+    """
+    tasks = iter(tasks)
+    head = list(itertools.islice(tasks, 2))
+    if len(head) < 2 or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        yield from map(fn, itertools.chain(head, tasks))
+        return
+    # flushed, so that nothing written before the fork can come out twice
+    for std in (sys.stdout, sys.stderr):
+        if std is not None:
+            std.flush()
+    task_r, task_w = os.pipe()
+    result_r, result_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # the worker ends by os._exit, whatever happens: it runs no exit
+        # handler and writes out no buffer it shares with this process
+        try:
+            os.close(task_w)
+            os.close(result_r)
+            _serve(fn, task_r, result_w)
+        finally:
+            os._exit(0)
+    os.close(task_r)
+    os.close(result_w)
+    try:
+        with open(task_w, "wb") as to_worker, open(result_r, "rb") as from_worker:
+            tasks = itertools.chain(head, tasks)
+            for mine, theirs in itertools.zip_longest(tasks, tasks, fillvalue=_NO_TASK):
+                if theirs is not _NO_TASK:
+                    pickle.dump(theirs, to_worker)
+                    to_worker.flush()
+                yield fn(mine)
+                if theirs is not _NO_TASK:
+                    try:
+                        done, result = pickle.load(from_worker)
+                    except EOFError:
+                        raise ChildProcessError("the worker ended without a result") from None
+                    if not done:
+                        raise result
+                    yield result
+    finally:
+        # the worker has nothing left to do, or its work is no longer wanted
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+def _serve(fn, task_fd: int, result_fd: int) -> None:
+    """The worker's loop: reads each task from `task_fd` and writes
+    (True, fn(task)), or (False, the exception fn raised), to `result_fd`,
+    until its input ends."""
+    with open(task_fd, "rb") as tasks, open(result_fd, "wb") as results:
+        while True:
+            try:
+                task = pickle.load(tasks)
+            except EOFError:
+                return
+            try:
+                reply = True, fn(task)
+            except Exception as exc:  # raised again by the parent, at this task's place
+                reply = False, exc
+            pickle.dump(reply, results)
+            results.flush()
 
 
 def load_prices(source: Union[str, os.PathLike, IO[str]], mode: str = "close") -> PriceSeries:
@@ -292,11 +377,28 @@ def _data_lines(block: list, text: str) -> list:
     return [line for line in block if not _is_skipped(line)]
 
 
-def _parse_prices(stream: Iterable[str], mode: str) -> PriceSeries:
-    lines = iter(stream)
+def _chunks(stream: IO[str]):
+    """The rest of `stream` in chunks of whole lines, each about _CHUNK_CHARS
+    characters or one line if longer; the last may lack its line break."""
+    rest = ""
+    while text := stream.read(_CHUNK_CHARS):
+        text = rest + text
+        cut = text.rfind("\n") + 1
+        if cut:
+            yield text[:cut]
+        rest = text[cut:]
+    if rest:
+        yield rest
+
+
+class _RowError(ValueError):
+    """args (what, index): the data row at `index`, from 0, of a chunk is bad;
+    the reader names it by its row in the whole text."""
+
+
+def _parse_prices(stream: IO[str], mode: str) -> PriceSeries:
     # one byte-order mark, which UTF-8 text may start with, is dropped
-    first = next(lines, "")
-    lines = itertools.chain([first.removeprefix("\ufeff")], lines)
+    lines = itertools.chain([stream.readline().removeprefix("\ufeff")], iter(stream.readline, ""))
     header = next((line for line in lines if not _is_skipped(line)), None)
     if header is None:
         raise ValueError("empty input")
@@ -322,33 +424,49 @@ def _parse_prices(stream: Iterable[str], mode: str) -> PriceSeries:
                           ndmin=1)
 
     labels, prices = [], []
-    n_rows = 0
-    for block in iter(lambda: list(itertools.islice(lines, _BLOCK_ROWS)), []):
-        text = "".join(block)
-        block = _data_lines(block, text)
-        is_ascii = text.isascii()
-        # a non-ASCII block is read up to its first line that does not encode
-        # back to UTF-8, so an earlier bad row is still the one named
-        valid = block if is_ascii else list(
-            itertools.takewhile(lambda line: _SURROGATE.search(line) is None, block))
-        if valid:
-            # numpy's C reader, prices straight to float64.  An ASCII block
-            # reads its labels as bytes as wide as its longest line, so none is
-            # cut short; loadtxt would encode other text as Latin-1, so a block
-            # with any non-ASCII text reads its labels as str
-            label = f"S{max(map(len, valid))}" if is_ascii else object
-            table = _read_block(read, valid, label, n_rows + 1)
-            prices.append(_block_prices(table, n_rows + 1))
-            labels.append(_block_labels(table["timestamp"]))
-            n_rows += len(table)
-        if len(valid) < len(block):
-            raise ValueError(f"invalid UTF-8 at row {n_rows + 1}")
+    try:
+        # chunks in order, every other one parsed in a worker when two CPUs are ours
+        with contextlib.closing(_ordered_map(functools.partial(_chunk_rows, read),
+                                             _chunks(stream))) as tables:
+            for chunk_labels, chunk_prices in tables:
+                labels.append(chunk_labels)
+                prices.append(chunk_prices)
+    except _RowError as exc:
+        what, index = exc.args
+        raise ValueError(f"{what} at row {sum(map(len, prices)) + index + 1}") from None
 
-    if n_rows < 2:
+    if sum(map(len, prices)) < 2:
         raise ValueError("price series needs at least 2 rows")
-    # rebound, so the per-block arrays are freed before the series is checked
+    # rebound, so the per-chunk arrays are freed before the series is checked
     labels, prices = _freeze(np.concatenate(labels)), _freeze(np.concatenate(prices))
     return PriceSeries(labels, prices, mode)
+
+
+def _chunk_rows(read, chunk: str) -> tuple[np.ndarray, np.ndarray]:
+    """The labels, as by _block_labels, and the prices of a chunk of whole
+    lines; a bad row raises _RowError."""
+    block = chunk.split("\n")
+    if not block[-1]:
+        block.pop()
+    block = _data_lines(block, chunk)
+    is_ascii = chunk.isascii()
+    # a non-ASCII chunk is read up to its first line that does not encode
+    # back to UTF-8, so an earlier bad row is still the one named
+    valid = block if is_ascii else list(
+        itertools.takewhile(lambda line: _SURROGATE.search(line) is None, block))
+    labels, prices = np.empty(0, "S1"), np.empty(0)
+    if valid:
+        # numpy's C reader, prices straight to float64.  An ASCII chunk reads
+        # its labels as bytes as wide as its longest line, so none is cut
+        # short; loadtxt would encode other text as Latin-1, so a chunk with
+        # any non-ASCII text reads its labels as str
+        label = f"S{max(map(len, valid))}" if is_ascii else object
+        table = _read_block(read, valid, label)
+        prices = _block_prices(table)
+        labels = _block_labels(table["timestamp"])
+    if len(valid) < len(block):
+        raise _RowError("invalid UTF-8", len(valid))
+    return labels, prices
 
 
 # the characters str.strip() removes that are ASCII; bytes.strip() keeps \x1c-\x1f
@@ -364,26 +482,35 @@ def _block_labels(raw: np.ndarray) -> np.ndarray:
     return np.array([label.strip().encode() for label in raw.tolist()], dtype=bytes)
 
 
-def _read_block(read, block: list, label, first_row: int) -> np.ndarray:
-    """Parse one block of data lines; on failure name its first bad row."""
+def _read_block(read, block: list, label) -> np.ndarray:
+    """Parse one block of data lines; on failure raise _RowError at its first bad row."""
     try:
         return read(block, label)
     except ValueError as exc:
         error = exc
-    # error path only: re-read the block line by line, checking each row in
-    # order, so that the first bad row is named whatever is wrong with it
-    for i, line in enumerate(block):
+    # error path only: the longest prefix that parses, found by halving, so
+    # a chunk of many short lines is not re-read line by line.  A bad price
+    # in that prefix is named first, whatever is wrong with the next line
+    good, bad = 0, len(block)  # block[:good] parses, block[:bad] does not
+    while bad - good > 1:
+        mid = (good + bad) // 2
         try:
-            row = read([line], label)
+            read(block[:mid], label)
+            good = mid
         except ValueError:
-            raise ValueError(f"unparseable price at row {first_row + i}") from None
-        _block_prices(row, first_row + i)
+            bad = mid
+    if good:
+        _block_prices(read(block[:good], label))
+    try:
+        read([block[good]], label)
+    except ValueError:
+        raise _RowError("unparseable price", good) from None
     raise error  # only a quoted field that spans lines gets here
 
 
-def _block_prices(table: np.ndarray, first_row: int) -> np.ndarray:
+def _block_prices(table: np.ndarray) -> np.ndarray:
     """The rows' prices, in a new array; each price field must be positive,
-    the price finite."""
+    the price finite, or _RowError names the first bad row."""
     fields = [table[name] for name in table.dtype.names[1:]]
     with np.errstate(over="ignore"):  # an overflowing midpoint is reported below
         # a copy of the close column: a view of it would keep the block's
@@ -393,8 +520,7 @@ def _block_prices(table: np.ndarray, first_row: int) -> np.ndarray:
     bad = non_positive | ~np.isfinite(price)
     if bad.any():
         i = int(np.argmax(bad))
-        kind = "non-positive" if non_positive[i] else "non-finite"
-        raise ValueError(f"{kind} price at row {first_row + i}")
+        raise _RowError("non-positive price" if non_positive[i] else "non-finite price", i)
     return price
 
 
@@ -422,11 +548,19 @@ def write_prices(p: PriceSeries, stream: IO[str]) -> None:
     if text:
         for block in blocks:
             _label_cells(p.timestamps[block], block.start + 1)
-    stream.write("timestamp,close\n")
-    for block in blocks:
+
+    def rows(block: slice) -> str:
         labels = p.timestamps[block]
         labels = _label_cells(labels, block.start + 1) if text else labels.tolist()
-        stream.write("".join([f"{t},{v!r}\n" for t, v in zip(labels, p.prices[block].tolist())]))
+        return "".join([f"{t},{v!r}\n" for t, v in zip(labels, p.prices[block].tolist())])
+
+    stream.write("timestamp,close\n")
+    # written out before a worker may be forked, which shares the stream's buffer
+    stream.flush()
+    # blocks in order, every other one formatted in a worker when two CPUs are ours
+    with contextlib.closing(_ordered_map(rows, blocks)) as texts:
+        for block_text in texts:
+            stream.write(block_text)
 
 
 def _horizon(p: PriceSeries, m: int) -> int:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mktinfo.cli as cli
+import mktinfo.series as series
 import mktinfo.simulate as sim
 from mktinfo.information import profile_from_prices, profile_to_json
 from mktinfo.scaling import estimate_hurst
@@ -49,7 +50,7 @@ class TestSimulate:
         assert len(prices) == 64
         assert np.all(prices.prices > 0.0)
 
-    def test_output_spanning_write_blocks_is_bit_identical(self, capsys, tmp_path):
+    def test_output_spanning_write_blocks_is_bit_identical(self, cpus, capsys, tmp_path):
         dest = tmp_path / "sim.csv"
         n = 40_000  # several of the writer's blocks
         code, _, _ = run(capsys, "simulate", "fbm", "--hurst", "0.7", "--sigma", "0.001",
@@ -660,6 +661,21 @@ class TestHurst:
 
 
 class TestEndToEnd:
+    def test_simulate_piped_to_analyze(self, cpus, capsys, monkeypatch):
+        # several of the writer's blocks and of the reader's chunks, each
+        # every other one in a worker on two CPUs, through stdout and stdin
+        n = 60_000
+        code, out, _ = run(capsys, "simulate", "fbm", "--hurst", "0.7", "--sigma", "0.001",
+                           "--n", str(n), "--seed", "9")
+        assert code == 0 and len(out) > 2 * series._CHUNK_CHARS
+        prices = to_price_series(simulate_fbm(FbmParams(0.7, 0.001), n, 1.0, 9))
+        rows = "".join(f"{i},{v!r}\n" for i, v in enumerate(prices.prices.tolist()))
+        assert out.partition("\n")[2] == "timestamp,close\n" + rows
+        monkeypatch.setattr(cli.sys, "stdin", io.TextIOWrapper(io.BytesIO(out.encode())))
+        code, profile, _ = run(capsys, "analyze", "-")
+        assert code == 0
+        assert profile == profile_to_json(*profile_from_prices(prices))
+
     def test_simulate_analyze_hurst_pipeline(self, capsys, tmp_path):
         dest = tmp_path / "pp.csv"
         assert cli.main(["simulate", "pseudo-periodic", "--beta", "-0.9",

@@ -429,6 +429,15 @@ class TestInformationProfile:
         with pytest.raises(ValueError, match="distinct"):
             information_profile(j, L_max=2, m_values=(1, 1))
 
+    @pytest.mark.parametrize("confidence", [1.0, 1.5, -0.5])
+    def test_confidence_checked_where_no_bound_is_computed(self, confidence):
+        # one indicator has no order-2 word, so no cell calls significance_bound
+        j = {1: bits_series(np.ones(1, dtype=np.uint8))}
+        _, ip = information_profile(j, L_max=2, m_values=(1,))
+        assert np.isnan(ip.bounds).all()
+        with pytest.raises(ValueError, match=r"^confidence must be in \(0, 1\)$"):
+            information_profile(j, L_max=2, m_values=(1,), confidence=confidence)
+
     def test_price_signs_match_the_returns_route(self):
         prices = to_price_series(simulate_fbm(FbmParams(0.7, 0.01), 100_000, seed=3))
         m_values = (1, 2, 3, 4, 5)
@@ -492,6 +501,19 @@ class TestEntropyRateSlope:
         ep = self.synthetic_profile()
         with pytest.raises(ValueError, match="insufficient range"):
             entropy_rate_slope(ep, 1, [2])
+
+    def test_lag_pairs_with_the_word_one_letter_longer(self):
+        # an order-2 chain's exact entropies, which are not linear in the
+        # order: H(L+1) - H(L) is the entropy rate from L = 2 on, not below.
+        # Lags 1-3 read words of 2-4 letters, so their slope is the rate;
+        # words of 1-3 letters would give another slope
+        transition = np.array([0.1, 0.6, 0.7, 0.2])
+        H = entropy_curve(transition, 2, 5)
+        rate = H[3] - H[2]
+        assert H[2] - H[1] == pytest.approx(rate, abs=1e-12)
+        assert abs(H[1] - H[0] - rate) > 0.05
+        ep = EntropyProfile((1,), 4, H[:, None], np.ones((5, 1), dtype=np.int64))
+        assert entropy_rate_slope(ep, 1, [1, 2, 3]) == pytest.approx(rate, abs=1e-12)
 
 
 class TestSerialization:

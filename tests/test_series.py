@@ -1,14 +1,17 @@
 """Price ingestion, returns, indicators, and word extraction."""
 
 import io
+import os
+import re
 import tracemalloc
 import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+import mktinfo.series as series
 from mktinfo.series import (
     MAX_L,
     IndicatorSeries,
@@ -21,10 +24,14 @@ from mktinfo.series import (
     to_indicators,
     write_prices,
     _BLOCK_ROWS,
+    _CHUNK_CHARS,
     _json_text,
+    _ordered_map,
     _sign_indicators,
     _timestamp_keys,
+    _utf8_text,
 )
+from price_oracle import read_prices
 
 
 def make_series(prices, timestamps=None):
@@ -280,7 +287,7 @@ class TestIngestEdgeCases:
 
 
 class TestWritePrices:
-    def test_round_trip_across_blocks(self):
+    def test_round_trip_across_blocks(self, cpus):
         rng = np.random.default_rng(4)
         n = 50_000
         prices = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, n)))
@@ -294,6 +301,213 @@ class TestWritePrices:
         back = load_prices(io.StringIO(text))
         assert back.prices.tobytes() == prices.tobytes()
         np.testing.assert_array_equal(back.timestamps, np.arange(n).astype("S"))
+
+
+# Text the oracle and load_prices must read alike.  Labels are a fixed
+# prefix and suffix around a zero-padded count, so they order as the count
+# does, a repeated count being a non-monotone row; with no prefix or suffix
+# they are integers, from 0 or past 2**53.  The prefix and suffix hold
+# characters str.splitlines() breaks at (\x0b, \x1c-\x1e, \x85, \u2028) and
+# whitespace that is stripped; a label holding a comma, a quote or a lone
+# surrogate (a byte that is not UTF-8) is quoted, others at random.  Bad
+# prices, short rows, repeated labels and bad bytes are drawn rarely enough
+# that about half of the texts read without error.
+_AROUND = " \t\x0b\x1c\x1d\x1e\x85\u2028aé日,\"#"
+_GOOD_PRICES = ["1.5", "100", "2e-3", "5e-324", "1e308", " 7.25", "8\t", "3"]
+_BAD_PRICES = ["0", "-0.0", "-2", "inf", "-inf", "nan", "1e999", "oops", ""]
+_NOT_UTF8 = "\udcff"
+
+
+def _rarely(value, odds: int):
+    """A strategy for `value` once in `odds` draws, else for ''."""
+    return st.sampled_from([""] * (odds - 1) + [value])
+
+
+@st.composite
+def _price_text(draw):
+    """(text, mode, as_bytes) of a price CSV in one of the dialects
+    load_prices reads, to be read as text or, when as_bytes, as UTF-8 bytes,
+    which may also end their lines in a lone carriage return."""
+    mode = draw(st.sampled_from(["close", "midrange"]))
+    legs = 1 if mode == "close" else 2
+    prefix, suffix = draw(st.text(_AROUND, max_size=3)), draw(st.text(_AROUND, max_size=3))
+    lines = ["timestamp,close,volume" if mode == "close" else "Time,High,Low"]
+    count = draw(st.sampled_from([0, 2 ** 53, 10 ** 18]))
+    kinds = st.sampled_from(["row"] * 6 + ["comment", "blank"])
+    for kind in draw(st.lists(kinds, min_size=3, max_size=25)):
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["", "  ", "\x85"])) + "#"
+                         + draw(st.text(" \t\x0b\x1c\x85aé,\"#", max_size=5))
+                         + draw(_rarely(_NOT_UTF8, 5)))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\x0c", "\x85 "])))
+        else:
+            count += draw(st.sampled_from([1] * 29 + [0]))
+            label = f"{prefix}{count:04d}{draw(_rarely(_NOT_UTF8, 60))}{suffix}"
+            if draw(st.booleans()) or any(c in label for c in ',"' + _NOT_UTF8):
+                label = '"' + label.replace('"', '""') + '"'
+            width = draw(st.sampled_from([legs] * 20 + [legs - 1, legs + 1]))
+            values = draw(st.lists(st.sampled_from(_GOOD_PRICES * 30 + _BAD_PRICES),
+                                   min_size=width, max_size=width))
+            lines.append(",".join([label] + values))
+    as_bytes = draw(st.booleans())
+    eol = draw(st.sampled_from(["\n", "\r\n"] + ["\r"] * as_bytes))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + eol.join(lines) + draw(st.sampled_from(["", eol])), mode, as_bytes
+
+
+class TestChunkedReader:
+    """load_prices against the csv.reader and float() oracle in
+    tests/price_oracle.py, with chunks a few characters long, so every input
+    spans many, parsed in turn here and in a forked worker."""
+
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_price_text(), st.integers(1, 64))
+    def test_reads_as_the_oracle(self, cpus, text_mode_bytes, chunk_chars):
+        text, mode, as_bytes = text_mode_bytes
+        if as_bytes:
+            # bytes are read as a path's are: every line break becomes "\n",
+            # and each byte that is not UTF-8 a lone surrogate
+            source = _utf8_text(io.BytesIO(text.encode("utf-8", "surrogateescape")))
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        else:
+            source = io.StringIO(text)
+        want = read_prices(text, mode)
+        if not isinstance(want, str):
+            labels, prices = want
+            try:
+                want = PriceSeries(np.array(labels, dtype=bytes), prices, mode)
+            except ValueError as exc:  # the label order, which the oracle leaves unchecked
+                want = str(exc)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(series, "_CHUNK_CHARS", chunk_chars)
+            if isinstance(want, str):
+                with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                    load_prices(source, mode)
+            else:
+                got = load_prices(source, mode)
+                assert got.timestamps.tolist() == want.timestamps.tolist()
+                assert got.prices.tobytes() == want.prices.tobytes()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the worker processes forked while the test runs."""
+    pids = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def assert_reaped(pids):
+    """Each pid was a child of this process and is gone: ended and waited for."""
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+# rows of about 14 characters: four reader chunks of 2**19 characters and more
+_ROWS = [f"{i},{100 + i % 7}.25" for i in range(170_000)]
+
+
+def _row_in_chunk(chunk: int) -> int:
+    """The data row, from 1, that starts halfway through reader chunk `chunk`."""
+    ends = np.cumsum([len(row) + 1 for row in _ROWS])
+    return int(np.searchsorted(ends, (chunk + 0.5) * _CHUNK_CHARS)) + 1
+
+
+@pytest.mark.parametrize("cpus", [2], indirect=True)
+class TestWorker:
+    """Every other chunk or block goes to one forked worker: its errors are
+    raised at their place, and it never outlives the call."""
+
+    def test_results_come_in_order_and_errors_at_their_place(self, cpus, forks):
+        assert list(_ordered_map(lambda x: x * x, range(7))) == [x * x for x in range(7)]
+
+        def fails_at_three(x):
+            if x == 3:
+                raise ValueError(f"task {x}")
+            return x
+
+        results = _ordered_map(fails_at_three, range(7))
+        assert [next(results) for _ in range(3)] == [0, 1, 2]
+        with pytest.raises(ValueError, match="^task 3$"):
+            next(results)
+        assert len(forks) == 2
+        assert_reaped(forks)
+
+    def test_a_worker_that_dies_is_an_error(self, cpus, forks):
+        def dies_at_one(x):
+            if x == 1:
+                os._exit(1)
+            return x
+
+        results = _ordered_map(dies_at_one, range(4))
+        assert next(results) == 0
+        with pytest.raises(ChildProcessError, match="ended without a result"):
+            next(results)
+        assert_reaped(forks)
+
+    def test_no_worker_for_one_task_or_one_cpu(self, cpus, forks, monkeypatch):
+        assert list(_ordered_map(str, [5])) == ["5"]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert list(_ordered_map(str, range(4))) == ["0", "1", "2", "3"]
+        monkeypatch.delattr(os, "sched_getaffinity")  # as on macOS and Windows
+        assert list(_ordered_map(str, range(4))) == ["0", "1", "2", "3"]
+        assert forks == []
+
+    @pytest.mark.parametrize("value, message", [
+        ("oops", "unparseable price"), ("0", "non-positive price"),
+        ("nan", "non-finite price"), ("\udcff", "invalid UTF-8")])
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_bad_row_in_a_worker_chunk_is_named(self, cpus, forks, tmp_path, value, message,
+                                                chunk):
+        row = _row_in_chunk(chunk)
+        rows = list(_ROWS)
+        rows[row - 1] = f"{row - 1},{value}"
+        f = tmp_path / "p.csv"
+        f.write_bytes("\n".join(["timestamp,close"] + rows).encode("utf-8", "surrogateescape"))
+        with pytest.raises(ValueError, match=f"^{message} at row {row}$"):
+            load_prices(f)
+        assert len(forks) == 1
+        assert_reaped(forks)
+
+    @pytest.mark.parametrize("chunks", [(0, 1), (1, 2), (2, 3)])
+    def test_of_two_bad_chunks_the_earlier_row_is_named(self, cpus, forks, chunks):
+        first, second = map(_row_in_chunk, chunks)
+        rows = list(_ROWS)
+        rows[first - 1] = f"{first - 1},-3"
+        rows[second - 1] = "x,y"
+        with pytest.raises(ValueError, match=f"^non-positive price at row {first}$"):
+            load_prices(io.StringIO("\n".join(["timestamp,close"] + rows)))
+        assert_reaped(forks)
+
+    def test_a_stream_that_fails_halfway_leaves_no_worker(self, cpus, forks):
+        class Failing(io.StringIO):
+            """Takes the header and two blocks, then fails as a full disk does."""
+            writes = 3
+
+            def write(self, text):
+                if self.writes == 0:
+                    raise OSError("No space left on device")
+                self.writes -= 1
+                return super().write(text)
+
+        p = PriceSeries(range(5 * _BLOCK_ROWS), np.arange(1.0, 5 * _BLOCK_ROWS + 1))
+        stream = Failing()
+        with pytest.raises(OSError, match="No space left on device"):
+            write_prices(p, stream)
+        assert len(forks) == 1
+        assert_reaped(forks)
+        assert stream.getvalue().count("\n") == 1 + 2 * _BLOCK_ROWS
+        assert written(p).startswith(stream.getvalue())
 
 
 class TestJsonText:
