@@ -16,10 +16,11 @@ import json
 import os
 import pickle
 import re
-import signal
+import stat
 import sys
+import threading
 from dataclasses import dataclass
-from typing import IO, Iterable, Union
+from typing import IO, Union
 
 import numpy as np
 
@@ -261,83 +262,70 @@ _SPACE_AFTER_NEWLINE = re.compile(r"\n\s")
 # a byte that is not UTF-8, read by _utf8_text, is a lone surrogate
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
-# the pair _ordered_map makes of an odd number of tasks ends in this
-_NO_TASK = object()
+
+def _may_fork() -> bool:
+    """Whether a worker process may be forked: this process may run on two
+    CPUs or more (os.sched_getaffinity, which macOS and Windows lack), runs
+    no other Python thread, and runs on Python before 3.12, which warns when
+    a process forks while other threads run, as numpy's BLAS threads do."""
+    return (sys.version_info < (3, 12) and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
 
 
-def _ordered_map(fn, tasks: Iterable):
-    """fn(task) for each task, in order.
+def _in_two(here, there, fork: bool) -> tuple:
+    """(here(), there()).
 
-    When this process may run on two CPUs or more and there are two tasks or
-    more, every other task runs in one worker process forked for this call.
-    Its tasks go to it, and its results come back, pickled through pipes; it
-    reads all else, `fn` and what `fn` reads, from the memory fork shares.
-    An exception it raises is raised here in its result's place.  The worker
-    is ended and reaped when the generator finishes or is closed.
-    Otherwise every task runs in this process, as on a platform that reports
-    no CPU affinity (macOS, Windows).
+    When `fork`, there() runs in one worker process forked for this call
+    while here() runs in this one.  The worker reads what there() needs from
+    the memory fork shares, and sends its result back pickled through a pipe;
+    an exception it raises is raised here once here() has returned.  The
+    worker ends by os._exit, and is ended and reaped before this returns, on
+    success or error.  Otherwise here() runs, then there().
     """
-    tasks = iter(tasks)
-    head = list(itertools.islice(tasks, 2))
-    if len(head) < 2 or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
-        yield from map(fn, itertools.chain(head, tasks))
-        return
+    if not fork:
+        return here(), there()
+    import signal  # here: only a forking call needs it, and it adds 1 ms to every import
+
     # flushed, so that nothing written before the fork can come out twice
     for std in (sys.stdout, sys.stderr):
         if std is not None:
             std.flush()
-    task_r, task_w = os.pipe()
     result_r, result_w = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        # the worker ends by os._exit, whatever happens: it runs no exit
-        # handler and writes out no buffer it shares with this process
-        try:
-            os.close(task_w)
-            os.close(result_r)
-            _serve(fn, task_r, result_w)
-        finally:
-            os._exit(0)
-    os.close(task_r)
-    os.close(result_w)
+    pid = 0
     try:
-        with open(task_w, "wb") as to_worker, open(result_r, "rb") as from_worker:
-            tasks = itertools.chain(head, tasks)
-            for mine, theirs in itertools.zip_longest(tasks, tasks, fillvalue=_NO_TASK):
-                if theirs is not _NO_TASK:
-                    pickle.dump(theirs, to_worker)
-                    to_worker.flush()
-                yield fn(mine)
-                if theirs is not _NO_TASK:
+        pid = os.fork()
+        if pid == 0:
+            # the worker ends by os._exit, whatever happens: it runs no exit
+            # handler and writes out no buffer it shares with this process
+            try:
+                os.close(result_r)
+                with open(result_w, "wb") as out:
                     try:
-                        done, result = pickle.load(from_worker)
-                    except EOFError:
-                        raise ChildProcessError("the worker ended without a result") from None
-                    if not done:
-                        raise result
-                    yield result
-    finally:
-        # the worker has nothing left to do, or its work is no longer wanted
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-
-
-def _serve(fn, task_fd: int, result_fd: int) -> None:
-    """The worker's loop: reads each task from `task_fd` and writes
-    (True, fn(task)), or (False, the exception fn raised), to `result_fd`,
-    until its input ends."""
-    with open(task_fd, "rb") as tasks, open(result_fd, "wb") as results:
-        while True:
+                        reply = True, there()
+                    except Exception as exc:  # raised again by the parent
+                        reply = False, exc
+                    pickle.dump(reply, out)
+            finally:
+                os._exit(0)
+        os.close(result_w)
+        result_w = None
+        mine = here()
+        with open(result_r, "rb", closefd=False) as from_worker:
             try:
-                task = pickle.load(tasks)
+                done, theirs = pickle.load(from_worker)
             except EOFError:
-                return
-            try:
-                reply = True, fn(task)
-            except Exception as exc:  # raised again by the parent, at this task's place
-                reply = False, exc
-            pickle.dump(reply, results)
-            results.flush()
+                raise ChildProcessError("the worker ended without a result") from None
+    finally:
+        os.close(result_r)
+        if result_w is not None:
+            os.close(result_w)
+        if pid:
+            # the worker has nothing left to do, or its work is no longer wanted
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if not done:
+        raise theirs
+    return mine, theirs
 
 
 def load_prices(source: Union[str, os.PathLike, IO[str]], mode: str = "close") -> PriceSeries:
@@ -356,7 +344,7 @@ def load_prices(source: Union[str, os.PathLike, IO[str]], mode: str = "close") -
     if hasattr(source, "read"):
         return _parse_prices(source, mode)
     with _utf8_text(open(source, "rb")) as fh:
-        return _parse_prices(fh, mode)
+        return _parse_prices(fh, mode, fh.fileno())
 
 
 def _utf8_text(binary: IO[bytes]) -> IO[str]:
@@ -391,12 +379,41 @@ def _chunks(stream: IO[str]):
         yield rest
 
 
+class _FileRange(io.RawIOBase):
+    """Bytes `start` to `stop` of the open file `fd`, read by os.pread, which
+    leaves the file's own offset alone."""
+
+    def __init__(self, fd: int, start: int, stop: int):
+        self.fd, self.pos, self.stop = fd, start, stop
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        data = os.pread(self.fd, min(len(buffer), self.stop - self.pos), self.pos)
+        buffer[:len(data)] = data
+        self.pos += len(data)
+        return len(data)
+
+
+def _line_end(fd: int, pos: int, stop: int) -> int:
+    """The offset just past the first line break at or after `pos` in the
+    open file `fd`, or `stop` if there is none before it."""
+    while pos < stop and (data := os.pread(fd, 1 << 16, pos)):
+        if (i := data.find(b"\n")) >= 0:
+            return pos + i + 1
+        pos += len(data)
+    return stop
+
+
 class _RowError(ValueError):
     """args (what, index): the data row at `index`, from 0, of a chunk is bad;
     the reader names it by its row in the whole text."""
 
 
-def _parse_prices(stream: IO[str], mode: str) -> PriceSeries:
+def _parse_prices(stream: IO[str], mode: str, fd: int | None = None) -> PriceSeries:
+    """The series in `stream`; `fd`, when given, is the file the stream reads
+    from its start, and lets a worker read its second half."""
     # one byte-order mark, which UTF-8 text may start with, is dropped
     lines = itertools.chain([stream.readline().removeprefix("\ufeff")], iter(stream.readline, ""))
     header = next((line for line in lines if not _is_skipped(line)), None)
@@ -423,23 +440,52 @@ def _parse_prices(stream: IO[str], mode: str) -> PriceSeries:
                           delimiter=",", quotechar='"', comments=None, usecols=usecols,
                           ndmin=1)
 
-    labels, prices = [], []
-    try:
-        # chunks in order, every other one parsed in a worker when two CPUs are ours
-        with contextlib.closing(_ordered_map(functools.partial(_chunk_rows, read),
-                                             _chunks(stream))) as tables:
-            for chunk_labels, chunk_prices in tables:
-                labels.append(chunk_labels)
-                prices.append(chunk_prices)
-    except _RowError as exc:
-        what, index = exc.args
-        raise ValueError(f"{what} at row {sum(map(len, prices)) + index + 1}") from None
+    # the data in chunks of whole lines.  With a regular file and a second
+    # CPU, the lines up to the first line break past the file's middle are
+    # parsed here and the rest by a worker, which reads them from the file
+    # itself; its bad row is numbered after every row of this process's part
+    first, second, fork = _chunks(stream), iter(()), False
+    if fd is not None and stat.S_ISREG(os.fstat(fd).st_mode) and _may_fork():
+        start, stop = stream.tell(), os.fstat(fd).st_size
+        cut = _line_end(fd, (start + stop) // 2, stop)
+        fork = stop - start > _CHUNK_CHARS and cut < stop
+        if fork:
+            first, second = (_chunks(_utf8_text(io.BufferedReader(_FileRange(fd, *span))))
+                             for span in ((start, cut), (cut, stop)))
+
+    def first_part() -> tuple[list, list]:
+        labels, prices, bad = _chunk_table(read, first)
+        if bad:
+            raise ValueError(f"{bad[0]} at row {bad[1] + 1}")
+        return labels, prices
+
+    (labels, prices), (more_labels, more_prices, bad) = _in_two(
+        first_part, functools.partial(_chunk_table, read, second), fork)
+    if bad:
+        raise ValueError(f"{bad[0]} at row {sum(map(len, prices)) + bad[1] + 1}")
+    labels += more_labels
+    prices += more_prices
 
     if sum(map(len, prices)) < 2:
         raise ValueError("price series needs at least 2 rows")
     # rebound, so the per-chunk arrays are freed before the series is checked
     labels, prices = _freeze(np.concatenate(labels)), _freeze(np.concatenate(prices))
     return PriceSeries(labels, prices, mode)
+
+
+def _chunk_table(read, chunks: list) -> tuple[list, list, tuple | None]:
+    """The labels and prices of each chunk of whole lines, up to the first bad
+    row, and that row as (what is wrong, its index among these rows), or None."""
+    labels, prices = [], []
+    for chunk in chunks:
+        try:
+            chunk_labels, chunk_prices = _chunk_rows(read, chunk)
+        except _RowError as exc:
+            what, index = exc.args
+            return labels, prices, (what, sum(map(len, prices)) + index)
+        labels.append(chunk_labels)
+        prices.append(chunk_prices)
+    return labels, prices, None
 
 
 def _chunk_rows(read, chunk: str) -> tuple[np.ndarray, np.ndarray]:
@@ -557,10 +603,18 @@ def write_prices(p: PriceSeries, stream: IO[str]) -> None:
     stream.write("timestamp,close\n")
     # written out before a worker may be forked, which shares the stream's buffer
     stream.flush()
-    # blocks in order, every other one formatted in a worker when two CPUs are ours
-    with contextlib.closing(_ordered_map(rows, blocks)) as texts:
-        for block_text in texts:
-            stream.write(block_text)
+    # with a second CPU, the first half of the blocks is written here while a
+    # worker formats the second, whose text is written after it
+    fork = len(blocks) > 1 and _may_fork()
+    half = len(blocks) // 2 if fork else len(blocks)
+
+    def write_first_half() -> None:
+        for block in blocks[:half]:
+            stream.write(rows(block))
+
+    _, texts = _in_two(write_first_half, lambda: [rows(block) for block in blocks[half:]], fork)
+    for block_text in texts:
+        stream.write(block_text)
 
 
 def _horizon(p: PriceSeries, m: int) -> int:

@@ -662,8 +662,9 @@ class TestHurst:
 
 class TestEndToEnd:
     def test_simulate_piped_to_analyze(self, cpus, capsys, monkeypatch):
-        # several of the writer's blocks and of the reader's chunks, each
-        # every other one in a worker on two CPUs, through stdout and stdin
+        # several of the writer's blocks, the second half formatted in a
+        # worker on two CPUs, through stdout; and of the reader's chunks,
+        # read from stdin in this process
         n = 60_000
         code, out, _ = run(capsys, "simulate", "fbm", "--hurst", "0.7", "--sigma", "0.001",
                            "--n", str(n), "--seed", "9")

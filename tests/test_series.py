@@ -3,6 +3,10 @@
 import io
 import os
 import re
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from collections import Counter
@@ -26,7 +30,8 @@ from mktinfo.series import (
     _BLOCK_ROWS,
     _CHUNK_CHARS,
     _json_text,
-    _ordered_map,
+    _in_two,
+    _may_fork,
     _sign_indicators,
     _timestamp_keys,
     _utf8_text,
@@ -326,8 +331,9 @@ def _rarely(value, odds: int):
 @st.composite
 def _price_text(draw):
     """(text, mode, as_bytes) of a price CSV in one of the dialects
-    load_prices reads, to be read as text or, when as_bytes, as UTF-8 bytes,
-    which may also end their lines in a lone carriage return."""
+    load_prices reads, to be read as a text stream or, when as_bytes, as a
+    file of UTF-8 bytes, which may also end its lines in a lone carriage
+    return."""
     mode = draw(st.sampled_from(["close", "midrange"]))
     legs = 1 if mode == "close" else 2
     prefix, suffix = draw(st.text(_AROUND, max_size=3)), draw(st.text(_AROUND, max_size=3))
@@ -359,16 +365,17 @@ def _price_text(draw):
 class TestChunkedReader:
     """load_prices against the csv.reader and float() oracle in
     tests/price_oracle.py, with chunks a few characters long, so every input
-    spans many, parsed in turn here and in a forked worker."""
+    spans many; a file's second half is parsed in a forked worker."""
 
     @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(_price_text(), st.integers(1, 64))
-    def test_reads_as_the_oracle(self, cpus, text_mode_bytes, chunk_chars):
+    def test_reads_as_the_oracle(self, cpus, tmp_path, text_mode_bytes, chunk_chars):
         text, mode, as_bytes = text_mode_bytes
         if as_bytes:
-            # bytes are read as a path's are: every line break becomes "\n",
-            # and each byte that is not UTF-8 a lone surrogate
-            source = _utf8_text(io.BytesIO(text.encode("utf-8", "surrogateescape")))
+            # a file: every line break becomes "\n", and each byte that is not
+            # UTF-8 a lone surrogate
+            source = tmp_path / "p.csv"
+            source.write_bytes(text.encode("utf-8", "surrogateescape"))
             text = text.replace("\r\n", "\n").replace("\r", "\n")
         else:
             source = io.StringIO(text)
@@ -413,86 +420,141 @@ def assert_reaped(pids):
             os.waitpid(pid, os.WNOHANG)
 
 
-# rows of about 14 characters: four reader chunks of 2**19 characters and more
-_ROWS = [f"{i},{100 + i % 7}.25" for i in range(170_000)]
+_ROWS = [f"{i},{100 + i % 7}.25" for i in range(2000)]
+_ENDS = np.cumsum([len(row) + 1 for row in _ROWS])
+# the last data row of _ROWS parsed in this process: the one holding the
+# file's middle byte; the worker's first row is the next
+_LAST_ROW_HERE = int(np.searchsorted(_ENDS, _ENDS[-1] // 2, side="right")) + 1
 
 
-def _row_in_chunk(chunk: int) -> int:
-    """The data row, from 1, that starts halfway through reader chunk `chunk`."""
-    ends = np.cumsum([len(row) + 1 for row in _ROWS])
-    return int(np.searchsorted(ends, (chunk + 0.5) * _CHUNK_CHARS)) + 1
+def _row_at(fraction: float) -> int:
+    """The data row of _ROWS, from 1, that holds `fraction` of its text."""
+    return int(np.searchsorted(_ENDS, fraction * _ENDS[-1], side="right")) + 1
+
+
+def _rows_file(tmp_path, rows):
+    """A price file of `rows` under the header, each line ended by "\n"."""
+    f = tmp_path / "p.csv"
+    f.write_bytes("".join(f"{row}\n" for row in ["timestamp,close"] + rows)
+                  .encode("utf-8", "surrogateescape"))
+    return f
 
 
 @pytest.mark.parametrize("cpus", [2], indirect=True)
 class TestWorker:
-    """Every other chunk or block goes to one forked worker: its errors are
-    raised at their place, and it never outlives the call."""
+    """With a second CPU, the second part of a file is parsed, or the second
+    half of the blocks formatted, in one forked worker: its result and
+    errors come back, the earlier bad row is named, and it never outlives
+    the call."""
 
-    def test_results_come_in_order_and_errors_at_their_place(self, cpus, forks):
-        assert list(_ordered_map(lambda x: x * x, range(7))) == [x * x for x in range(7)]
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        """Each part of _ROWS' 24 kB is many reader chunks."""
+        monkeypatch.setattr(series, "_CHUNK_CHARS", 1000)
 
-        def fails_at_three(x):
-            if x == 3:
-                raise ValueError(f"task {x}")
-            return x
+    def test_both_results_and_the_workers_error_after_this_half(self, cpus, forks):
+        assert _in_two(lambda: os.getpid(), lambda: os.getpid(), fork=True)[1] == forks[0]
+        done = []
 
-        results = _ordered_map(fails_at_three, range(7))
-        assert [next(results) for _ in range(3)] == [0, 1, 2]
-        with pytest.raises(ValueError, match="^task 3$"):
-            next(results)
+        def fails():
+            raise ValueError("in the worker")
+
+        with pytest.raises(ValueError, match="^in the worker$"):
+            _in_two(lambda: done.append(1), fails, fork=True)
+        assert done == [1]
         assert len(forks) == 2
         assert_reaped(forks)
 
-    def test_a_worker_that_dies_is_an_error(self, cpus, forks):
-        def dies_at_one(x):
-            if x == 1:
-                os._exit(1)
-            return x
+    def test_an_error_here_ends_the_worker(self, cpus, forks):
+        def fails():
+            raise OSError("here")
 
-        results = _ordered_map(dies_at_one, range(4))
-        assert next(results) == 0
-        with pytest.raises(ChildProcessError, match="ended without a result"):
-            next(results)
+        start = time.monotonic()
+        with pytest.raises(OSError, match="^here$"):
+            _in_two(fails, lambda: time.sleep(60), fork=True)
+        assert time.monotonic() - start < 30  # ended, not waited for
         assert_reaped(forks)
 
-    def test_no_worker_for_one_task_or_one_cpu(self, cpus, forks, monkeypatch):
-        assert list(_ordered_map(str, [5])) == ["5"]
+    def test_a_worker_that_dies_is_an_error(self, cpus, forks):
+        with pytest.raises(ChildProcessError, match="ended without a result"):
+            _in_two(lambda: 0, lambda: os._exit(1), fork=True)
+        assert_reaped(forks)
+
+    def test_no_worker_for_one_cpu_one_chunk_or_another_thread(self, cpus, forks, tmp_path,
+                                                              monkeypatch):
+        assert _may_fork()
+        assert load_prices(_rows_file(tmp_path, ["1,2", "2,3"])).prices.tolist() == [2, 3]
+        write_prices(PriceSeries([1, 2], [2.0, 3.0]), io.StringIO())
+        ready, done = threading.Event(), threading.Event()
+        thread = threading.Thread(target=lambda: (ready.set(), done.wait()))
+        thread.start()
+        assert ready.wait(30)
+        try:
+            assert not _may_fork()
+        finally:
+            done.set()
+            thread.join(30)
+        assert not thread.is_alive()
+        with monkeypatch.context() as patch:
+            # Python 3.12 and later warn when a process with threads forks
+            patch.setattr(sys, "version_info", (3, 12, 0))
+            assert not _may_fork()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert list(_ordered_map(str, range(4))) == ["0", "1", "2", "3"]
+        assert not _may_fork()
         monkeypatch.delattr(os, "sched_getaffinity")  # as on macOS and Windows
-        assert list(_ordered_map(str, range(4))) == ["0", "1", "2", "3"]
+        assert not _may_fork()
         assert forks == []
 
     @pytest.mark.parametrize("value, message", [
         ("oops", "unparseable price"), ("0", "non-positive price"),
         ("nan", "non-finite price"), ("\udcff", "invalid UTF-8")])
-    @pytest.mark.parametrize("chunk", [1, 3])
-    def test_bad_row_in_a_worker_chunk_is_named(self, cpus, forks, tmp_path, value, message,
-                                                chunk):
-        row = _row_in_chunk(chunk)
+    @pytest.mark.parametrize("row", [_row_at(0.25), _LAST_ROW_HERE, _LAST_ROW_HERE + 1,
+                                     _row_at(0.75), len(_ROWS)])
+    def test_bad_row_in_either_part_is_named(self, cpus, forks, tmp_path, value, message, row):
         rows = list(_ROWS)
         rows[row - 1] = f"{row - 1},{value}"
-        f = tmp_path / "p.csv"
-        f.write_bytes("\n".join(["timestamp,close"] + rows).encode("utf-8", "surrogateescape"))
         with pytest.raises(ValueError, match=f"^{message} at row {row}$"):
-            load_prices(f)
+            load_prices(_rows_file(tmp_path, rows))
         assert len(forks) == 1
         assert_reaped(forks)
 
-    @pytest.mark.parametrize("chunks", [(0, 1), (1, 2), (2, 3)])
-    def test_of_two_bad_chunks_the_earlier_row_is_named(self, cpus, forks, chunks):
-        first, second = map(_row_in_chunk, chunks)
+    def test_each_part_is_read_once(self, cpus, forks, tmp_path):
+        p = load_prices(_rows_file(tmp_path, _ROWS))
+        assert p.timestamps.tolist() == [str(i).encode() for i in range(len(_ROWS))]
+        assert p.prices.tolist() == [100 + i % 7 + 0.25 for i in range(len(_ROWS))]
+        assert len(forks) == 1
+        assert_reaped(forks)
+
+    @pytest.mark.parametrize("fractions", [(0.1, 0.3), (0.3, 0.7), (0.6, 0.9)])
+    def test_of_two_bad_rows_the_earlier_is_named(self, cpus, forks, tmp_path, fractions):
+        first, second = map(_row_at, fractions)
         rows = list(_ROWS)
         rows[first - 1] = f"{first - 1},-3"
         rows[second - 1] = "x,y"
         with pytest.raises(ValueError, match=f"^non-positive price at row {first}$"):
-            load_prices(io.StringIO("\n".join(["timestamp,close"] + rows)))
+            load_prices(_rows_file(tmp_path, rows))
+        assert len(forks) == 1
         assert_reaped(forks)
 
-    def test_a_stream_that_fails_halfway_leaves_no_worker(self, cpus, forks):
+    def test_no_worker_for_a_stream_or_a_pipe(self, cpus, forks, tmp_path):
+        text = _rows_file(tmp_path, _ROWS).read_text()
+        assert len(load_prices(io.StringIO(text))) == len(_ROWS)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        writer = subprocess.Popen(["sh", "-c", f'cat "{tmp_path / "p.csv"}" > "{fifo}"'])
+        try:
+            assert len(load_prices(fifo)) == len(_ROWS)
+        finally:
+            writer.kill()  # if the fifo was never opened to be read
+            writer.wait(30)
+        assert forks == []
+
+    # the stream fails in this process's half, or at the worker's first block
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_a_stream_that_fails_leaves_no_worker(self, cpus, forks, blocks):
         class Failing(io.StringIO):
-            """Takes the header and two blocks, then fails as a full disk does."""
-            writes = 3
+            """Takes the header and some blocks, then fails as a full disk does."""
+            writes = 1 + blocks
 
             def write(self, text):
                 if self.writes == 0:
@@ -506,7 +568,7 @@ class TestWorker:
             write_prices(p, stream)
         assert len(forks) == 1
         assert_reaped(forks)
-        assert stream.getvalue().count("\n") == 1 + 2 * _BLOCK_ROWS
+        assert stream.getvalue().count("\n") == 1 + blocks * _BLOCK_ROWS
         assert written(p).startswith(stream.getvalue())
 
 
@@ -591,10 +653,15 @@ class TestLabels:
             with pytest.raises(ValueError, match=f"^non-monotone timestamps at row {i + 2}$"):
                 load_prices(io.StringIO(bad))
 
-    def test_ascii_and_non_ascii_blocks_join(self):
-        # the first block reads its labels as bytes, the second as str
-        labels = [f"a{i:05d}" for i in range(_BLOCK_ROWS)] + ["é1", "é2", "日本"]
-        text = "timestamp,close\n" + "".join(f"{t},{i + 1}.5\n" for i, t in enumerate(labels))
+    def test_ascii_and_non_ascii_blocks_join(self, monkeypatch):
+        # the first chunk reads its labels as bytes, the second as str
+        labels = [f"a{i:05d}" for i in range(100)] + ["é1", "é2", "日本"]
+        rows = [f"{t},{i + 1}.5\n" for i, t in enumerate(labels)]
+        ascii_rows, other_rows = "".join(rows[:100]), "".join(rows[100:])
+        monkeypatch.setattr(series, "_CHUNK_CHARS", len(ascii_rows))
+        assert list(series._chunks(io.StringIO(ascii_rows + other_rows))) == [ascii_rows,
+                                                                              other_rows]
+        text = "timestamp,close\n" + ascii_rows + other_rows
         p = load_prices(io.StringIO(text))
         np.testing.assert_array_equal(p.timestamps, [t.encode() for t in labels])
         assert written(p) == text
