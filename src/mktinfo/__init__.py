@@ -19,7 +19,6 @@ from .information import (
     profile_from_prices,
     profile_to_csv,
     profile_to_json,
-    shannon_entropy,
     significance_bound,
 )
 from .scaling import LogLogCurve, estimate_hurst, fit_loglog, structure_function
@@ -27,9 +26,7 @@ from .series import (
     IndicatorSeries,
     PriceSeries,
     ReturnSeries,
-    WordDistribution,
     compute_returns,
-    extract_words,
     load_prices,
     to_indicators,
 )

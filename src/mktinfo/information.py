@@ -17,10 +17,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .series import MAX_L, IndicatorSeries, PriceSeries, WordDistribution, _count, _csv_table, \
-    _freeze, _json_text, _marginal_counts, _real, _sign_indicators, _word_windows
+from .series import IndicatorSeries, PriceSeries, _count, _csv_table, _freeze, _json_text, \
+    _marginal_counts, _real, _sign_indicators
 
 LN2 = math.log(2.0)
+
+# Deepest supported lag count, so the longest word has MAX_L + 1 letters: its
+# code fits in the uint32 that series._word_codes builds, and the significance
+# bound's Gamma shape 2**(MAX_L - 1) still takes only tens of milliseconds.
+MAX_L = 30
 
 
 def _entropy_bits(counts: np.ndarray, total: int) -> float:
@@ -31,15 +36,20 @@ def _entropy_bits(counts: np.ndarray, total: int) -> float:
     return 0.0 - float((p * np.log2(p)).sum())
 
 
-def shannon_entropy(dist: WordDistribution) -> float:
-    """Shannon entropy of a word distribution, in bits."""
-    counts = np.array([c for c in dist.counts.values() if c > 0], dtype=np.int64)
-    return _entropy_bits(counts, dist.total)
+def _word_windows(j: IndicatorSeries, word_length) -> int:
+    """word_length as an int, checked: at most MAX_L + 1 letters, with room
+    in the series for at least one length-L word at horizon j.m."""
+    word_length = _count(word_length, "word length must be a positive integer")
+    if word_length > MAX_L + 1:
+        raise ValueError(f"word length {word_length} exceeds the limit of {MAX_L + 1}")
+    if len(j.bits) - (word_length - 1) * j.m < 1:
+        raise ValueError(f"series too short for (L={word_length}, m={j.m})")
+    return word_length
 
 
 def empirical_entropy(j: IndicatorSeries, word_length: int) -> float:
     """Plug-in entropy of length-L words over the maximal window range."""
-    word_length, _ = _word_windows(j, word_length)
+    word_length = _word_windows(j, word_length)
     # the deepest order comes first, and the generator counts no lower one
     _, n_windows, counts, _ = next(_marginal_counts(j.bits, j.m, word_length))
     return _entropy_bits(counts, n_windows)
@@ -55,7 +65,7 @@ def market_information(j: IndicatorSeries, lags: int) -> float:
     marginals of the full counts.
     """
     lags = _count(lags, "lags must be a positive integer")
-    order, _ = _word_windows(j, lags + 1)
+    order = _word_windows(j, lags + 1)
     _, n_windows, counts, prefix = next(_marginal_counts(j.bits, j.m, order))
     return 1.0 + _entropy_bits(prefix, n_windows) - _entropy_bits(counts, n_windows)
 

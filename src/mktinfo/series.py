@@ -28,11 +28,6 @@ PRICE_MODES = ("close", "midrange")
 
 _TIMESTAMP_COLUMNS = ("timestamp", "date", "time", "datetime")
 
-# Deepest supported lag count, so the longest word has MAX_L + 1 letters: its
-# code fits in int64 with room to spare, and the significance bound's Gamma
-# shape 2**(MAX_L - 1) still takes only tens of milliseconds.
-MAX_L = 30
-
 
 def _count(value, message: str, minimum: int = 1) -> int:
     """`value` as an int when it is a Python or numpy integer of at least
@@ -221,29 +216,6 @@ class IndicatorSeries:
 
     def __len__(self) -> int:
         return len(self.bits)
-
-
-@dataclass(frozen=True)
-class WordDistribution:
-    """Counts of length-L binary words (keys are '0'/'1' strings, earliest first)."""
-
-    word_length: int
-    stride: int
-    counts: dict
-    total: int
-
-    def __post_init__(self):
-        for name in ("word_length", "stride"):
-            value = _count(getattr(self, name), "word length and stride must be positive")
-            object.__setattr__(self, name, value)
-        total = _count(self.total, "no observations: total must be a positive integer")
-        object.__setattr__(self, "total", total)
-        for word, c in self.counts.items():
-            if len(word) != self.word_length or set(word) - {"0", "1"}:
-                raise ValueError(f"malformed word key {word!r}")
-            _count(c, "counts must be non-negative integers", minimum=0)
-        if sum(self.counts.values()) != self.total:
-            raise ValueError("counts do not sum to total")
 
 
 # Rows are written this many at a time, and labels encoded: no step holds
@@ -648,43 +620,6 @@ def _sign_indicators(p: PriceSeries, m: int) -> IndicatorSeries:
     m = _horizon(p, m)
     bits = np.greater(p.prices[m:], p.prices[:-m]).view(np.uint8)
     return IndicatorSeries(m, _freeze(bits))
-
-
-def _word_windows(j: IndicatorSeries, word_length, n_windows=None) -> tuple[int, int]:
-    """(word_length, n_windows) as ints, checked against the series: the
-    length-L words at horizon j.m over the first n_windows starts, the
-    maximal number of starts when n_windows is None."""
-    word_length = _count(word_length, "word length must be a positive integer")
-    if word_length > MAX_L + 1:
-        raise ValueError(f"word length {word_length} exceeds the limit of {MAX_L + 1}")
-    max_windows = len(j.bits) - (word_length - 1) * j.m
-    if n_windows is None:
-        n_windows = max_windows
-    else:
-        n_windows = _count(n_windows, "number of windows must be an integer")
-    if not 1 <= n_windows <= max_windows:
-        raise ValueError(f"series too short for (L={word_length}, m={j.m})")
-    return word_length, n_windows
-
-
-def extract_words(j: IndicatorSeries, word_length: int, n_windows: int | None = None) -> WordDistribution:
-    """Distribution of length-L words with entries spaced j.m apart.
-
-    Windows overlap: start indices step by 1.  The maximal number of windows
-    is len(j) - (L-1)*j.m; pass n_windows to restrict to the first n_windows
-    start indices (used to align word distributions of different lengths on a
-    common index range).
-    """
-    word_length, n_windows = _word_windows(j, word_length, n_windows)
-    words, counts = _count_codes(_word_codes(j.bits, word_length, j.m, n_windows), word_length)
-    if words is None:
-        words = np.flatnonzero(counts)
-        counts = counts[words]
-    mapping = {
-        format(code, f"0{word_length}b"): c
-        for code, c in zip(words.tolist(), counts.tolist())
-    }
-    return WordDistribution(word_length, j.m, mapping, n_windows)
 
 
 def _word_codes(bits: np.ndarray, order: int, m: int, n_windows: int) -> np.ndarray:

@@ -22,17 +22,9 @@ from mktinfo.information import (
     profile_from_prices,
     profile_to_csv,
     profile_to_json,
-    shannon_entropy,
     significance_bound,
 )
-from mktinfo.series import (
-    IndicatorSeries,
-    PriceSeries,
-    WordDistribution,
-    compute_returns,
-    extract_words,
-    to_indicators,
-)
+from mktinfo.series import IndicatorSeries, PriceSeries, compute_returns, to_indicators
 from mktinfo.simulate import simulate_fbm, to_price_series
 from mktinfo.theory import FbmParams
 
@@ -78,24 +70,19 @@ def reference_information(bits, lags):
 
 class TestEntropy:
     def test_uniform_pair(self):
-        d = WordDistribution(1, 1, {"0": 5, "1": 5}, 10)
-        assert shannon_entropy(d) == pytest.approx(1.0, abs=1e-15)
+        assert empirical_entropy(bits_series([0, 1] * 5), 1) == pytest.approx(1.0, abs=1e-15)
 
     def test_degenerate(self):
-        d = WordDistribution(2, 1, {"01": 7}, 7)
-        assert shannon_entropy(d) == 0.0
+        # seven windows (b_i, b_{i+7}), each the word 01
+        assert empirical_entropy(bits_series([0] * 7 + [1] * 7, m=7), 2) == 0.0
 
     def test_hand_value(self):
-        d = WordDistribution(1, 1, {"0": 3, "1": 1}, 4)
         want = -(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25))
-        assert shannon_entropy(d) == pytest.approx(want, rel=1e-15)
+        assert empirical_entropy(bits_series([0, 1, 0, 0]), 1) == pytest.approx(want, rel=1e-15)
 
-    def test_empirical_matches_extract(self):
-        rng = np.random.default_rng(5)
-        j = bits_series(rng.integers(0, 2, size=200))
-        for L in (1, 2, 3, 5):
-            assert empirical_entropy(j, L) == pytest.approx(
-                shannon_entropy(extract_words(j, L)), rel=1e-14)
+    def test_too_short(self):
+        with pytest.raises(ValueError, match=r"series too short for \(L=2, m=3\)"):
+            empirical_entropy(bits_series([1, 0, 1], m=3), 2)
 
     def test_bounded_by_word_length(self):
         rng = np.random.default_rng(6)
@@ -175,16 +162,11 @@ class TestMarketInformation:
 
 
 @pytest.mark.parametrize("estimate, message", [
-    (lambda j: extract_words(j, 2.0), "word length must be a positive integer"),
-    (lambda j: extract_words(j, True), "word length must be a positive integer"),
-    (lambda j: extract_words(j, 3, n_windows=2.5), "number of windows must be an integer"),
-    (lambda j: extract_words(j, 3, n_windows=True), "number of windows must be an integer"),
     (lambda j: empirical_entropy(j, np.float64(3)), "word length must be a positive integer"),
     (lambda j: empirical_entropy(j, True), "word length must be a positive integer"),
     (lambda j: market_information(j, 1.5), "lags must be a positive integer"),
     (lambda j: market_information(j, True), "lags must be a positive integer"),
-], ids=["extract-float", "extract-bool", "windows-float", "windows-bool",
-        "entropy-float", "entropy-bool", "information-float", "information-bool"])
+], ids=["entropy-float", "entropy-bool", "information-float", "information-bool"])
 def test_non_integer_word_lengths_rejected(estimate, message):
     j = bits_series(np.random.default_rng(4).integers(0, 2, size=16))
     with pytest.raises(ValueError, match=message):
@@ -250,6 +232,17 @@ class TestGammaQuantile:
             for p in (0.05, 0.5, 0.9, 0.95, 0.99, 0.999):
                 assert gamma_quantile(2 ** (L - 1), 1.0, p) == pytest.approx(
                     bisection_quantile(2 ** (L - 1), p), rel=1e-10), (L, p)
+
+    def test_log_poisson_pmf_against_mpmath(self):
+        # Stirling's series from j = 30 on: 1/(361 j**3) in place of its
+        # 1/(360 j**3) term moves the value by 2.9e-10 at j = 30, while the
+        # term it omits, -1/(1680 j**7), is 2.7e-14 there
+        with mpmath.workdps(50):
+            for j in (30, 31, 40, 64, 100, 1000, 2 ** 14, 2 ** 20, 2 ** 29):
+                for y in (j / 2, 0.9 * j, j - 1.0, float(j), j + 0.5, 1.1 * j, 2.0 * j):
+                    want = float(-mpmath.mpf(y) + j * mpmath.log(y) - mpmath.loggamma(j + 1))
+                    got = information._log_poisson_pmf(j, y)
+                    assert abs(got - want) <= 5e-14 + 2e-15 * abs(want), (j, y)
 
     def test_deepest_shape_is_fast(self):
         start = time.perf_counter()

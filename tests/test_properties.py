@@ -22,8 +22,8 @@ from mktinfo.information import (
     significance_bound,
 )
 from mktinfo.scaling import LogLogCurve, estimate_hurst, fit_loglog, structure_function
-from mktinfo.series import IndicatorSeries, PriceSeries, ReturnSeries, WordDistribution, \
-    compute_returns, extract_words, load_prices, write_prices, _timestamp_keys
+from mktinfo.series import IndicatorSeries, PriceSeries, ReturnSeries, compute_returns, \
+    load_prices, write_prices, _timestamp_keys
 from mktinfo.simulate import SimulatedPath, simulate_delampertized, simulate_fbm, \
     simulate_pseudo_periodic, to_price_series
 from mktinfo.simulate import PseudoPeriodicParams
@@ -253,18 +253,6 @@ COUNT_ARGUMENTS = {
     "IndicatorSeries-m": (lambda m: IndicatorSeries(m, _BITS),
                           "indicator horizon m must be a positive integer", _bad(1),
                           (np.int64(2), 2)),
-    "WordDistribution-word_length": (lambda L: WordDistribution(L, 1, {"01": 1}, 1),
-                                     "word length and stride must be positive", _bad(1),
-                                     (np.int64(2), 2)),
-    "WordDistribution-stride": (lambda s: WordDistribution(2, s, {"01": 1}, 1),
-                                "word length and stride must be positive", _bad(1),
-                                (np.int64(2), 2)),
-    "extract_words-word_length": (lambda L: extract_words(IndicatorSeries(1, _BITS), L),
-                                  "word length must be a positive integer", _bad(1),
-                                  (np.int64(2), 2)),
-    "extract_words-n_windows": (lambda n: extract_words(IndicatorSeries(1, _BITS), 2, n),
-                                "number of windows must be an integer", _bad(1),
-                                (np.int64(2), 2)),
     "empirical_entropy-word_length": (lambda L: empirical_entropy(IndicatorSeries(1, _BITS), L),
                                       "word length must be a positive integer", _bad(1),
                                       (np.int64(2), 2)),

@@ -16,14 +16,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import mktinfo.series as series
+from mktinfo.information import MAX_L
 from mktinfo.series import (
-    MAX_L,
     IndicatorSeries,
     PriceSeries,
     ReturnSeries,
-    WordDistribution,
     compute_returns,
-    extract_words,
     load_prices,
     to_indicators,
     write_prices,
@@ -877,141 +875,118 @@ class TestReturnsAndIndicators:
         assert np.shares_memory(IndicatorSeries(1, given).bits, given)
 
 
-class TestExtractWords:
-    def test_stride_one(self):
-        j = IndicatorSeries(1, np.array([1, 0, 1, 1], dtype=np.uint8))
-        d = extract_words(j, 2)
-        assert d.counts == {"10": 1, "01": 1, "11": 1}
-        assert d.total == 3
-        assert d.word_length == 2 and d.stride == 1
-
-    def test_stride_two(self):
-        j = IndicatorSeries(2, np.array([1, 0, 1, 1], dtype=np.uint8))
-        d = extract_words(j, 2)
-        # windows are (bits[0], bits[2]) and (bits[1], bits[3])
-        assert d.counts == {"11": 1, "01": 1}
-
-    def test_restricted_windows(self):
-        j = IndicatorSeries(1, np.array([1, 0, 1, 1], dtype=np.uint8))
-        d = extract_words(j, 2, n_windows=2)
-        assert d.total == 2
-        assert d.counts == {"10": 1, "01": 1}
-
-    def test_earliest_bit_is_leftmost(self):
-        j = IndicatorSeries(1, np.array([1, 0, 0], dtype=np.uint8))
-        d = extract_words(j, 3)
-        assert d.counts == {"100": 1}
-
-    def test_too_short(self):
-        j = IndicatorSeries(3, np.array([1, 0, 1], dtype=np.uint8))
-        with pytest.raises(ValueError, match=r"series too short for \(L=2, m=3\)"):
-            extract_words(j, 2)
-
-    def test_word_length_validation(self):
-        j = IndicatorSeries(1, np.array([1, 0], dtype=np.uint8))
-        with pytest.raises(ValueError, match="word length"):
-            extract_words(j, 0)
-
-    def test_deep_words_count_only_those_that_occur(self):
-        bits = np.random.default_rng(11).integers(0, 2, size=200, dtype=np.uint8)
-        L = MAX_L + 1  # 2**31 possible words, 170 windows
-        d = extract_words(IndicatorSeries(1, bits), L)
-        assert d.counts == reference_words(bits, L, 1, 200 - L + 1)
-        assert d.total == 200 - L + 1
-
-    @pytest.mark.parametrize("L", [MAX_L + 2, 70])
-    def test_words_beyond_the_limit_rejected(self, L):
-        j = IndicatorSeries(1, np.zeros(200, dtype=np.uint8))
-        with pytest.raises(ValueError, match=f"word length {L} exceeds the limit of {MAX_L + 1}"):
-            extract_words(j, L)
-
-
 def reference_words(bits, L, m, n_windows):
     """Word counts by reading each window's letters one by one."""
     return dict(Counter("".join(str(bits[i + k * m]) for k in range(L))
                         for i in range(n_windows)))
 
 
+def marginals(bits, m, top):
+    """series._marginal_counts as lists: (order, n_windows, counts, prefix)
+    per order, deepest first.  A dense count is indexed by code; a sparse one
+    holds the counts of the words that occur, in code order."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    return [(order, n_windows, counts.tolist(), prefix.tolist())
+            for order, n_windows, counts, prefix in series._marginal_counts(bits, m, top)]
+
+
+def check_counts(counts, want, order):
+    """`counts`, dense or sparse, are the word counts `want` in code order."""
+    assert [c for c in counts if c] == [want[word] for word in sorted(want)]
+    if order and len(counts) == 1 << order:  # dense, or every word occurs
+        assert counts == [want.get(format(code, f"0{order}b"), 0) for code in range(1 << order)]
+
+
+def check_against_reference(bits, m, top):
+    """Every order _marginal_counts yields against brute force: the counts
+    over every start that holds a word, and the prefix counts over the same
+    starts."""
+    got = marginals(bits, m, top)
+    deepest = min(top, (len(bits) - 1) // m + 1)
+    assert [order for order, *_ in got] == list(range(deepest, 0, -1))
+    for order, n_windows, counts, prefix in got:
+        assert n_windows == len(bits) - (order - 1) * m
+        want = reference_words(bits, order, m, n_windows)
+        check_counts(counts, want, order)
+        prefixes = Counter()
+        for word, c in want.items():
+            prefixes[word[:-1]] += c
+        check_counts(prefix, prefixes, order - 1)
+
+
+class TestExtractWords:
+    """Word counts at each order, deepest first.  A dense count is indexed
+    by code, so it shows which word each count is."""
+
+    def test_stride_one(self):
+        # windows 10, 01, 11, 10 -> codes 2, 1, 3, 2; then the letters 1, 0, 1, 1, 0
+        assert marginals([1, 0, 1, 1, 0], 1, 2) == [(2, 4, [0, 1, 2, 1], [1, 3]),
+                                                   (1, 5, [2, 3], [5])]
+
+    def test_stride_two(self):
+        # windows (b0, b2), (b1, b3), (b2, b4), (b3, b5) = 11, 01, 10, 11
+        assert marginals([1, 0, 1, 1, 0, 1], 2, 2) == [(2, 4, [0, 1, 1, 2], [1, 3]),
+                                                      (1, 6, [2, 4], [6])]
+
+    def test_restricted_windows(self):
+        # the prefixes count the 3 starts that hold a 2-letter word, not all 4
+        (_, _, _, prefix), (_, _, counts, _) = marginals([1, 0, 1, 1], 1, 2)
+        assert prefix == [1, 2]
+        assert counts == [1, 3]
+
+    def test_earliest_bit_is_leftmost(self):
+        # the first window reads 100: code 4, not 1
+        assert marginals([1] + [0] * 9, 1, 3)[0] == (3, 8, [7, 0, 0, 0, 1, 0, 0, 0], [7, 0, 1, 0])
+
+    def test_deep_words_count_only_those_that_occur(self):
+        bits = np.random.default_rng(11).integers(0, 2, size=200, dtype=np.uint8)
+        top = MAX_L + 1  # 2**31 possible words, 170 windows
+        order, n_windows, counts, _ = marginals(bits, 1, top)[0]
+        assert (order, n_windows) == (top, 170) and len(counts) <= 170
+        check_against_reference(bits, 1, top)
+
+
 class TestWordCountArray:
-    """Word counts in code order, and the counts of their prefixes over the
-    same starts, as extract_words gives them."""
+    """Sparse counts hold the words that occur, in code order; each order's
+    prefix counts are over that order's starts."""
 
     def test_hand_case(self):
-        # windows at stride 1: 10, 01, 11 -> codes 2, 1, 3
-        j = IndicatorSeries(1, np.array([1, 0, 1, 1], dtype=np.uint8))
-        d = extract_words(j, 2)
-        assert list(d.counts.items()) == [("01", 1), ("10", 1), ("11", 1)]
-        assert d.total == 3
-        # prefixes 0 and 1, over the same 3 starts
-        assert list(extract_words(j, 1, n_windows=3).counts.items()) == [("0", 1), ("1", 2)]
+        # windows 101, 010, 101, 011 -> sparse counts of codes 2, 3, 5; then
+        # 2**2 <= 5 windows of 2 letters -> dense
+        assert marginals([1, 0, 1, 0, 1, 1], 1, 3) == [(3, 4, [1, 1, 2], [2, 2]),
+                                                      (2, 5, [0, 2, 2, 1], [2, 3]),
+                                                      (1, 6, [2, 4], [6])]
 
     def test_stride_skips(self):
         # windows at stride 2: (b0, b2) = 11, (b1, b3) = 01
-        j = IndicatorSeries(2, np.array([1, 0, 1, 1], dtype=np.uint8))
-        d = extract_words(j, 2)
-        assert list(d.counts.items()) == [("01", 1), ("11", 1)]
-        assert d.total == 2
-        assert list(extract_words(j, 1, n_windows=2).counts.items()) == [("0", 1), ("1", 1)]
+        assert marginals([1, 0, 1, 1], 2, 2) == [(2, 2, [1, 1], [1, 1]), (1, 4, [1, 3], [4])]
 
     def test_window_restriction(self):
-        j = IndicatorSeries(1, np.array([1, 1, 0, 0, 1], dtype=np.uint8))
-        d = extract_words(j, 1, 3)
-        assert list(d.counts.items()) == [("0", 1), ("1", 2)]
-        assert d.total == 3
+        # the prefixes of the 3 words at stride 2 are the letters 1, 1, 0 at starts 0..2
+        (_, n_windows, _, prefix), _ = marginals([1, 1, 0, 0, 1], 2, 2)
+        assert n_windows == 3 and prefix == [1, 2]
 
-    def test_against_reference(self):
-        # dense (2**L <= windows) and sparse (more words than windows) sides
+    def test_against_reference(self, monkeypatch):
+        # dense (2**order <= windows) and sparse (more words than windows)
+        # counts, and every way _add_codes takes a count one order down
+        cases = set()
+        add_codes = series._add_codes
+
+        def recorded(words, counts, extra, order, n_windows):
+            if 1 << order <= n_windows:
+                cases.add("dense from dense" if words is None else "dense from sparse")
+            else:
+                cases.add("sparse, new words" if np.setdiff1d(extra, words).size else
+                          "sparse, no new words")
+            return add_codes(words, counts, extra, order, n_windows)
+
+        monkeypatch.setattr(series, "_add_codes", recorded)
         rng = np.random.default_rng(0)
-        for n in (13, 100, 4096):
-            bits = rng.integers(0, 2, size=n, dtype=np.uint8)
-            for L in (1, 2, 3, 7, 10, 14):
+        # constant bits too: there the m windows added at a sparse order repeat one word
+        for bits in [rng.integers(0, 2, size=n, dtype=np.uint8) for n in (13, 100, 4096)] + [
+                np.zeros(100, dtype=np.uint8)]:
+            for top in (1, 2, 3, 7, 10, 14):
                 for m in (1, 2, 3):
-                    n_win = n - (L - 1) * m
-                    if n_win < 1:
-                        continue
-                    j = IndicatorSeries(m, bits)
-                    for restrict in (None, (n_win + 1) // 2):
-                        d = extract_words(j, L, restrict)
-                        want_win = n_win if restrict is None else restrict
-                        want = reference_words(bits, L, m, want_win)
-                        assert d.total == want_win == sum(d.counts.values())
-                        assert d.counts == want
-                        assert list(d.counts) == sorted(want)
-                        if L == 1:
-                            continue  # the one empty prefix counts d.total
-                        prefixes = Counter()
-                        for word, c in want.items():
-                            prefixes[word[:-1]] += c
-                        prefix = extract_words(j, L - 1, n_windows=want_win).counts
-                        assert list(prefix.items()) == sorted(prefixes.items())
-
-
-class TestWordDistribution:
-    def test_count_sum_checked(self):
-        with pytest.raises(ValueError, match="do not sum"):
-            WordDistribution(1, 1, {"0": 1, "1": 1}, 3)
-
-    def test_malformed_key(self):
-        with pytest.raises(ValueError, match="malformed word key"):
-            WordDistribution(2, 1, {"0x": 2}, 2)
-
-    def test_no_observations(self):
-        with pytest.raises(ValueError, match="no observations"):
-            WordDistribution(1, 1, {}, 0)
-
-    @pytest.mark.parametrize("counts", [{"0": 1.5, "1": 1.5}, {"0": 2.0, "1": 1},
-                                        {"0": True, "1": 2}, {"0": -1, "1": 4}])
-    def test_counts_are_non_negative_integers(self, counts):
-        # 1.5 + 1.5 gave an entropy of 1.0566 bits, above a 1-letter word's 1-bit ceiling
-        with pytest.raises(ValueError, match="^counts must be non-negative integers$"):
-            WordDistribution(1, 1, counts, 3)
-
-    @pytest.mark.parametrize("total", [2.0, True, np.float64(2)],
-                             ids=["float", "bool", "numpy-float"])
-    def test_total_is_a_positive_integer(self, total):
-        with pytest.raises(ValueError, match="no observations"):
-            WordDistribution(1, 1, {"0": 1, "1": 1}, total)
-
-    def test_numpy_integer_counts(self):
-        d = WordDistribution(1, 1, {"0": np.int64(1), "1": 0}, np.int64(1))
-        assert d.total == 1 and type(d.total) is int
+                    check_against_reference(bits, m, top)
+        assert cases == {"dense from dense", "dense from sparse", "sparse, new words",
+                         "sparse, no new words"}
