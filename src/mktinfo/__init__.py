@@ -25,7 +25,6 @@ from .scaling import LogLogCurve, estimate_hurst, fit_loglog, structure_function
 from .series import (
     IndicatorSeries,
     PriceSeries,
-    ReturnSeries,
     compute_returns,
     load_prices,
     to_indicators,

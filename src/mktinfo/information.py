@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .series import IndicatorSeries, PriceSeries, _count, _csv_table, _freeze, _json_text, \
-    _marginal_counts, _real, _sign_indicators
+    _marginal_counts, _real, to_indicators
 
 LN2 = math.log(2.0)
 
@@ -105,14 +105,6 @@ def _log_poisson_sum(lo: int, hi: int | None, y: float) -> float:
     return _log_poisson_pmf(top, y) + math.log(float(np.exp(rel).sum()))
 
 
-def _normal_quantile(p: float) -> float:
-    """Standard normal quantile to about 4.5e-4 (Abramowitz & Stegun 26.2.23)."""
-    t = math.sqrt(-2.0 * math.log(min(p, 1.0 - p)))
-    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
-        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308)))
-    return z if p > 0.5 else -z
-
-
 # a profile asks for the same few (shape, p) pairs on every call
 @lru_cache(maxsize=64)
 def _unit_gamma_quantile(shape: int, p: float) -> float:
@@ -127,9 +119,11 @@ def _unit_gamma_quantile(shape: int, p: float) -> float:
     the root monotonically from the side where the tail is too small, and a
     start on the other side crosses over in one step.
     """
+    import statistics  # here: only a bound needs it, and it adds 3 ms to every import
+
     k = float(shape)
     c = 1.0 / (9.0 * k)
-    base = 1.0 - c + _normal_quantile(p) * math.sqrt(c)
+    base = 1.0 - c + statistics.NormalDist().inv_cdf(p) * math.sqrt(c)
     if base > 0.0:
         y = k * base ** 3
     else:
@@ -309,7 +303,7 @@ def profile_from_prices(
     confidence: float = 0.95,
 ) -> tuple[EntropyProfile, InformationProfile]:
     """Build indicator series at each m from one price series, then profile them."""
-    j_family = {j.m: j for j in (_sign_indicators(prices, m) for m in m_values)}
+    j_family = {j.m: j for j in (to_indicators(prices, m) for m in m_values)}
     return information_profile(j_family, L_max, m_values, confidence)
 
 

@@ -1,8 +1,9 @@
 """Price ingestion, m-step returns, sign indicators, and binary word counts.
 
-The pipeline is price series -> m-step relative returns -> {0,1} indicator
-series -> distribution of length-L binary words whose entries are spaced m
-indicator steps apart (overlapping windows, start indices stepping by 1).
+The pipeline is price series -> {0,1} indicator series, the signs of its
+m-step relative returns -> distribution of length-L binary words whose
+entries are spaced m indicator steps apart (overlapping windows, start
+indices stepping by 1).
 """
 
 from __future__ import annotations
@@ -125,15 +126,18 @@ def _label_array(labels) -> np.ndarray:
 
 
 def _timestamp_keys(labels: np.ndarray) -> np.ndarray:
-    """Keys used to check ordering: an integer array as it is; text as float64
-    when every label is a number by Python's float() of its bytes, else the
-    UTF-8 text itself, whose byte order is code-point order."""
+    """Keys used to check ordering: an integer array as it is; text as int64
+    when every label is an integer int64 holds, by Python's int() of its
+    bytes, else as float64 when every label is a number by float(), else the
+    UTF-8 text itself, whose byte order is code-point order.  Floats that
+    strictly increase imply integers that do, so the exact int64 reading
+    only ever accepts more."""
     if labels.dtype.kind in "iu":
         return labels
-    try:
-        return labels.astype(np.float64)
-    except ValueError:
-        return labels
+    for dtype in (np.int64, np.float64):
+        with contextlib.suppress(ValueError, OverflowError):
+            return labels.astype(dtype)
+    return labels
 
 
 @dataclass(frozen=True)
@@ -165,32 +169,11 @@ class PriceSeries:
             raise ValueError(f"non-positive price at row {i + 1}")
         keys = _timestamp_keys(timestamps)
         unordered = ~(keys[:-1] < keys[1:])
-        if unordered.any() and keys.dtype == np.float64:
-            # integer labels past 2**53 that float64 ties are compared exactly
-            with contextlib.suppress(ValueError, OverflowError):
-                exact = timestamps.astype(np.int64)
-                unordered = ~(exact[:-1] < exact[1:])
         if unordered.any():
             raise ValueError(f"non-monotone timestamps at row {int(np.argmax(unordered)) + 2}")
 
     def __len__(self) -> int:
         return len(self.prices)
-
-
-@dataclass(frozen=True)
-class ReturnSeries:
-    """Relative returns over a fixed horizon of m price steps."""
-
-    m: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", _count(self.m, "return horizon m must be a positive integer"))
-        values = _real(self.values, "returns must be finite", -np.inf, np.inf)
-        object.__setattr__(self, "values", _held(np.asarray(values), self.values))
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -203,10 +186,12 @@ class IndicatorSeries:
     def __post_init__(self):
         object.__setattr__(self, "m", _count(self.m, "indicator horizon m must be a positive integer"))
         bits = np.asarray(self.bits)
+        if bits.size == 0:
+            raise ValueError("indicator series needs at least 1 value")
         if bits.dtype == np.bool_:
             bits = bits.view(np.uint8)
         if bits.dtype == np.uint8:
-            bad = bits.size and int(bits.max()) > 1
+            bad = int(bits.max()) > 1
         else:  # checked as given: a cast to uint8 would wrap 256 to 0 and cut 0.5 to 0
             bad = bits.dtype.kind not in "iuf" or not np.all((bits == 0) | (bits == 1))
         if bad or bits.ndim != 1:
@@ -596,22 +581,19 @@ def _horizon(p: PriceSeries, m: int) -> int:
     return m
 
 
-def compute_returns(p: PriceSeries, m: int) -> ReturnSeries:
-    """Relative returns over m price steps: (P[i] - P[i-m]) / P[i-m]."""
+def compute_returns(p: PriceSeries, m: int) -> np.ndarray:
+    """Relative returns over m price steps, (P[i] - P[i-m]) / P[i-m], as a
+    read-only float64 array; a return that overflows raises ValueError."""
     m = _horizon(p, m)
     base = p.prices[:-m]
-    with np.errstate(over="ignore"):  # an overflowing return is reported by ReturnSeries
+    with np.errstate(over="ignore"):  # an overflowing return is reported below
         values = (p.prices[m:] - base) / base
-    return ReturnSeries(m, _freeze(values))
+    return _freeze(_real(values, "returns must be finite", -np.inf, np.inf))
 
 
-def to_indicators(r: ReturnSeries) -> IndicatorSeries:
-    """1 where the return is strictly positive, 0 otherwise (ties count as 0)."""
-    return IndicatorSeries(r.m, _freeze((r.values > 0.0).astype(np.uint8)))
-
-
-def _sign_indicators(p: PriceSeries, m: int) -> IndicatorSeries:
-    """to_indicators(compute_returns(p, m)) by one comparison of prices.
+def to_indicators(p: PriceSeries, m: int) -> IndicatorSeries:
+    """1 where the m-step return is strictly positive, 0 otherwise (ties count
+    as 0), read by one comparison of prices.
 
     For positive finite prices a != b, b - a is never 0 (gradual underflow)
     and |b - a|/a >= 2**-53, so the return (b - a)/a is positive exactly when
@@ -707,8 +689,6 @@ def _marginal_counts(bits: np.ndarray, m: int, top: int):
     O(words) where sparse.
     """
     order = min(top, (len(bits) - 1) // m + 1)
-    if order < 1:
-        return
     n_windows = len(bits) - (order - 1) * m
     words, counts = _count_codes(_word_codes(bits, order, m, n_windows), order)
     while True:

@@ -28,7 +28,7 @@ from mktinfo.information import (
     significance_bound,
 )
 from mktinfo.scaling import estimate_hurst
-from mktinfo.series import compute_returns, to_indicators
+from mktinfo.series import to_indicators
 from mktinfo.simulate import (
     simulate_fbm,
     simulate_pseudo_periodic,
@@ -56,7 +56,7 @@ def report(capsys, number, label, ok, detail):
 
 def estimated_information(hurst, seed, n=3000, sigma=0.01, lags=1):
     path = simulate_fbm(FbmParams(hurst, sigma), n, seed=seed)
-    j = to_indicators(compute_returns(to_price_series(path), 1))
+    j = to_indicators(to_price_series(path), 1)
     return market_information(j, lags)
 
 

@@ -24,7 +24,7 @@ from mktinfo.information import (
     profile_to_json,
     significance_bound,
 )
-from mktinfo.series import IndicatorSeries, PriceSeries, compute_returns, to_indicators
+from mktinfo.series import IndicatorSeries, PriceSeries, compute_returns
 from mktinfo.simulate import simulate_fbm, to_price_series
 from mktinfo.theory import FbmParams
 
@@ -435,7 +435,7 @@ class TestInformationProfile:
         prices = to_price_series(simulate_fbm(FbmParams(0.7, 0.01), 100_000, seed=3))
         m_values = (1, 2, 3, 4, 5)
         ep, ip = profile_from_prices(prices, 15, m_values)
-        j_family = {m: to_indicators(compute_returns(prices, m)) for m in m_values}
+        j_family = {m: IndicatorSeries(m, compute_returns(prices, m) > 0.0) for m in m_values}
         want_ep, want_ip = information_profile(j_family, 15, m_values)
         assert np.array_equal(ep.n_obs, want_ep.n_obs)
         for got, want in [(ep.H, want_ep.H), (ip.I, want_ip.I), (ip.partial, want_ip.partial),

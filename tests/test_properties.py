@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mktinfo.information import (
     _entropy_bits,
@@ -22,7 +22,7 @@ from mktinfo.information import (
     significance_bound,
 )
 from mktinfo.scaling import LogLogCurve, estimate_hurst, fit_loglog, structure_function
-from mktinfo.series import IndicatorSeries, PriceSeries, ReturnSeries, compute_returns, \
+from mktinfo.series import IndicatorSeries, PriceSeries, compute_returns, \
     load_prices, write_prices, _timestamp_keys
 from mktinfo.simulate import SimulatedPath, simulate_delampertized, simulate_fbm, \
     simulate_pseudo_periodic, to_price_series
@@ -215,11 +215,22 @@ def test_write_then_load_returns_the_series(labels, data):
     assert back.prices.tobytes() == prices.tobytes()
 
 
-@given(st.lists(st.text("0123456789", min_size=1, max_size=17), min_size=1, max_size=40))
-def test_digit_label_keys_are_python_floats(labels):
-    # digit labels beyond 2**53 too must give what float() of the str gives
+_digits = st.text("0123456789", min_size=1, max_size=20)
+
+
+@given(st.lists(st.one_of(_digits, st.builds(lambda a, b: f"{a}.{b}", _digits, _digits)),
+                min_size=1, max_size=40))
+@example(["1", "9223372036854775807"])
+@example(["1", "9223372036854775808"])
+@example(["1", "2.5"])
+def test_digit_label_keys_are_ints_else_floats(labels):
+    # int() of each str while int64 holds every label, which past 2**53 float64
+    # cannot; else what float() of the str gives
     keys = _timestamp_keys(np.array([t.encode() for t in labels]))
-    assert keys.tobytes() == np.array([float(t) for t in labels]).tobytes()
+    if all(t.isdigit() and int(t) < 2 ** 63 for t in labels):
+        assert keys.dtype == np.int64 and keys.tolist() == [int(t) for t in labels]
+    else:
+        assert keys.tobytes() == np.array([float(t) for t in labels]).tobytes()
 
 
 # inputs of the count table: 40 prices, their sign series and log-prices
@@ -248,8 +259,6 @@ _FIT_RANGES = [(lo, 5) for lo in _bad(1)] + [(1, hi) for hi in _bad(1)] + [
 COUNT_ARGUMENTS = {
     "compute_returns-m": (lambda m: compute_returns(_PRICES, m),
                           "return horizon m must be a positive integer", _bad(1), (np.int64(2), 2)),
-    "ReturnSeries-m": (lambda m: ReturnSeries(m, np.ones(3)),
-                       "return horizon m must be a positive integer", _bad(1), (np.int64(2), 2)),
     "IndicatorSeries-m": (lambda m: IndicatorSeries(m, _BITS),
                           "indicator horizon m must be a positive integer", _bad(1),
                           (np.int64(2), 2)),

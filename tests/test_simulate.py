@@ -9,7 +9,7 @@ import pytest
 
 import mktinfo.simulate as sim
 from mktinfo.information import market_information
-from mktinfo.series import compute_returns, to_indicators
+from mktinfo.series import to_indicators
 from mktinfo.simulate import (
     NumericError,
     PseudoPeriodicParams,
@@ -432,9 +432,8 @@ class TestSimulateDelampertized:
         def leg(hurst, base_seed):
             p = DelampertizedParams(hurst, theta, 0.01)
             vals = np.array([
-                market_information(to_indicators(compute_returns(
-                    to_price_series(simulate_delampertized(p, 3000, seed=base_seed + i)),
-                    1)), 1)
+                market_information(to_indicators(
+                    to_price_series(simulate_delampertized(p, 3000, seed=base_seed + i)), 1), 1)
                 for i in range(n_paths)])
             return vals.mean(), vals.var(ddof=1)
 
