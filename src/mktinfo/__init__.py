@@ -10,7 +10,6 @@ Hurst estimation.
 from .information import (
     EntropyProfile,
     InformationProfile,
-    SignificanceBound,
     empirical_entropy,
     entropy_rate_slope,
     gamma_quantile,

@@ -156,17 +156,7 @@ def gamma_quantile(shape: int, scale: float, p: float) -> float:
     return scale * _unit_gamma_quantile(shape, p)
 
 
-@dataclass(frozen=True)
-class SignificanceBound:
-    """One-sided confidence bound for market information under the null."""
-
-    shape: int
-    scale: float
-    confidence: float
-    value: float
-
-
-def significance_bound(n: int, lags: int, m: int, confidence: float) -> SignificanceBound:
+def significance_bound(n: int, lags: int, m: int, confidence: float) -> float:
     """Bound below which an estimated information is consistent with zero.
 
     n is the number of prices minus one.  The null distribution of the
@@ -180,7 +170,7 @@ def significance_bound(n: int, lags: int, m: int, confidence: float) -> Signific
     dof = _count(n - m * lags, "degrees of freedom exhausted")
     shape = 2 ** (lags - 1)
     scale = 1.0 / (dof * LN2)
-    return SignificanceBound(shape, scale, confidence, scale * _unit_gamma_quantile(shape, confidence))
+    return scale * _unit_gamma_quantile(shape, confidence)
 
 
 @dataclass(frozen=True)
@@ -208,8 +198,7 @@ class InformationProfile:
     the first row is 1 - H(single indicator).  Partial information is the
     first difference of rows (base case: first row of I itself).  Bounds are
     null quantiles for orders >= 2; the order-1 cell has no integer-shape
-    null and is NaN.  partial_bounds are first differences of bounds with the
-    absent order-1 bound treated as zero.
+    null and is NaN.
     """
 
     m_values: tuple
@@ -219,7 +208,6 @@ class InformationProfile:
     I: np.ndarray
     partial: np.ndarray
     bounds: np.ndarray
-    partial_bounds: np.ndarray
 
     def cell(self, order: int, m: int) -> float:
         return float(self.I[_cell_index(self, order, m)])
@@ -271,7 +259,6 @@ def information_profile(
     n_obs = np.zeros(shape, dtype=np.int64)
     I = np.full(shape, np.nan)
     bounds = np.full(shape, np.nan)
-    partial_bounds = np.full(shape, np.nan)
 
     for col, m in enumerate(m_values):
         for order, n_windows, counts, prefix in _marginal_counts(j_family[m].bits, m, n_orders):
@@ -283,16 +270,14 @@ def information_profile(
             if order > 1:
                 # row is the lag count; a counted cell has n_windows >= 1, so
                 # its null has dof = n - m*row = n_windows + m - 1 >= 1
-                bounds[row, col] = significance_bound(n, row, m, confidence).value
+                bounds[row, col] = significance_bound(n, row, m, confidence)
 
     # first differences down the orders; a difference with an absent cell is NaN
     partial = np.diff(I, axis=0, prepend=0.0)
-    # no order-1 bound exists, so the bounds' first difference starts from zero
-    partial_bounds[1:] = np.diff(bounds[1:], axis=0, prepend=0.0)
 
     ep = EntropyProfile(m_values, L_max, _freeze(H), _freeze(n_obs))
     ip = InformationProfile(m_values, L_max, n, confidence, _freeze(I),
-                            _freeze(partial), _freeze(bounds), _freeze(partial_bounds))
+                            _freeze(partial), _freeze(bounds))
     return ep, ip
 
 

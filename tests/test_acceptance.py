@@ -169,7 +169,7 @@ def test_criterion_06_lag_recursion_partial_information_peak(capsys):
 
 
 def test_criterion_07_significance_bound_calibration(capsys):
-    bound = significance_bound(2999, 1, 1, 0.95).value
+    bound = significance_bound(2999, 1, 1, 0.95)
     exceed = sum(estimated_information(0.5, seed) > bound
                  for seed in range(10000, 10400))
     rate = exceed / 400.0

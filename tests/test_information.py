@@ -264,21 +264,19 @@ class TestSignificanceBound:
     def test_order_two_closed_form(self):
         # shape 1 reduces to an exponential quantile
         b = significance_bound(2999, 1, 1, 0.95)
-        assert b.shape == 1
-        assert b.scale == pytest.approx(1.0 / (2998 * LN2), rel=1e-14)
-        assert b.value == pytest.approx(-math.log(0.05) / (2998 * LN2), rel=1e-10)
-        assert b.value == pytest.approx(1.4417e-3, abs=5e-7)
-        assert f"{b.value:.4e}" == "1.4416e-03"  # as criterion 7 reports it
+        assert type(b) is float
+        assert b == pytest.approx(-math.log(0.05) / (2998 * LN2), rel=1e-10)
+        assert b == pytest.approx(1.4417e-3, abs=5e-7)
+        assert f"{b:.4e}" == "1.4416e-03"  # as criterion 7 reports it
 
     def test_shape_doubles_with_lags(self):
+        # the Gamma(2**(lags-1), 1/((n - m*lags) ln 2)) quantile, bit for bit
         for lags in (1, 2, 3, 4):
-            b = significance_bound(3000, lags, 1, 0.95)
-            assert b.shape == 2 ** (lags - 1)
-            assert b.scale == pytest.approx(1.0 / ((3000 - lags) * LN2), rel=1e-14)
+            want = 1 / ((3000 - lags) * LN2) * gamma_quantile(2 ** (lags - 1), 1.0, 0.95)
+            assert significance_bound(3000, lags, 1, 0.95) == want
 
     def test_bound_grows_with_m(self):
-        assert (significance_bound(500, 3, 3, 0.95).value
-                > significance_bound(500, 3, 1, 0.95).value)
+        assert significance_bound(500, 3, 3, 0.95) > significance_bound(500, 3, 1, 0.95)
 
     def test_dof_exhausted(self):
         with pytest.raises(ValueError, match="degrees of freedom exhausted"):
@@ -321,24 +319,18 @@ class TestInformationProfile:
 
     def test_partials_are_exact_first_differences(self):
         # 9 prices: the deepest orders have no windows at m = 2 and 3, so
-        # their I and bound cells, and every difference with them, are NaN
+        # their I cells, and every difference with them, are NaN
         rng = np.random.default_rng(13)
         prices = PriceSeries(tuple(range(9)), np.exp(np.cumsum(rng.normal(0, 0.01, 9))))
         _, ip = profile_from_prices(prices, L_max=6, m_values=(1, 2, 3))
-        assert np.isnan(ip.I).any() and np.isnan(ip.bounds[1:]).any()
+        assert np.isnan(ip.I).any()
         partial = np.full_like(ip.I, np.nan)
-        partial_bounds = np.full_like(ip.bounds, np.nan)
         partial[0] = ip.I[0]
-        partial_bounds[1] = ip.bounds[1]
         for row in range(1, 7):
             for col in range(3):
                 if np.isfinite(ip.I[row, col]) and np.isfinite(ip.I[row - 1, col]):
                     partial[row, col] = ip.I[row, col] - ip.I[row - 1, col]
-                if row > 1 and np.isfinite(ip.bounds[row, col]) \
-                        and np.isfinite(ip.bounds[row - 1, col]):
-                    partial_bounds[row, col] = ip.bounds[row, col] - ip.bounds[row - 1, col]
         assert np.array_equal(ip.partial, partial, equal_nan=True)
-        assert np.array_equal(ip.partial_bounds, partial_bounds, equal_nan=True)
 
     def test_nan_pattern_short_series(self):
         j = {1: bits_series(np.array([1, 0, 1, 1, 0, 1], dtype=np.uint8))}
@@ -356,11 +348,8 @@ class TestInformationProfile:
         _, ip = profile_from_prices(prices, L_max=4, m_values=(1, 2))
         assert np.all(~np.isfinite(ip.bounds[0]))
         assert np.all(np.isfinite(ip.bounds[1:]))
-        np.testing.assert_allclose(ip.partial_bounds[1], ip.bounds[1], rtol=0)
-        np.testing.assert_allclose(ip.partial_bounds[2:],
-                                   np.diff(ip.bounds[1:], axis=0), atol=1e-18)
         # bound columns reproduce the standalone function
-        want = significance_bound(ip.n, 2, 2, 0.95).value
+        want = significance_bound(ip.n, 2, 2, 0.95)
         assert ip.bounds[2, 1] == want
 
     @pytest.mark.parametrize("n_prices, L_max, m_values, confidence", [
@@ -376,7 +365,7 @@ class TestInformationProfile:
         absent[0] = True  # order 1 has no null bound
         assert np.array_equal(np.isnan(ip.bounds), absent)
         for row, col in zip(*np.nonzero(~absent)):
-            want = significance_bound(ip.n, int(row), m_values[col], confidence).value
+            want = significance_bound(ip.n, int(row), m_values[col], confidence)
             assert ip.bounds[row, col] == want, (row, col)
 
     def test_one_bound_call_per_bound_cell(self, monkeypatch):

@@ -223,6 +223,10 @@ _digits = st.text("0123456789", min_size=1, max_size=20)
 @example(["1", "9223372036854775807"])
 @example(["1", "9223372036854775808"])
 @example(["1", "2.5"])
+@example(["007", "08", "0"])
+@example(["0000000000000000007", "9223372036854775807"])
+@example(["9223372036854775808", "9999999999999999999"])
+@example([str(i) for i in range(39)] + ["38.5"])
 def test_digit_label_keys_are_ints_else_floats(labels):
     # int() of each str while int64 holds every label, which past 2**53 float64
     # cannot; else what float() of the str gives
