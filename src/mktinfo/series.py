@@ -131,53 +131,13 @@ def _timestamp_keys(labels: np.ndarray) -> np.ndarray:
     bytes, else as float64 when every label is a number by float(), else the
     UTF-8 text itself, whose byte order is code-point order.  Floats that
     strictly increase imply integers that do, so the exact int64 reading
-    only ever accepts more.
-
-    Labels of ASCII digits alone are read by _digit_keys, not int(); labels
-    with a byte int() never takes skip the int64 trial."""
+    only ever accepts more."""
     if labels.dtype.kind in "iu":
         return labels
-    casts = (np.int64, np.float64)
-    digits = _digit_keys(labels)
-    if digits is not None and digits.max(initial=0) < 1 << 63:
-        return digits.view(np.int64)
-    if digits is not None or not all(_INT_BYTES[text].all() for _, text in _byte_blocks(labels)):
-        casts = (np.float64,)
-    for dtype in casts:
+    for dtype in (np.int64, np.float64):
         with contextlib.suppress(ValueError, OverflowError):
             return labels.astype(dtype)
     return labels
-
-
-def _byte_blocks(labels: np.ndarray):
-    """The `S` labels _BLOCK_ROWS at a time, each block with its bytes as a
-    uint8 array of one row per label, padded with NULs to the dtype's width."""
-    for start in range(0, len(labels), _BLOCK_ROWS):
-        rows = np.ascontiguousarray(labels[start:start + _BLOCK_ROWS])
-        yield rows, rows.view(np.uint8).reshape(len(rows), labels.dtype.itemsize)
-
-
-def _digit_keys(labels: np.ndarray) -> np.ndarray | None:
-    """The `S` labels as uint64 integers when each is 1 to 19 ASCII digits,
-    which uint64 always holds, else None.
-
-    Horner's rule over each block's byte columns, one dot product, reads a
-    label padded with k NULs as its value times 10**k, which one division
-    takes back out."""
-    width = labels.dtype.itemsize
-    if width > 19:
-        return None
-    # powers[k] = 10**(width - k): the column weights, then the padding's divisors
-    powers = 10 ** np.arange(width, -1, -1, dtype=np.uint64)
-    keys = np.empty(len(labels), np.uint64)
-    start = 0
-    for rows, text in _byte_blocks(labels):
-        if not np.strings.isdigit(rows).all():
-            return None
-        # the low four bits of an ASCII digit are its value, and a NUL's are 0
-        keys[start:start + len(rows)] = (text & 15) @ powers[1:] // powers[np.strings.str_len(rows)]
-        start += len(rows)
-    return keys
 
 
 @dataclass(frozen=True)
@@ -514,11 +474,6 @@ def _chunk_rows(read, chunk: str) -> tuple[np.ndarray, np.ndarray]:
 
 # the characters str.strip() removes that are ASCII; bytes.strip() keeps \x1c-\x1f
 _ASCII_SPACE = bytes(c for c in range(128) if chr(c).isspace())
-
-# a superset of the bytes Python's int() reads in a label, and the NUL that
-# pads an `S` label: ASCII digits and whitespace, signs and underscores
-_INT_BYTES = np.zeros(256, dtype=bool)
-_INT_BYTES[list(b"0123456789+-_\0" + _ASCII_SPACE)] = True
 
 
 def _block_labels(raw: np.ndarray) -> np.ndarray:

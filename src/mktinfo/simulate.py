@@ -4,8 +4,7 @@ from simulated paths to price series.
 Both Gaussian models are sampled by circulant embedding (Wood & Chan 1994)
 of a stationary autocovariance: fBm through its increments, the
 delampertized process directly.  Lags 0..M embed in a circulant of length
-2M whose eigenvalues one real FFT gives; M starts at the smallest
-2**a * 3**b * 5**c >= n, a length the FFT factors fast, and doubles until
+2M whose eigenvalues one real FFT gives; M starts at n and doubles until
 they are nonnegative, which makes the sample exact in distribution.  All
 randomness comes from numpy's default PCG64 generator seeded explicitly, so
 identical inputs give bit-identical paths.
@@ -86,29 +85,14 @@ def _autocovariance(params: FbmParams | DelampertizedParams, dt: float,
 _MIN_EMBEDDING_CAP = 2 ** 22
 
 
-def _five_smooth(n: int) -> int:
-    """The smallest 2**a * 3**b * 5**c >= n: pocketfft factors such a length
-    into radix-2, 3 and 5 passes, where a large prime factor sends it to
-    Bluestein's algorithm, several times slower."""
-    best = 1 << (n - 1).bit_length()
-    odd = 1  # 3**b * 5**c, each below best
-    while odd < best:
-        base = odd
-        while base < best:
-            best = min(best, base << ((n - 1) // base).bit_length())
-            base *= 3
-        odd *= 5
-    return best
-
-
 @lru_cache(maxsize=8)
 def _circulant_root(params: FbmParams | DelampertizedParams, dt: float,
                     n: int) -> np.ndarray:
     """Square roots of the eigenvalues (rfft bins 0..M) of the smallest
-    nonnegative-definite circulant embedding, of length 2M with
-    M = _five_smooth(n) * 2**k, of the autocovariance at lags 0..M."""
+    nonnegative-definite circulant embedding, of length 2M with M = n * 2**k,
+    of the autocovariance at lags 0..M."""
     cap = max(4 * n, _MIN_EMBEDDING_CAP)
-    m = _five_smooth(n)
+    m = n
     while True:
         # an overflow is reported just below, as a covariance that is not finite
         with np.errstate(over="ignore", invalid="ignore"):

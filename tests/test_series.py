@@ -717,22 +717,6 @@ class TestLabels:
         with pytest.raises(ValueError, match="^non-monotone timestamps at row 2$"):
             load_prices(io.StringIO("timestamp,close\n\u0669,5\n\u0661\u0660,6\n"))
 
-    def test_keys_across_label_blocks(self):
-        # digit labels are read a block of labels at a time: a label in a
-        # later block that is not all digits sends every label to int() or
-        # float(), and one past int64 sends them all to float()
-        n = 2 * _BLOCK_ROWS + 5
-        digits = [str(i).encode() for i in range(n)]
-        keys = _timestamp_keys(np.array(digits))
-        assert keys.dtype == np.int64 and keys.tolist() == list(range(n))
-        for last, want in ((b"-1", np.int64), (b" 7", np.int64), (b"1_0", np.int64),
-                           (b"1.5", np.float64), (b"9223372036854775808", np.float64)):
-            labels = np.array(digits[:-1] + [last])
-            keys = _timestamp_keys(labels)
-            assert keys.dtype == want
-            assert keys.tolist() == labels.astype(want).tolist()
-        assert _timestamp_keys(np.array(digits[:-1] + [b"x"])).dtype.kind == "S"
-
     def test_integers_above_two_to_the_53(self):
         # integers that round to one float64 still compare exactly:
         # nanosecond epochs are spaced 1 apart where float64 is spaced 256

@@ -74,24 +74,11 @@ def half_spectrum_sample(root, n, rng):
     return np.sqrt(2 * m) * np.fft.irfft(root * z, 2 * m)[:n]
 
 
-def smallest_five_smooth(n):
-    """The first m >= n with no prime factor above 5, by trial division."""
-    m = n
-    while True:
-        rest = m
-        for p in (2, 3, 5):
-            while rest % p == 0:
-                rest //= p
-        if rest == 1:
-            return m
-        m += 1
-
-
 def concatenated_root(params, dt, n):
     """The embedding's roots as first written: fBm's lags as three powers of
     k in one expression, the circulant's first row built by concatenation,
     the root taken out of place.  The sampler must match it bit for bit."""
-    m = smallest_five_smooth(n)
+    m = n
     while True:
         k = np.arange(m + 1, dtype=np.float64)
         if isinstance(params, DelampertizedParams):
@@ -237,17 +224,6 @@ class TestCirculantEmbedding:
         assert path.values.shape == (200_000,)
         assert path.values.var() == pytest.approx(1.0, rel=0.05)
 
-    @pytest.mark.parametrize("n, bins", [(1009, 1025), (1_000_001, 1_012_501)])
-    def test_embedding_starts_five_smooth(self, fresh_roots, n, bins):
-        # n is prime or has a large prime factor; the embedding starts at the
-        # next length with no prime factor above 5, which holds lags 0..n
-        assert smallest_five_smooth(n) + 1 == bins
-        assert len(sim._circulant_root(FbmParams(0.7, 0.001), 1.0, n)) == bins
-
-    def test_five_smooth_start_against_trial_division(self):
-        for n in [*range(1, 2000), 2 ** 20 + 1, 1_000_003, 1_234_567]:
-            assert sim._five_smooth(n) == smallest_five_smooth(n), n
-
     def test_nan_autocovariance_raises_at_once(self, monkeypatch, fresh_roots):
         calls = []
 
@@ -315,7 +291,7 @@ class TestColdPathInPlace:
         assert to_price_series(path, 50.0).prices.tobytes() == out_of_place_prices(path, 50.0).tobytes()
 
     @pytest.mark.parametrize("params, n, m", [
-        (DelampertizedParams(0.3, 2.0), 1001, 1024),  # 1001 = 7 * 11 * 13
+        (DelampertizedParams(0.3, 2.0), 1001, 1001),
         (DelampertizedParams(0.95, 0.01), 1000, 8000),  # padded
     ])
     def test_delampertized_bit_identical_to_out_of_place(self, fresh_roots, params, n, m):
