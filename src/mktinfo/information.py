@@ -1,6 +1,7 @@
-"""Shannon entropy of word distributions, market information, and the
+"""Sign-word counts, their Shannon entropies, market information, and the
 significance bound of a zero-information null.
 
+A word is L signs spaced m steps apart, counted over overlapping windows.
 Market information at order L+1 is 1 + H(L-word) - H((L+1)-word), computed
 with both word distributions aligned on a common start-index range so the
 chain rule holds exactly and the value is guaranteed nonnegative.  Under the
@@ -18,12 +19,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .series import IndicatorSeries, PriceSeries, _count, _csv_table, _freeze, _json_text, \
-    _marginal_counts, _real, to_indicators
+    _real, to_indicators
 
 LN2 = math.log(2.0)
 
 # Deepest supported lag count, so the longest word has MAX_L + 1 letters: its
-# code fits in the uint32 that series._word_codes builds, and the significance
+# code fits in the uint32 that _word_codes builds, and the significance
 # bound's Gamma shape 2**(MAX_L - 1) still takes only tens of milliseconds.
 MAX_L = 30
 
@@ -34,6 +35,103 @@ def _entropy_bits(counts: np.ndarray, total: int) -> float:
     p = c / float(total)
     # 0.0 - s, not -s, so that a zero entropy is +0.0
     return 0.0 - float((p * np.log2(p)).sum())
+
+
+def _word_codes(bits: np.ndarray, order: int, m: int, n_windows: int) -> np.ndarray:
+    """Codes of the `order`-letter words at the first n_windows starts.
+
+    Window i reads bits[i], bits[i+m], ..., and its earliest letter is the
+    leading bit.  Codes are built by doubling, following the binary form of
+    `order`: the a-letter codes shifted left by a, or-ed with the same codes
+    a*m further on, are the 2a-letter codes, and a 1 digit appends one
+    letter, so there are about 2*log2(order) passes.  The dtype is the
+    narrowest unsigned one that holds `order` bits.
+    """
+    dtype = np.uint8 if order <= 8 else np.uint16 if order <= 16 else np.uint32
+    # the a-letter codes are needed at the first n_windows + (order - a)*m starts
+    codes = bits[: n_windows + (order - 1) * m].astype(dtype)
+    a = 1
+    for digit in bin(order)[3:]:
+        size = n_windows + (order - 2 * a) * m
+        doubled = codes[:size] << a
+        doubled |= codes[a * m : a * m + size]
+        codes, a = doubled, 2 * a
+        if digit == "1":
+            size -= m
+            codes = codes[:size] << 1
+            codes |= bits[a * m : a * m + size]
+            a += 1
+    return codes
+
+
+def _count_codes(codes: np.ndarray, order: int):
+    """(words, counts) of the order-`order` codes.
+
+    Dense while there are no more possible words than windows: words is None
+    and counts is a bincount indexed by code.  Sparse above that, so memory
+    stays O(len(codes)) at any order: the sorted words that occur and their
+    counts.  Either way the positive counts, in code order, are the same.
+    """
+    if (1 << order) <= len(codes):
+        return None, np.bincount(codes, minlength=1 << order)
+    return np.unique(codes, return_counts=True)
+
+
+def _prefix_counts(words, counts):
+    """(words, counts) as from _count_codes, of the counted words' prefixes (code >> 1)."""
+    if words is None:
+        return None, counts[0::2] + counts[1::2]
+    heads = words >> 1
+    starts = np.flatnonzero(np.concatenate(([True], heads[1:] != heads[:-1])))
+    return heads[starts], np.add.reduceat(counts, starts)
+
+
+def _add_codes(words, counts, extra: np.ndarray, order: int, n_windows: int):
+    """(words, counts) as from _count_codes over n_windows codes: the counted
+    words plus the order-`order` codes `extra`.
+
+    A sparse count takes its few extra words by binary search and insertion,
+    O(words), and is not sorted again.
+    """
+    size = 1 << order
+    if size <= n_windows:
+        dense = np.bincount(extra, minlength=size)
+        if words is None:
+            dense += counts
+        else:
+            dense[words] += counts
+        return None, dense
+    extra, extra_counts = np.unique(extra, return_counts=True)
+    at = np.searchsorted(words, extra)
+    new = words[np.minimum(at, len(words) - 1)] != extra
+    words = np.insert(words, at[new], extra[new])
+    counts = np.insert(counts, at[new], 0)
+    counts[np.searchsorted(words, extra)] += extra_counts
+    return words, counts
+
+
+def _marginal_counts(bits: np.ndarray, m: int, top: int):
+    """Word counts at horizon m for orders min(top, deepest)..1, deepest first.
+
+    Yields (order, n_windows, counts, prefix): the counts of the `order`-letter
+    words over all n_windows = len(bits) - (order-1)*m starts and of their
+    prefixes over the same starts, as from _count_codes.  Codes are built and
+    counted once, at the deepest order; each lower order's counts are the
+    prefix counts above it plus the m windows at the end that have no room
+    for one more letter, so a lower order costs O(2**order + m*order), or
+    O(words) where sparse.
+    """
+    order = min(top, (len(bits) - 1) // m + 1)
+    n_windows = len(bits) - (order - 1) * m
+    words, counts = _count_codes(_word_codes(bits, order, m, n_windows), order)
+    while True:
+        words, prefix = _prefix_counts(words, counts)
+        yield order, n_windows, counts, prefix
+        if order == 1:
+            return
+        extra = _word_codes(bits[n_windows:], order - 1, m, m)
+        order, n_windows = order - 1, n_windows + m
+        words, counts = _add_codes(words, prefix, extra, order, n_windows)
 
 
 def _word_windows(j: IndicatorSeries, word_length) -> int:

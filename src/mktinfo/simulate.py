@@ -113,7 +113,8 @@ def _circulant_root(params: FbmParams | DelampertizedParams, dt: float,
             break
         m *= 2
         if m > cap:
-            raise NumericError(f"no nonnegative circulant embedding within {cap} lags")
+            raise NumericError(f"no nonnegative circulant embedding within {cap} lags "
+                               f"(last tried: M = {m // 2}, circulant length {m})")
     np.clip(lam, 0.0, None, out=lam)
     return _freeze(np.sqrt(lam, out=lam))
 

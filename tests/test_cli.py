@@ -122,7 +122,8 @@ class TestSimulate:
         finally:
             sim._circulant_root.cache_clear()
         assert code == 4 and out == ""
-        assert err == "error: no nonnegative circulant embedding within 4000 lags\n"
+        assert err == ("error: no nonnegative circulant embedding within 4000 lags "
+                       "(last tried: M = 4000, circulant length 8000)\n")
 
     @pytest.mark.parametrize("model, option, value", [
         ("delampertized", "--theta", "inf"), ("delampertized", "--theta", "nan"),
@@ -756,3 +757,15 @@ def test_every_option_value_exits_cleanly(small_price_file):
             assert out.getvalue() == "", argv
 
     check()
+
+
+def test_import_defers_what_one_call_needs():
+    # scipy is never imported by the package, and statistics and signal
+    # only inside the one function that needs each: a command that runs
+    # neither pays no import for them
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    probe = ("import sys, mktinfo.cli; "
+             "print(sorted({'scipy', 'statistics', 'signal'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -1,4 +1,4 @@
-"""Entropy, market information, the null gamma bound, and profiles."""
+"""Word counts, entropy, market information, the null gamma bound, and profiles."""
 
 import json
 import math
@@ -528,3 +528,120 @@ class TestSerialization:
         assert first[0] == "1" and first[1] == "1"
         assert float(first[2]) == pytest.approx(ep.cell(1, 1), rel=1e-15)
         assert first[5] == ""  # no order-1 bound
+
+
+def reference_words(bits, L, m, n_windows):
+    """Word counts by reading each window's letters one by one."""
+    return dict(Counter("".join(str(bits[i + k * m]) for k in range(L))
+                        for i in range(n_windows)))
+
+
+def marginals(bits, m, top):
+    """information._marginal_counts as lists: (order, n_windows, counts, prefix)
+    per order, deepest first.  A dense count is indexed by code; a sparse one
+    holds the counts of the words that occur, in code order."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    return [(order, n_windows, counts.tolist(), prefix.tolist())
+            for order, n_windows, counts, prefix in information._marginal_counts(bits, m, top)]
+
+
+def check_counts(counts, want, order):
+    """`counts`, dense or sparse, are the word counts `want` in code order."""
+    assert [c for c in counts if c] == [want[word] for word in sorted(want)]
+    if order and len(counts) == 1 << order:  # dense, or every word occurs
+        assert counts == [want.get(format(code, f"0{order}b"), 0) for code in range(1 << order)]
+
+
+def check_against_reference(bits, m, top):
+    """Every order _marginal_counts yields against brute force: the counts
+    over every start that holds a word, and the prefix counts over the same
+    starts."""
+    got = marginals(bits, m, top)
+    deepest = min(top, (len(bits) - 1) // m + 1)
+    assert [order for order, *_ in got] == list(range(deepest, 0, -1))
+    for order, n_windows, counts, prefix in got:
+        assert n_windows == len(bits) - (order - 1) * m
+        want = reference_words(bits, order, m, n_windows)
+        check_counts(counts, want, order)
+        prefixes = Counter()
+        for word, c in want.items():
+            prefixes[word[:-1]] += c
+        check_counts(prefix, prefixes, order - 1)
+
+
+class TestExtractWords:
+    """Word counts at each order, deepest first.  A dense count is indexed
+    by code, so it shows which word each count is."""
+
+    def test_stride_one(self):
+        # windows 10, 01, 11, 10 -> codes 2, 1, 3, 2; then the letters 1, 0, 1, 1, 0
+        assert marginals([1, 0, 1, 1, 0], 1, 2) == [(2, 4, [0, 1, 2, 1], [1, 3]),
+                                                   (1, 5, [2, 3], [5])]
+
+    def test_stride_two(self):
+        # windows (b0, b2), (b1, b3), (b2, b4), (b3, b5) = 11, 01, 10, 11
+        assert marginals([1, 0, 1, 1, 0, 1], 2, 2) == [(2, 4, [0, 1, 1, 2], [1, 3]),
+                                                      (1, 6, [2, 4], [6])]
+
+    def test_restricted_windows(self):
+        # the prefixes count the 3 starts that hold a 2-letter word, not all 4
+        (_, _, _, prefix), (_, _, counts, _) = marginals([1, 0, 1, 1], 1, 2)
+        assert prefix == [1, 2]
+        assert counts == [1, 3]
+
+    def test_earliest_bit_is_leftmost(self):
+        # the first window reads 100: code 4, not 1
+        assert marginals([1] + [0] * 9, 1, 3)[0] == (3, 8, [7, 0, 0, 0, 1, 0, 0, 0], [7, 0, 1, 0])
+
+    def test_deep_words_count_only_those_that_occur(self):
+        bits = np.random.default_rng(11).integers(0, 2, size=200, dtype=np.uint8)
+        top = MAX_L + 1  # 2**31 possible words, 170 windows
+        order, n_windows, counts, _ = marginals(bits, 1, top)[0]
+        assert (order, n_windows) == (top, 170) and len(counts) <= 170
+        check_against_reference(bits, 1, top)
+
+
+class TestWordCountArray:
+    """Sparse counts hold the words that occur, in code order; each order's
+    prefix counts are over that order's starts."""
+
+    def test_hand_case(self):
+        # windows 101, 010, 101, 011 -> sparse counts of codes 2, 3, 5; then
+        # 2**2 <= 5 windows of 2 letters -> dense
+        assert marginals([1, 0, 1, 0, 1, 1], 1, 3) == [(3, 4, [1, 1, 2], [2, 2]),
+                                                      (2, 5, [0, 2, 2, 1], [2, 3]),
+                                                      (1, 6, [2, 4], [6])]
+
+    def test_stride_skips(self):
+        # windows at stride 2: (b0, b2) = 11, (b1, b3) = 01
+        assert marginals([1, 0, 1, 1], 2, 2) == [(2, 2, [1, 1], [1, 1]), (1, 4, [1, 3], [4])]
+
+    def test_window_restriction(self):
+        # the prefixes of the 3 words at stride 2 are the letters 1, 1, 0 at starts 0..2
+        (_, n_windows, _, prefix), _ = marginals([1, 1, 0, 0, 1], 2, 2)
+        assert n_windows == 3 and prefix == [1, 2]
+
+    def test_against_reference(self, monkeypatch):
+        # dense (2**order <= windows) and sparse (more words than windows)
+        # counts, and every way _add_codes takes a count one order down
+        cases = set()
+        add_codes = information._add_codes
+
+        def recorded(words, counts, extra, order, n_windows):
+            if 1 << order <= n_windows:
+                cases.add("dense from dense" if words is None else "dense from sparse")
+            else:
+                cases.add("sparse, new words" if np.setdiff1d(extra, words).size else
+                          "sparse, no new words")
+            return add_codes(words, counts, extra, order, n_windows)
+
+        monkeypatch.setattr(information, "_add_codes", recorded)
+        rng = np.random.default_rng(0)
+        # constant bits too: there the m windows added at a sparse order repeat one word
+        for bits in [rng.integers(0, 2, size=n, dtype=np.uint8) for n in (13, 100, 4096)] + [
+                np.zeros(100, dtype=np.uint8)]:
+            for top in (1, 2, 3, 7, 10, 14):
+                for m in (1, 2, 3):
+                    check_against_reference(bits, m, top)
+        assert cases == {"dense from dense", "dense from sparse", "sparse, new words",
+                         "sparse, no new words"}

@@ -8,7 +8,6 @@ import pytest
 import mktinfo.scaling as scaling
 from mktinfo.scaling import (
     DEFAULT_FIT_RANGE,
-    DEFAULT_MAX_SCALE,
     LogLogCurve,
     estimate_hurst,
     fit_loglog,
@@ -37,6 +36,10 @@ class TestStructureFunction:
         with pytest.warns(UserWarning, match=r"dropped: \[5, 9\].*usable scales: 1..4"):
             scales, _ = structure_function(x, [1, 5, 9])
         np.testing.assert_array_equal(scales, [1])
+
+    def test_two_points_hold_one_increment(self):
+        scales, moments = structure_function(np.array([0.0, 2.0]), [1])
+        assert scales.tolist() == [1] and moments.tolist() == [4.0]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="1-D series with at least 2"):
@@ -97,9 +100,14 @@ class TestEstimateHurst:
 
     def test_default_scales(self):
         curve = estimate_hurst(np.arange(200, dtype=float))
-        np.testing.assert_array_equal(curve.scales,
-                                      np.arange(1, DEFAULT_MAX_SCALE + 1))
+        # the documented default, 1..20, not the constant read back
+        np.testing.assert_array_equal(curve.scales, np.arange(1, 21))
         assert curve.fit_range == DEFAULT_FIT_RANGE
+
+    def test_two_points_fall_short_of_the_fit_not_of_the_series(self):
+        with pytest.raises(ValueError, match=r"^fewer than 2 scales in fit range 1\.\.5; "
+                                             r"usable scales: \[1\]$"):
+            estimate_hurst([0.0, 1.0])
 
     def test_short_series_truncates_scales(self):
         curve = estimate_hurst(np.arange(8, dtype=float) ** 1.0)
@@ -134,7 +142,8 @@ class TestEstimateHurst:
         assert curve.dropped_scales == tuple(range(40, 2 ** 20 + 1))
 
     def test_no_usable_scales(self):
-        with pytest.raises(ValueError, match="no usable scales requested"):
+        with pytest.raises(ValueError,
+                           match=r"^no usable scales requested; usable scales: 1\.\.2$"):
             estimate_hurst(np.arange(3, dtype=float), scales=[5, 9])
 
     def test_in_fit_range_mask(self):

@@ -2,6 +2,7 @@
 reproducibility, price conversion."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -390,8 +391,18 @@ class TestSimulateFbm:
         # with the floor of the cap removed, the cap is 4n lags, short of the
         # 8n this covariance needs
         monkeypatch.setattr(sim, "_MIN_EMBEDDING_CAP", 0)
-        with pytest.raises(NumericError,
-                           match="no nonnegative circulant embedding within 4000 lags"):
+        with pytest.raises(NumericError, match=re.escape(
+                "no nonnegative circulant embedding within 4000 lags "
+                "(last tried: M = 4000, circulant length 8000)")):
+            simulate_delampertized(DelampertizedParams(0.95, 0.01), 1000)
+
+    def test_circulant_failure_names_the_last_embedding(self, monkeypatch, fresh_roots):
+        # a cap of 5000 lags admits M = 1000, 2000 and 4000 but not 8000, so
+        # the last M tried is not the cap
+        monkeypatch.setattr(sim, "_MIN_EMBEDDING_CAP", 5000)
+        with pytest.raises(NumericError, match=re.escape(
+                "no nonnegative circulant embedding within 5000 lags "
+                "(last tried: M = 4000, circulant length 8000)")):
             simulate_delampertized(DelampertizedParams(0.95, 0.01), 1000)
 
 
