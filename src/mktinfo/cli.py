@@ -38,6 +38,8 @@ def _output(path: str | None):
     if path:
         with open(path, "w") as fh:
             yield fh
+    elif sys.stdout is None:  # Python's stdout when fd 1 was closed at start-up
+        raise ValueError("stdout is closed")
     else:
         yield sys.stdout
 
@@ -49,6 +51,8 @@ def _emit(text: str, output: str | None) -> None:
 
 def _load(path: str, mode: str):
     if path == "-":
+        if sys.stdin is None:  # Python's stdin when fd 0 was closed at start-up
+            raise ValueError("stdin is closed")
         # stdin's bytes are read as a file's are; a text stream without bytes, as given
         path = _utf8_text(sys.stdin.buffer) if hasattr(sys.stdin, "buffer") else sys.stdin
     return load_prices(path, mode)

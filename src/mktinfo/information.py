@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -324,29 +324,23 @@ def _cell_index(profile, order: int, m: int) -> tuple[int, int]:
 
 
 def information_profile(
-    j_family: Mapping[int, IndicatorSeries],
+    indicators: Sequence[IndicatorSeries],
     L_max: int,
-    m_values: Sequence[int],
     confidence: float = 0.95,
 ) -> tuple[EntropyProfile, InformationProfile]:
-    """Entropy and information grids over orders 1..L_max+1 and the given m values.
-
-    j_family maps each m to the indicator series built at horizon m from one
-    underlying price series; all series must imply the same price count.
-    """
+    """Entropy and information grids over orders 1..L_max+1, one column per
+    indicator series in the given order; the series come from one price
+    series, each at its own horizon m, so all must imply the same price count."""
     L_max = _count(L_max, "L_max must be a positive integer")
     if L_max > MAX_L:
         raise ValueError(f"L_max must be at most {MAX_L}")
     confidence = _real(confidence, "confidence must be in (0, 1)", 0.0, 1.0)
-    m_values = tuple(_count(m, "m_values must be positive integers") for m in m_values)
+    indicators = tuple(indicators)
+    m_values = tuple(j.m for j in indicators)
     if len(set(m_values)) != len(m_values) or not m_values:
         raise ValueError("m_values must be nonempty and distinct")
-
-    for m in m_values:
-        if j_family[m].m != m:
-            raise ValueError(f"indicator series at key {m} has horizon {j_family[m].m}")
     # the price count minus one, which every series must imply
-    price_steps = {len(j_family[m].bits) + m - 1 for m in m_values}
+    price_steps = {len(j.bits) + j.m - 1 for j in indicators}
     if len(price_steps) > 1:
         raise ValueError("indicator series disagree on underlying price count")
     n = price_steps.pop()
@@ -358,8 +352,8 @@ def information_profile(
     I = np.full(shape, np.nan)
     bounds = np.full(shape, np.nan)
 
-    for col, m in enumerate(m_values):
-        for order, n_windows, counts, prefix in _marginal_counts(j_family[m].bits, m, n_orders):
+    for col, j in enumerate(indicators):
+        for order, n_windows, counts, prefix in _marginal_counts(j.bits, j.m, n_orders):
             row = order - 1
             H[row, col] = _entropy_bits(counts, n_windows)
             n_obs[row, col] = n_windows
@@ -368,7 +362,7 @@ def information_profile(
             if order > 1:
                 # row is the lag count; a counted cell has n_windows >= 1, so
                 # its null has dof = n - m*row = n_windows + m - 1 >= 1
-                bounds[row, col] = significance_bound(n, row, m, confidence)
+                bounds[row, col] = significance_bound(n, row, j.m, confidence)
 
     # first differences down the orders; a difference with an absent cell is NaN
     partial = np.diff(I, axis=0, prepend=0.0)
@@ -386,8 +380,7 @@ def profile_from_prices(
     confidence: float = 0.95,
 ) -> tuple[EntropyProfile, InformationProfile]:
     """Build indicator series at each m from one price series, then profile them."""
-    j_family = {j.m: j for j in (to_indicators(prices, m) for m in m_values)}
-    return information_profile(j_family, L_max, m_values, confidence)
+    return information_profile([to_indicators(prices, m) for m in m_values], L_max, confidence)
 
 
 def entropy_rate_slope(profile: EntropyProfile, m: int, lags: Sequence[int]) -> float:

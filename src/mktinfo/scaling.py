@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -103,9 +103,9 @@ class LogLogCurve:
     scales: np.ndarray
     moments: np.ndarray
     fit_range: tuple
-    slope: float
-    intercept: float
-    hurst_estimate: float
+    slope: float = field(init=False)
+    intercept: float = field(init=False)
+    hurst_estimate: float = field(init=False)
     dropped_scales: tuple = ()
 
     def __post_init__(self):
@@ -113,13 +113,13 @@ class LogLogCurve:
         m = np.asarray(_real(self.moments, "moments must be finite and non-negative",
                              0.0, sys.float_info.max, closed=True))
         m = _held(m, self.moments)
-        if m.shape != s.shape:
-            raise ValueError("scales and moments differ in length")
         object.__setattr__(self, "scales", s)
         object.__setattr__(self, "moments", m)
         object.__setattr__(self, "fit_range", _fit_range(self.fit_range))
-        for name in ("slope", "intercept", "hurst_estimate"):
-            _real(getattr(self, name), f"{name} must be finite", -math.inf, math.inf)
+        slope, intercept = fit_loglog(s, m, self.fit_range)
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "intercept", intercept)
+        object.__setattr__(self, "hurst_estimate", slope / 2.0)
         dropped = tuple(_scale_array(self.dropped_scales).tolist())
         object.__setattr__(self, "dropped_scales", dropped)
 
@@ -180,6 +180,4 @@ def estimate_hurst(logprices: np.ndarray, scales: Sequence[int] | None = None,
     if not usable.size:
         raise ValueError(f"no usable scales requested; usable scales: 1..{x.size - 1}")
     used, moments = structure_function(x, usable)
-    slope, intercept = fit_loglog(used, moments, fit_range)
-    return LogLogCurve(_freeze(used), _freeze(moments), fit_range, slope, intercept, slope / 2.0,
-                       dropped)
+    return LogLogCurve(_freeze(used), _freeze(moments), fit_range, dropped)

@@ -44,10 +44,9 @@ ModelParams = Union[FbmParams, DelampertizedParams, PseudoPeriodicParams]
 
 @dataclass(frozen=True)
 class SimulatedPath:
-    """A simulated series: log-prices for the Gaussian models, returns for
-    the pseudo-periodic model."""
+    """A simulated series of the model whose parameters are `params`:
+    log-prices for the Gaussian models, returns for the pseudo-periodic one."""
 
-    model: str
     params: ModelParams
     dt: float
     seed: int
@@ -147,7 +146,7 @@ def simulate_fbm(params: FbmParams, n: int, dt: float = 1.0, seed: int = 0) -> S
     root = _circulant_root(params, _real(dt, "dt must be positive and finite", 0.0, math.inf), n)
     values = _circulant_sample(root, n, np.random.default_rng(seed))
     np.cumsum(values, out=values)  # the increments, summed in place
-    return SimulatedPath("fbm", params, dt, seed, _freeze(values))
+    return SimulatedPath(params, dt, seed, _freeze(values))
 
 
 def simulate_delampertized(params: DelampertizedParams, n: int, dt: float = 1.0,
@@ -156,7 +155,7 @@ def simulate_delampertized(params: DelampertizedParams, n: int, dt: float = 1.0,
     n = _count(n, "n must be an integer >= 2", minimum=2)
     root = _circulant_root(params, _real(dt, "dt must be positive and finite", 0.0, math.inf), n)
     values = _circulant_sample(root, n, np.random.default_rng(seed))
-    return SimulatedPath("delampertized", params, dt, seed, _freeze(values))
+    return SimulatedPath(params, dt, seed, _freeze(values))
 
 
 def simulate_pseudo_periodic(beta: float, tau: int, n: int, seed: int = 0) -> SimulatedPath:
@@ -170,7 +169,7 @@ def simulate_pseudo_periodic(beta: float, tau: int, n: int, seed: int = 0) -> Si
     shocks = np.random.default_rng(seed).standard_normal(n)
     scale = float(np.sqrt(1.0 - params.beta ** 2))
     values = _lagged_recursion(shocks, params.beta, params.tau, scale)
-    return SimulatedPath("pseudo_periodic", params, 1.0, seed, _freeze(values))
+    return SimulatedPath(params, 1.0, seed, _freeze(values))
 
 
 def _lagged_recursion(shocks: np.ndarray, feedback: float, lag: int,
@@ -199,11 +198,7 @@ def to_price_series(path: SimulatedPath, p0: float = 100.0) -> PriceSeries:
     rejected, as is a price that overflows or underflows to 0.
     """
     p0 = _real(p0, "p0 must be positive and finite", 0.0, math.inf)
-    if path.model in ("fbm", "delampertized"):
-        kind = "log-price"
-        with np.errstate(over="ignore"):
-            prices = p0 * np.exp(path.values - path.values[0])
-    elif path.model == "pseudo_periodic":
+    if isinstance(path.params, PseudoPeriodicParams):
         bad = np.nonzero(path.values <= -1.0)[0]
         if bad.size:
             raise ValueError(f"price would become non-positive at step {int(bad[0]) + 1}")
@@ -211,7 +206,9 @@ def to_price_series(path: SimulatedPath, p0: float = 100.0) -> PriceSeries:
         with np.errstate(over="ignore"):
             prices = np.concatenate(([p0], p0 * np.cumprod(1.0 + path.values)))
     else:
-        raise ValueError(f"unknown model {path.model!r}")
+        kind = "log-price"
+        with np.errstate(over="ignore"):
+            prices = p0 * np.exp(path.values - path.values[0])
     if not (np.all(np.isfinite(prices)) and prices.min() > 0.0):
         raise ValueError(f"{kind} range too wide to convert to prices; lower sigma or p0")
     return PriceSeries(_freeze(np.arange(len(prices))), _freeze(prices), "close")

@@ -245,5 +245,5 @@ def theory_curve(model: str, param_grid: Sequence[float],
         fixed["m"] = float(fixed.get("m", 1.0))
         ordinate = np.array([info_from_rho(rho_delampertized(h, m_theta)) for h in grid])
     else:
-        raise ValueError(f"unknown model {model!r}")
+        raise ValueError(f"model must be 'fbm' or 'delampertized', got {model!r}")
     return TheoryCurve(model, _freeze(grid), _freeze(ordinate), fixed)

@@ -349,6 +349,13 @@ class TestAnalyze:
         assert code == 3 and out == ""
         assert err == "error: L_max must be at most 30\n"
 
+    @pytest.mark.parametrize("m_values, message", [
+        (["2", "2"], "m_values must be nonempty and distinct"),
+        (["0"], "return horizon m must be a positive integer")])
+    def test_bad_horizon_is_data_error(self, price_file, capsys, m_values, message):
+        code, out, err = run(capsys, "analyze", str(price_file), "--m-values", *m_values)
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
 
 class TestTheory:
     def test_non_number_option_is_usage_error(self, capsys):
@@ -399,6 +406,21 @@ class TestTheory:
             assert all(2 * bound < w < 1 - 2 * bound for w in want)  # no point near an end
             assert len(got) == len(want)
             assert max(abs(g - w) for g, w in zip(got, want)) <= bound
+
+    @pytest.mark.parametrize("h_min, step", [("-0.5", "0.25"), ("-2.94", "0.021"),
+                                             ("-2.99", "0.015")])
+    def test_grid_keeps_every_point_strictly_inside(self, capsys, h_min, step):
+        # the points as numpy rounds them, at every index: -0.5 + 0.25*2 is 0.0
+        # and left out; at the end of each margin step, -2.94 + 0.021*140 (point
+        # 0 exactly) rounds to 4.4e-16 and -2.99 + 0.015*266 (1 exactly) to
+        # 1 - 4.4e-16, and both are printed
+        code, out, err = run(capsys, "theory", "fbm", f"--hurst-min={h_min}",
+                             "--hurst-max", "2", "--hurst-step", step)
+        assert code == 0 and err == ""
+        got = [float(line.split(",")[0]) for line in out.strip().split("\n")[2:]]
+        lo, st = float(h_min), float(step)
+        points = (lo + st * np.arange(round((2 - lo) / st) + 1)).tolist()
+        assert got == [p for p in points if 0.0 < p < 1.0]
 
     @pytest.mark.parametrize("h_min, step", [("-1e308", "0.05"), ("1e308", "0.05"),
                                              ("0.05", "1e-320"), ("-1e15", "0.3"),
@@ -659,6 +681,35 @@ class TestHurst:
         code, out, _ = run(capsys, "hurst", str(dest), "--scales", "1", "2", "3", "4",
                            "--fit-min", "1", "--fit-max", "3", "--format", "csv")
         assert code == 0 and out.split("\n")[5] == "2.0,-inf,0"
+
+
+class TestClosedStreams:
+    """Python starts with sys.stdin or sys.stdout None when fd 0 or 1 is closed;
+    a command that needs that stream exits 3 with one error line."""
+
+    @pytest.mark.parametrize("command", ["analyze", "hurst"])
+    def test_closed_stdin(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli.sys, "stdin", None)
+        assert run(capsys, command, "-") == (3, "", "error: stdin is closed\n")
+
+    @pytest.mark.parametrize("command", ["analyze", "hurst", "simulate", "theory"])
+    def test_closed_stdout(self, price_file, capsys, monkeypatch, command):
+        argv = {"simulate": ["fbm", "--n", "10"], "theory": ["fbm"]}.get(command, [str(price_file)])
+        monkeypatch.setattr(cli.sys, "stdout", None)
+        assert run(capsys, command, *argv) == (3, "", "error: stdout is closed\n")
+
+    def test_closed_stdout_with_output_file(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli.sys, "stdout", None)
+        dest = tmp_path / "theory.csv"
+        assert run(capsys, "theory", "fbm", "-o", str(dest)) == (0, "", "")
+        assert dest.read_text().startswith("# model=fbm")
+
+    def test_closed_fd_0_in_a_fresh_process(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run(["sh", "-c", 'exec "$@" <&-', "sh", sys.executable, "-m",
+                               "mktinfo", "analyze", "-"], env=env, capture_output=True,
+                              text=True)
+        assert (done.returncode, done.stdout, done.stderr) == (3, "", "error: stdin is closed\n")
 
 
 class TestEndToEnd:

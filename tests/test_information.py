@@ -24,7 +24,7 @@ from mktinfo.information import (
     profile_to_json,
     significance_bound,
 )
-from mktinfo.series import IndicatorSeries, PriceSeries, compute_returns
+from mktinfo.series import IndicatorSeries, PriceSeries, compute_returns, to_indicators
 from mktinfo.simulate import simulate_fbm, to_price_series
 from mktinfo.theory import FbmParams
 
@@ -244,6 +244,27 @@ class TestGammaQuantile:
                     got = information._log_poisson_pmf(j, y)
                     assert abs(got - want) <= 5e-14 + 2e-15 * abs(want), (j, y)
 
+    def test_wilson_hilferty_start_pins_the_newton_steps(self, monkeypatch):
+        # one Erlang tail sum per Newton step, counted from a cleared cache:
+        # a start other than k * (1 - c + z*sqrt(c))**3, c = 1/(9k), or the
+        # deep-tail bound (shape 1 at p = 1e-12) changes these counts
+        calls = []
+        tail = information._log_poisson_sum
+        monkeypatch.setattr(information, "_log_poisson_sum",
+                            lambda *args: calls.append(args) or tail(*args))
+        want = {1: [1, 5, 2, 2, 2], 2: [2, 4, 3, 3, 4], 8: [6, 3, 3, 3, 4],
+                2 ** 14: [2, 2, 1, 2, 2], 2 ** 29: [1, 1, 1, 1, 1]}
+        got = {}
+        for shape in want:
+            got[shape] = []
+            for p in (1e-12, 0.05, 0.5, 0.95, 1.0 - 1e-9):
+                information._unit_gamma_quantile.cache_clear()
+                calls.clear()
+                information._unit_gamma_quantile(shape, p)
+                got[shape].append(len(calls))
+        information._unit_gamma_quantile.cache_clear()
+        assert got == want
+
     def test_deepest_shape_is_fast(self):
         start = time.perf_counter()
         gamma_quantile(2 ** 29, 1.0, 0.95)
@@ -333,8 +354,8 @@ class TestInformationProfile:
         assert np.array_equal(ip.partial, partial, equal_nan=True)
 
     def test_nan_pattern_short_series(self):
-        j = {1: bits_series(np.array([1, 0, 1, 1, 0, 1], dtype=np.uint8))}
-        ep, ip = information_profile(j, L_max=7, m_values=(1,))
+        j = [bits_series(np.array([1, 0, 1, 1, 0, 1], dtype=np.uint8))]
+        ep, ip = information_profile(j, L_max=7)
         assert ep.H.shape == (8, 1)
         assert np.all(np.isfinite(ep.H[:6, 0]))
         assert np.all(~np.isfinite(ep.H[6:, 0]))
@@ -390,42 +411,49 @@ class TestInformationProfile:
         assert (1.0 - ep.H[0]).tobytes() == ip.I[0].tobytes()
 
     def test_price_count_disagreement(self):
-        j = {1: bits_series(np.ones(8, dtype=np.uint8), m=1),
-             2: bits_series(np.ones(6, dtype=np.uint8), m=2)}
+        j = [bits_series(np.ones(8, dtype=np.uint8), m=1),
+             bits_series(np.ones(6, dtype=np.uint8), m=2)]
         with pytest.raises(ValueError, match="disagree on underlying price count"):
-            information_profile(j, L_max=2, m_values=(1, 2))
+            information_profile(j, L_max=2)
 
-    def test_horizon_key_mismatch(self):
-        j = {1: bits_series(np.ones(8, dtype=np.uint8), m=2)}
-        with pytest.raises(ValueError, match="has horizon"):
-            information_profile(j, L_max=2, m_values=(1,))
+    def test_columns_follow_the_series_and_a_generator_is_read_once(self):
+        rng = np.random.default_rng(15)
+        prices = PriceSeries(tuple(range(400)), np.exp(np.cumsum(rng.normal(0, 0.01, 400))))
+        want_ep, want_ip = profile_from_prices(prices, L_max=5, m_values=(3, 1, 2))
+        ep, ip = information_profile((to_indicators(prices, m) for m in (3, 1, 2)), 5)
+        assert ep.m_values == ip.m_values == (3, 1, 2)
+        assert ip.n == 399
+        for got, want in [(ep.H, want_ep.H), (ip.I, want_ip.I), (ip.bounds, want_ip.bounds)]:
+            assert np.array_equal(got, want, equal_nan=True)
 
     def test_validation(self):
-        j = {1: bits_series(np.ones(8, dtype=np.uint8))}
+        j = [bits_series(np.ones(8, dtype=np.uint8))]
         with pytest.raises(ValueError, match="L_max"):
-            information_profile(j, L_max=0, m_values=(1,))
+            information_profile(j, L_max=0)
         with pytest.raises(ValueError, match="L_max must be at most 30"):
-            information_profile(j, L_max=31, m_values=(1,))
+            information_profile(j, L_max=31)
         with pytest.raises(ValueError, match="confidence"):
-            information_profile(j, L_max=2, m_values=(1,), confidence=0.0)
-        with pytest.raises(ValueError, match="distinct"):
-            information_profile(j, L_max=2, m_values=(1, 1))
+            information_profile(j, L_max=2, confidence=0.0)
+        with pytest.raises(ValueError, match="^m_values must be nonempty and distinct$"):
+            information_profile(j * 2, L_max=2)
+        with pytest.raises(ValueError, match="^m_values must be nonempty and distinct$"):
+            information_profile([], L_max=2)
 
     @pytest.mark.parametrize("confidence", [1.0, 1.5, -0.5])
     def test_confidence_checked_where_no_bound_is_computed(self, confidence):
         # one indicator has no order-2 word, so no cell calls significance_bound
-        j = {1: bits_series(np.ones(1, dtype=np.uint8))}
-        _, ip = information_profile(j, L_max=2, m_values=(1,))
+        j = [bits_series(np.ones(1, dtype=np.uint8))]
+        _, ip = information_profile(j, L_max=2)
         assert np.isnan(ip.bounds).all()
         with pytest.raises(ValueError, match=r"^confidence must be in \(0, 1\)$"):
-            information_profile(j, L_max=2, m_values=(1,), confidence=confidence)
+            information_profile(j, L_max=2, confidence=confidence)
 
     def test_price_signs_match_the_returns_route(self):
         prices = to_price_series(simulate_fbm(FbmParams(0.7, 0.01), 100_000, seed=3))
         m_values = (1, 2, 3, 4, 5)
         ep, ip = profile_from_prices(prices, 15, m_values)
-        j_family = {m: IndicatorSeries(m, compute_returns(prices, m) > 0.0) for m in m_values}
-        want_ep, want_ip = information_profile(j_family, 15, m_values)
+        indicators = [IndicatorSeries(m, compute_returns(prices, m) > 0.0) for m in m_values]
+        want_ep, want_ip = information_profile(indicators, 15)
         assert np.array_equal(ep.n_obs, want_ep.n_obs)
         for got, want in [(ep.H, want_ep.H), (ip.I, want_ip.I), (ip.partial, want_ip.partial),
                           (ip.bounds, want_ip.bounds)]:

@@ -137,7 +137,7 @@ def profile_cases(draw):
 def test_profile_matches_per_order_recount(case):
     bits, L_max, m = case
     j = as_series(bits, m)
-    ep, ip = information_profile({m: j}, L_max, (m,))
+    ep, ip = information_profile([j], L_max)
     for order in range(1, L_max + 2):
         row = order - 1
         if len(bits) - row * m < 1:
@@ -154,7 +154,7 @@ def test_profile_matches_per_order_recount(case):
 def test_public_estimators_equal_profile_cells(case):
     bits, L_max, m = case
     j = as_series(bits, m)
-    ep, ip = information_profile({m: j}, L_max, (m,))
+    ep, ip = information_profile([j], L_max)
     for order in range(1, L_max + 2):
         row = order - 1
         if ep.n_obs[row, 0] == 0:
@@ -178,8 +178,7 @@ def test_markov_entropy_curve_concave(order, data):
 
 @given(st.lists(st.floats(-0.9, 3.0), min_size=1, max_size=40))
 def test_pseudo_periodic_prices_compound(returns):
-    path = SimulatedPath("pseudo_periodic", PseudoPeriodicParams(0.5, 2), 1.0, 0,
-                         np.asarray(returns))
+    path = SimulatedPath(PseudoPeriodicParams(0.5, 2), 1.0, 0, np.asarray(returns))
     prices = to_price_series(path, p0=10.0)
     assert len(prices) == len(returns) + 1
     assert np.all(prices.prices > 0.0)
@@ -281,11 +280,8 @@ COUNT_ARGUMENTS = {
                              "n must be a positive integer", _bad(1, 100.5, math.nan, math.inf),
                              (np.int64(100), 100)),
     "information_profile-L_max": (
-        lambda L: information_profile({1: IndicatorSeries(1, _BITS)}, L, (1,)),
+        lambda L: information_profile([IndicatorSeries(1, _BITS)], L),
         "L_max must be a positive integer", _bad(1, 2.5), (np.int64(2), 2)),
-    "information_profile-m_values": (
-        lambda ms: information_profile({1: IndicatorSeries(1, _BITS)}, 2, ms),
-        "m_values must be positive integers", _in_list(_bad(1)), ([np.int64(1)], [1])),
     "profile_from_prices-L_max": (lambda L: profile_from_prices(_PRICES, L, (1,)),
                                   "L_max must be a positive integer", _bad(1, 2.5),
                                   (np.int64(2), 2)),
@@ -313,7 +309,7 @@ COUNT_ARGUMENTS = {
                                   "scales must be positive integers", _in_list(_bad(1), 3),
                                   ([np.int64(2), 3], [2, 3])),
     "LogLogCurve-scales": (
-        lambda scales: LogLogCurve(scales, [1.0, 2.0], (1, 2), 1.0, 0.0, 0.5),
+        lambda scales: LogLogCurve(scales, [1.0, 2.0], (1, 2)),
         "scales must be positive integers",
         _in_list(_bad(1), 2) + [[1.5, 2.5], np.array([1.5, 2.5]), np.array([True, True]),
                                 np.array([0, 2]), np.array([1, -2]),
@@ -345,11 +341,11 @@ COUNT_ARGUMENTS = {
     "fit_loglog-fit_range": (lambda fit: fit_loglog([1, 2, 3], [1.0, 2.0, 4.0], fit),
                              "fit_range must be two positive integers", _FIT_RANGES,
                              ((np.int64(1), np.int32(3)), (1, 3))),
-    "LogLogCurve-fit_range": (lambda fit: LogLogCurve([1, 2], [1.0, 2.0], fit, 1.0, 0.0, 0.5),
+    "LogLogCurve-fit_range": (lambda fit: LogLogCurve([1, 2], [1.0, 2.0], fit),
                               "fit_range must be two positive integers", _FIT_RANGES,
                               (np.array([1, 2], dtype=np.uint8), (1, 2))),
     "LogLogCurve-dropped_scales": (
-        lambda dropped: LogLogCurve([1, 2], [1.0, 2.0], (1, 2), 1.0, 0.0, 0.5, dropped),
+        lambda dropped: LogLogCurve([1, 2], [1.0, 2.0], (1, 2), dropped),
         "scales must be positive integers", _in_list(_bad(1)), ([np.int64(50)], [50])),
 }
 
@@ -502,7 +498,7 @@ REAL_ARGUMENTS = {
                                       "confidence must be in (0, 1)", _outside(*_UNIT),
                                       (np.float64(0.3), 0.3)),
     "information_profile-confidence": (
-        lambda c: information_profile({1: IndicatorSeries(1, _BITS)}, 2, (1,), c),
+        lambda c: information_profile([IndicatorSeries(1, _BITS)], 2, c),
         "confidence must be in (0, 1)", _outside(*_UNIT), (np.float64(0.3), 0.3)),
     "PseudoPeriodicParams-beta": (lambda b: simulate_pseudo_periodic(b, 2, 16, seed=1).values,
                                   "beta must lie in (-1, 1)", _outside(-1.0, 1.0),
@@ -534,15 +530,13 @@ REAL_ARGUMENTS = {
     "PriceSeries-prices": (lambda p: PriceSeries(range(2), p).prices, "prices must be finite",
                            _outside(-math.inf, math.inf, like=[1.0, 2.0]),
                            (np.array([1.0, 2.0]), [1.0, 2.0])),
-    "LogLogCurve-moments": (lambda m: LogLogCurve([1, 2], m, (1, 2), 1.0, 0.0, 0.5).moments,
+    # the accepted zero moment lies outside the fit range: inside it, it has no logarithm
+    "LogLogCurve-moments": (lambda m: LogLogCurve([1, 2, 3], m, (2, 3)).moments,
                             "moments must be finite and non-negative",
-                            _outside(0.0, math.inf, closed=True, like=[1.0, 2.0])
-                            + [[1.0, math.inf]],
-                            (np.array([0.0, 2.0]), [0.0, 2.0])),
-    "LogLogCurve-slope": (lambda s: LogLogCurve([1, 2], [1.0, 2.0], (1, 2), s, 0.0, 0.5).to_json(),
-                          "slope must be finite", _outside(-math.inf, math.inf),
-                          (np.float64(2.5), 2.5)),
-    "SimulatedPath-values": (lambda v: SimulatedPath("fbm", FbmParams(0.5), 1.0, 0, v).values,
+                            _outside(0.0, math.inf, closed=True, like=[1.0, 2.0, 4.0])
+                            + [[1.0, 2.0, math.inf]],
+                            (np.array([0.0, 2.0, 4.0]), [0.0, 2.0, 4.0])),
+    "SimulatedPath-values": (lambda v: SimulatedPath(FbmParams(0.5), 1.0, 0, v).values,
                              "values must be finite",
                              _outside(-math.inf, math.inf, like=[1.0, 2.0]),
                              (np.array([1.0, 2.0]), [1.0, 2.0])),

@@ -77,7 +77,7 @@ class TestFitLogLog:
             fit_loglog(np.array([1, 2, 3]), [1.0, 2.0], (1, 2))
         # the curve was built, and its CSV cut to two rows
         with pytest.raises(ValueError, match="^scales and moments differ in length$"):
-            LogLogCurve([1, 2, 3], [1.0, 2.0], (1, 2), 1.0, 0.0, 0.5)
+            LogLogCurve([1, 2, 3], [1.0, 2.0], (1, 2))
 
     @pytest.mark.parametrize("moment", [np.nan, np.inf])
     def test_non_finite_moment_in_range_is_degenerate(self, moment):
@@ -156,7 +156,7 @@ class TestEstimateHurst:
 class TestLogLogCurve:
     def test_caller_arrays_stay_writable(self):
         scales, moments = np.arange(1, 4), np.ones(3)
-        curve = LogLogCurve(scales, moments, (1, 3), 0.0, 0.0, 0.0)
+        curve = LogLogCurve(scales, moments, (1, 3))
         scales[0], moments[0] = 5, 2.0
         assert curve.scales.tolist() == [1, 2, 3] and curve.moments.tolist() == [1.0] * 3
         assert not curve.scales.flags.writeable and not curve.moments.flags.writeable
@@ -164,8 +164,23 @@ class TestLogLogCurve:
     def test_read_only_arrays_are_held_without_a_copy(self):
         scales, moments = np.arange(1, 4), np.ones(3)
         scales.flags.writeable = moments.flags.writeable = False
-        curve = LogLogCurve(scales, moments, (1, 3), 0.0, 0.0, 0.0)
+        curve = LogLogCurve(scales, moments, (1, 3))
         assert curve.scales is scales and curve.moments is moments
+
+    def test_fit_is_that_of_fit_loglog(self):
+        # moments growing as scale**2: slope 2, so H = 1
+        curve = LogLogCurve([1, 2, 3], [1.0, 4.0, 9.0], (1, 3))
+        assert (curve.slope, curve.intercept) == fit_loglog([1, 2, 3], [1.0, 4.0, 9.0], (1, 3))
+        assert curve.slope == pytest.approx(2.0, abs=1e-12)
+        assert curve.hurst_estimate == curve.slope / 2.0
+        with pytest.raises(TypeError):
+            LogLogCurve([1, 2, 3], [1.0, 4.0, 9.0], (1, 3), slope=0.0)
+
+    def test_fit_range_needs_two_scales_with_positive_moments(self):
+        with pytest.raises(ValueError, match=r"^fewer than 2 scales in fit range 3..5"):
+            LogLogCurve([1, 2, 3], [1.0, 4.0, 9.0], (3, 5))
+        with pytest.raises(ValueError, match="^degenerate moment in fit range$"):
+            LogLogCurve([1, 2, 3], [1.0, 0.0, 9.0], (1, 3))
 
 
 class TestCurveOutputs:
@@ -195,10 +210,12 @@ class TestCurveOutputs:
 
     def test_csv_header_of_numpy_floats(self):
         # the header wrote each by repr: slope=np.float64(2.0)
-        curve = LogLogCurve([1, 2], [1.0, 4.0], (1, 2), np.float64(2.0), np.float64(0.0),
-                            np.float64(1.0), [7, 9])
-        assert curve.to_csv() == ("# slope=2.0 hurst_estimate=1.0 intercept=0.0 fit_range=1..2"
-                                  " dropped_scales=[7,9]\n"
+        scales, moments = np.array([1, 2], dtype=np.int32), np.array([1.0, 4.0], dtype=np.float32)
+        curve = LogLogCurve(scales, moments, np.array([1, 2]), [np.int64(7), 9])
+        slope, intercept = fit_loglog([1, 2], [1.0, 4.0], (1, 2))
+        assert type(curve.slope) is type(curve.intercept) is type(curve.hurst_estimate) is float
+        assert curve.to_csv() == (f"# slope={slope!r} hurst_estimate={slope / 2.0!r}"
+                                  f" intercept={intercept!r} fit_range=1..2 dropped_scales=[7,9]\n"
                                   "log2_scale,log2_moment,in_fit_range\n"
                                   "0.0,0.0,1\n1.0,2.0,1\n")
 
@@ -207,8 +224,8 @@ class TestCurveOutputs:
         x = np.arange(60, dtype=float) * 0.5
         assert (estimate_hurst(x, fit_range=np.array([1, 5])).to_json()
                 == estimate_hurst(x, fit_range=(1, 5)).to_json())
-        curve = LogLogCurve([1, 2], [1.0, 4.0], (1, 2), np.float32(1.5), 0.0, 0.75)
-        assert curve.to_json() == LogLogCurve([1, 2], [1.0, 4.0], (1, 2), 1.5, 0.0, 0.75).to_json()
+        curve = LogLogCurve([1, 2], np.array([1.0, 4.0], dtype=np.float32), (1, 2))
+        assert curve.to_json() == LogLogCurve([1, 2], [1.0, 4.0], (1, 2)).to_json()
         assert curve.to_json().endswith("}\n")
 
 

@@ -4,6 +4,7 @@ reproducibility, price conversion."""
 import math
 import re
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -97,7 +98,7 @@ def concatenated_root(params, dt, n):
 def out_of_place_prices(path, p0):
     """to_price_series' prices as first written, one new array per step: a
     rewrite of it must match them bit for bit."""
-    if path.model == "pseudo_periodic":
+    if isinstance(path.params, PseudoPeriodicParams):
         return np.concatenate([[p0], p0 * np.cumprod(1.0 + path.values)])
     return p0 * np.exp(path.values - path.values[0])
 
@@ -118,12 +119,23 @@ def fresh_roots():
 
 class TestParams:
     def test_pseudo_periodic_validation(self):
-        with pytest.raises(ValueError, match=r"beta must lie in \(-1, 1\)"):
-            PseudoPeriodicParams(1.0, 5)
+        for beta in (1.0, -1.0):
+            with pytest.raises(ValueError, match=r"beta must lie in \(-1, 1\)"):
+                PseudoPeriodicParams(beta, 5)
         with pytest.raises(ValueError, match="tau must be a positive integer"):
             PseudoPeriodicParams(0.5, 0)
         with pytest.raises(ValueError, match="tau must be a positive integer"):
             PseudoPeriodicParams(0.5, 2.5)
+
+    def test_default_seed_is_zero_and_smallest_n(self):
+        # the Gaussian simulators take n >= 2, the pseudo-periodic one n >= 1
+        for simulate, n in ((partial(simulate_fbm, FbmParams(0.6)), 2),
+                            (partial(simulate_delampertized, DelampertizedParams(0.6, 1.0)), 2),
+                            (partial(simulate_pseudo_periodic, 0.5, 2), 1)):
+            path = simulate(n=n)
+            assert path.seed == 0 and len(path.values) == n
+            assert path.values.tobytes() == simulate(n=n, seed=0).values.tobytes()
+            assert path.values.tobytes() != simulate(n=n, seed=1).values.tobytes()
 
     def test_numeric_error_is_runtime_error(self):
         assert issubclass(NumericError, RuntimeError)
@@ -145,7 +157,7 @@ class TestParams:
 class TestSimulatedPath:
     def test_caller_array_stays_writable(self):
         values = np.zeros(3)
-        path = SimulatedPath("fbm", FbmParams(0.5), 1.0, 0, values)
+        path = SimulatedPath(FbmParams(0.5), 1.0, 0, values)
         values[0] = 1.0
         assert path.values.tolist() == [0.0, 0.0, 0.0]
         assert not path.values.flags.writeable
@@ -153,7 +165,7 @@ class TestSimulatedPath:
     def test_read_only_array_is_held_without_a_copy(self):
         values = np.zeros(3)
         values.flags.writeable = False
-        assert SimulatedPath("fbm", FbmParams(0.5), 1.0, 0, values).values is values
+        assert SimulatedPath(FbmParams(0.5), 1.0, 0, values).values is values
 
 
 class TestFgnPieces:
@@ -224,6 +236,18 @@ class TestCirculantEmbedding:
         path = simulate_delampertized(DelampertizedParams(0.3, 1.0), 200_000, seed=1)
         assert path.values.shape == (200_000,)
         assert path.values.var() == pytest.approx(1.0, rel=0.05)
+
+    def test_zero_autocovariance_embeds_at_n(self, fresh_roots):
+        # sigma**2 underflows to 0: an all-zero spectrum is nonnegative, so
+        # the first embedding holds and the path is flat
+        p = FbmParams(0.5, 1e-200)
+        assert len(sim._circulant_root(p, 1.0, 16)) == 17
+        assert not simulate_fbm(p, 16).values.any()
+
+    def test_cap_floor(self):
+        # README's cap of max(4n, 2**22) lags; reaching it takes a 2**23-point
+        # FFT (0.8 s and 265 MB for the README's delampertized example)
+        assert sim._MIN_EMBEDDING_CAP == 2 ** 22
 
     def test_nan_autocovariance_raises_at_once(self, monkeypatch, fresh_roots):
         calls = []
@@ -306,7 +330,7 @@ class TestColdPathInPlace:
 
     def test_pseudo_periodic_prices_bit_identical_to_out_of_place(self):
         path = simulate_pseudo_periodic(-0.9, 5, 100_000, seed=7)
-        path = SimulatedPath(path.model, path.params, path.dt, path.seed, 0.01 * path.values)
+        path = SimulatedPath(path.params, path.dt, path.seed, 0.01 * path.values)
         want = out_of_place_prices(path, 50.0)
         assert to_price_series(path, 50.0).prices.tobytes() == want.tobytes()
 
@@ -370,7 +394,6 @@ class TestSimulateFbm:
     def test_metadata(self):
         p = FbmParams(0.4)
         path = simulate_fbm(p, 16, dt=2.0, seed=9)
-        assert path.model == "fbm"
         assert path.params is p
         assert path.dt == 2.0 and path.seed == 9
         assert path.values.shape == (16,)
@@ -413,7 +436,7 @@ class TestSimulateDelampertized:
         root = sim._circulant_root(p, 0.5, 20)
         np.testing.assert_allclose(path.values, full_fft_sample(root, 20, 21),
                                    rtol=1e-12, atol=1e-14)
-        assert path.model == "delampertized"
+        assert path.params is p
 
     def test_marginal_variance(self):
         p = DelampertizedParams(0.7, 1.0, 2.0)
@@ -480,8 +503,8 @@ class TestSimulatePseudoPeriodic:
                     want = sequential_recursion(shocks, feedback, tau, scale)
                     np.testing.assert_array_equal(got, want, err_msg=f"{tau} {feedback} {scale}")
         path = simulate_pseudo_periodic(-0.9, 5, 60, seed=17)
-        assert path.model == "pseudo_periodic"
         assert path.params == PseudoPeriodicParams(-0.9, 5)
+        assert path.dt == 1.0 and path.seed == 17
 
     @pytest.mark.parametrize("beta, tau, n", [(0.6, 1, 9_000), (-0.9, 5, 10_000),
                                               (0.9999, 5, 100_000), (-0.9999, 5, 100_000),
@@ -533,37 +556,33 @@ class TestToPriceSeries:
         assert prices.timestamps.dtype == np.int64
 
     def test_pseudo_periodic_compounding(self):
-        p = SimulatedPath("pseudo_periodic", PseudoPeriodicParams(0.5, 2), 1.0, 0,
-                          np.array([0.1, -0.05, 0.02]))
+        p = SimulatedPath(PseudoPeriodicParams(0.5, 2), 1.0, 0, np.array([0.1, -0.05, 0.02]))
         prices = to_price_series(p, p0=100.0)
         assert len(prices) == 4
         np.testing.assert_allclose(prices.prices,
                                    [100.0, 110.0, 104.5, 104.5 * 1.02], rtol=1e-14)
 
     def test_pseudo_periodic_rejects_ruin(self):
-        p = SimulatedPath("pseudo_periodic", PseudoPeriodicParams(0.5, 2), 1.0, 0,
-                          np.array([0.1, -1.0, 0.02]))
+        p = SimulatedPath(PseudoPeriodicParams(0.5, 2), 1.0, 0, np.array([0.1, -1.0, 0.02]))
         with pytest.raises(ValueError, match="non-positive at step 2"):
             to_price_series(p)
 
     @pytest.mark.parametrize("model, values, kind", [
         ("fbm", [0.0, -800.0], "log-price"),
         ("pseudo_periodic", [-0.5] * 1100, "compounded price"),
-        ("pseudo_periodic", [1e200, 1e200], "compounded price")])
+        ("pseudo_periodic", [1e200, 1e200], "compounded price"),
+        ("delampertized", [0.0, -800.0], "log-price")])
     def test_price_underflow_and_overflow_guard(self, model, values, kind):
         # exp(-800) and 0.5**1100 underflow to 0, 1e400 overflows; no return reaches -1
-        p = SimulatedPath(model, PseudoPeriodicParams(0.5, 2), 1.0, 0, np.array(values))
+        params = {"fbm": FbmParams(0.5), "delampertized": DelampertizedParams(0.5, 1.0),
+                  "pseudo_periodic": PseudoPeriodicParams(0.5, 2)}[model]
+        p = SimulatedPath(params, 1.0, 0, np.array(values))
         with pytest.raises(ValueError, match=f"^{kind} range too wide"):
             to_price_series(p)
 
     def test_log_price_overflow_guard(self):
-        p = SimulatedPath("fbm", FbmParams(0.5), 1.0, 0, np.array([0.0, 800.0]))
+        p = SimulatedPath(FbmParams(0.5), 1.0, 0, np.array([0.0, 800.0]))
         with pytest.raises(ValueError, match="log-price range too wide"):
-            to_price_series(p)
-
-    def test_unknown_model(self):
-        p = SimulatedPath("garch", FbmParams(0.5), 1.0, 0, np.array([0.1, 0.2]))
-        with pytest.raises(ValueError, match="unknown model 'garch'"):
             to_price_series(p)
 
     def test_p0_validation(self):
@@ -572,3 +591,4 @@ class TestToPriceSeries:
             for p0 in (0.0, -1.0, math.inf, math.nan):
                 with pytest.raises(ValueError, match="^p0 must be positive and finite$"):
                     to_price_series(path, p0=p0)
+            assert to_price_series(path, p0=0.5).prices[0] == 0.5

@@ -322,7 +322,8 @@ class TestTheoryCurve:
             theory_curve("delampertized", [0.2, 0.5])
 
     def test_unknown_model(self):
-        with pytest.raises(ValueError, match="unknown model 'garch'"):
+        message = "^model must be 'fbm' or 'delampertized', got 'garch'$"
+        with pytest.raises(ValueError, match=message):
             theory_curve("garch", [0.5])
 
     def test_curve_validation(self):
