@@ -21,7 +21,8 @@ import numpy as np
 
 from .information import profile_from_prices, profile_to_csv, profile_to_json
 from .scaling import DEFAULT_FIT_RANGE, DEFAULT_MAX_SCALE, estimate_hurst
-from .series import _csv_header, _freeze, _json_text, _utf8_text, load_prices, write_prices
+from .series import PRICE_MODES, _csv_header, _freeze, _json_text, _utf8_text, load_prices, \
+    write_prices
 from .simulate import NumericError, simulate_delampertized, simulate_fbm, \
     simulate_pseudo_periodic, to_price_series
 from .theory import DelampertizedParams, FbmParams, theory_curve
@@ -32,16 +33,9 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-@contextlib.contextmanager
 def _output(path: str | None):
-    """The --output file, opened for writing, or stdout."""
-    if path:
-        with open(path, "w") as fh:
-            yield fh
-    elif sys.stdout is None:  # Python's stdout when fd 1 was closed at start-up
-        raise ValueError("stdout is closed")
-    else:
-        yield sys.stdout
+    """The --output file, opened for writing, or stdout, to use in a `with`."""
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -51,8 +45,6 @@ def _emit(text: str, output: str | None) -> None:
 
 def _load(path: str, mode: str):
     if path == "-":
-        if sys.stdin is None:  # Python's stdin when fd 0 was closed at start-up
-            raise ValueError("stdin is closed")
         # stdin's bytes are read as a file's are; a text stream without bytes, as given
         path = _utf8_text(sys.stdin.buffer) if hasattr(sys.stdin, "buffer") else sys.stdin
     return load_prices(path, mode)
@@ -178,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--L-max", dest="L_max", type=int, default=7)
     pa.add_argument("--m-values", dest="m_values", type=int, nargs="+", default=[1, 2, 3])
     pa.add_argument("--confidence", type=float, default=0.95)
-    pa.add_argument("--price-mode", choices=("close", "midrange"), default="close")
+    pa.add_argument("--price-mode", choices=PRICE_MODES, default="close")
     pa.add_argument("--format", choices=("json", "csv"), default="json")
     pa.add_argument("--output", "-o", default=None)
     pa.set_defaults(func=cmd_analyze)
@@ -216,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--max-scale", dest="max_scale", type=int, default=DEFAULT_MAX_SCALE)
     ph.add_argument("--fit-min", dest="fit_min", type=int, default=DEFAULT_FIT_RANGE[0])
     ph.add_argument("--fit-max", dest="fit_max", type=int, default=DEFAULT_FIT_RANGE[1])
-    ph.add_argument("--price-mode", choices=("close", "midrange"), default="close")
+    ph.add_argument("--price-mode", choices=PRICE_MODES, default="close")
     ph.add_argument("--format", choices=("json", "csv"), default="json")
     ph.add_argument("--output", "-o", default=None)
     ph.set_defaults(func=cmd_hurst)
@@ -228,6 +220,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Python's stdin or stdout is None when fd 0 or 1 was closed at
+        # start-up; reported before any input is read or any path drawn
+        if getattr(args, "input", None) == "-" and sys.stdin is None:
+            raise ValueError("stdin is closed")
+        if not args.output and sys.stdout is None:
+            raise ValueError("stdout is closed")
         return args.func(args)
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)

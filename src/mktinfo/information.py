@@ -336,6 +336,8 @@ def information_profile(
         raise ValueError(f"L_max must be at most {MAX_L}")
     confidence = _real(confidence, "confidence must be in (0, 1)", 0.0, 1.0)
     indicators = tuple(indicators)
+    if not all(isinstance(j, IndicatorSeries) for j in indicators):
+        raise ValueError("indicators must be IndicatorSeries")
     m_values = tuple(j.m for j in indicators)
     if len(set(m_values)) != len(m_values) or not m_values:
         raise ValueError("m_values must be nonempty and distinct")

@@ -148,7 +148,6 @@ class PriceSeries:
 
     timestamps: np.ndarray
     prices: np.ndarray
-    price_mode: str = "close"
 
     def __post_init__(self):
         prices = np.asarray(_real(self.prices, "prices must be finite", -np.inf, np.inf))
@@ -156,8 +155,6 @@ class PriceSeries:
         object.__setattr__(self, "prices", prices)
         timestamps = _held(_label_array(self.timestamps), self.timestamps)
         object.__setattr__(self, "timestamps", timestamps)
-        if self.price_mode not in PRICE_MODES:
-            raise ValueError(f"unknown price mode {self.price_mode!r}")
         if len(timestamps) != len(prices):
             raise ValueError("timestamps and prices differ in length")
         if len(prices) < 2:
@@ -351,16 +348,6 @@ class _FileRange(io.RawIOBase):
         return len(data)
 
 
-def _line_end(fd: int, pos: int, stop: int) -> int:
-    """The offset just past the first line break at or after `pos` in the
-    open file `fd`, or `stop` if there is none before it."""
-    while pos < stop and (data := os.pread(fd, 1 << 16, pos)):
-        if (i := data.find(b"\n")) >= 0:
-            return pos + i + 1
-        pos += len(data)
-    return stop
-
-
 class _RowError(ValueError):
     """args (what, index): the data row at `index`, from 0, of a chunk is bad;
     the reader names it by its row in the whole text."""
@@ -402,8 +389,12 @@ def _parse_prices(stream: IO[str], mode: str, fd: int | None = None) -> PriceSer
     first, second, fork = _chunks(stream), iter(()), False
     if fd is not None and stat.S_ISREG(os.fstat(fd).st_mode) and _may_fork():
         start, stop = stream.tell(), os.fstat(fd).st_size
-        cut = _line_end(fd, (start + stop) // 2, stop)
-        fork = stop - start > _CHUNK_CHARS and cut < stop
+        # tested first: after a lone "\r" line break tell() is a decoder
+        # cookie past 2**64, not an offset, and the file is read here whole
+        if stop - start > _CHUNK_CHARS:
+            middle = (start + stop) // 2
+            cut = middle + len(io.BufferedReader(_FileRange(fd, middle, stop)).readline())
+            fork = cut < stop
         if fork:
             first, second = (_chunks(_utf8_text(io.BufferedReader(_FileRange(fd, *span))))
                              for span in ((start, cut), (cut, stop)))
@@ -425,7 +416,7 @@ def _parse_prices(stream: IO[str], mode: str, fd: int | None = None) -> PriceSer
         raise ValueError("price series needs at least 2 rows")
     # rebound, so the per-chunk arrays are freed before the series is checked
     labels, prices = _freeze(np.concatenate(labels)), _freeze(np.concatenate(prices))
-    return PriceSeries(labels, prices, mode)
+    return PriceSeries(labels, prices)
 
 
 def _chunk_table(read, chunks: list) -> tuple[list, list, tuple | None]:

@@ -211,4 +211,4 @@ def to_price_series(path: SimulatedPath, p0: float = 100.0) -> PriceSeries:
             prices = p0 * np.exp(path.values - path.values[0])
     if not (np.all(np.isfinite(prices)) and prices.min() > 0.0):
         raise ValueError(f"{kind} range too wide to convert to prices; lower sigma or p0")
-    return PriceSeries(_freeze(np.arange(len(prices))), _freeze(prices), "close")
+    return PriceSeries(_freeze(np.arange(len(prices))), _freeze(prices))

@@ -41,6 +41,14 @@ class TestSimulate:
         assert len(lines) == 2 + 50
         assert float(lines[2].split(",")[1]) == 100.0
 
+    def test_gaussian_sigma_defaults_to_one(self, capsys):
+        code, out, _ = run(capsys, "simulate", "fbm", "--n", "20", "--seed", "4")
+        assert code == 0
+        header, _, rows = out.partition("\n")
+        assert header == "# model=fbm hurst=0.5 sigma=1.0 n=20 dt=1.0 seed=4 p0=100.0"
+        want = to_price_series(simulate_fbm(FbmParams(0.5, 1.0), 20, 1.0, 4))
+        assert [float(row.split(",")[1]) for row in rows.split()[1:]] == want.prices.tolist()
+
     def test_output_roundtrips_through_loader(self, capsys, tmp_path):
         dest = tmp_path / "sim.csv"
         code, out, _ = run(capsys, "simulate", "fbm", "--sigma", "0.02",
@@ -663,6 +671,13 @@ class TestHurst:
         assert code == 3 and out == ""
         assert err == f"error: max-scale must be at most {cli._MAX_SCALE_LIMIT}\n"
 
+    def test_max_scale_at_the_limit_is_accepted(self, price_file, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_SCALE_LIMIT", 64)
+        code, out, _ = run(capsys, "hurst", str(price_file), "--max-scale", "64")
+        assert code == 0 and json.loads(out)["scales"][-1] == 64
+        code, _, err = run(capsys, "hurst", str(price_file), "--max-scale", "65")
+        assert (code, err) == (3, "error: max-scale must be at most 64\n")
+
     def test_zero_moment_is_json_null(self, capsys, tmp_path):
         # closes cycling 1, 2, 4, 2 repeat every 4 steps, so the scale-4 moment is 0
         dest = tmp_path / "cycle.csv"
@@ -697,6 +712,20 @@ class TestClosedStreams:
         argv = {"simulate": ["fbm", "--n", "10"], "theory": ["fbm"]}.get(command, [str(price_file)])
         monkeypatch.setattr(cli.sys, "stdout", None)
         assert run(capsys, command, *argv) == (3, "", "error: stdout is closed\n")
+
+    def test_reported_before_any_work(self, price_file, capsys, monkeypatch):
+        def work(*args, **kwargs):
+            raise AssertionError("work ran before the closed stream was reported")
+
+        for name in ("simulate_fbm", "load_prices", "theory_curve"):
+            monkeypatch.setattr(cli, name, work)
+        monkeypatch.setattr(cli.sys, "stdin", None)
+        for command in ("analyze", "hurst"):
+            assert run(capsys, command, "-") == (3, "", "error: stdin is closed\n")
+        monkeypatch.setattr(cli.sys, "stdout", None)
+        for argv in (["analyze", str(price_file)], ["hurst", str(price_file)],
+                     ["simulate", "fbm", "--n", "10"], ["theory", "fbm"]):
+            assert run(capsys, *argv) == (3, "", "error: stdout is closed\n")
 
     def test_closed_stdout_with_output_file(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(cli.sys, "stdout", None)

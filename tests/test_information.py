@@ -439,6 +439,14 @@ class TestInformationProfile:
         with pytest.raises(ValueError, match="^m_values must be nonempty and distinct$"):
             information_profile([], L_max=2)
 
+    @pytest.mark.parametrize("indicators", [
+        {1: IndicatorSeries(1, np.ones(8, np.uint8))},  # iterated, it yields its keys
+        [np.ones(8, np.uint8)],
+    ], ids=["horizon-keyed-mapping", "bare-bits"])
+    def test_an_entry_that_is_not_an_indicator_series(self, indicators):
+        with pytest.raises(ValueError, match="^indicators must be IndicatorSeries$"):
+            information_profile(indicators, 2)
+
     @pytest.mark.parametrize("confidence", [1.0, 1.5, -0.5])
     def test_confidence_checked_where_no_bound_is_computed(self, confidence):
         # one indicator has no order-2 word, so no cell calls significance_bound

@@ -63,10 +63,6 @@ class TestPriceSeries:
         with pytest.raises(ValueError, match="differ in length"):
             PriceSeries((0, 1, 2), np.array([1.0, 2.0]))
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="unknown price mode"):
-            PriceSeries((0, 1), np.array([1.0, 2.0]), "open")
-
     def test_numeric_timestamp_ordering(self):
         # "10" must sort after "2" when every label parses as a number
         make_series([1.0, 2.0], timestamps=("2", "10"))
@@ -120,7 +116,6 @@ class TestLoadPrices:
         text = "time,high,low\n1,12,8\n2,14,10\n"
         p = load_prices(io.StringIO(text), mode="midrange")
         np.testing.assert_allclose(p.prices, [10.0, 12.0])
-        assert p.price_mode == "midrange"
 
     def test_missing_close_column(self):
         with pytest.raises(ValueError, match="missing required column 'close'"):
@@ -378,7 +373,7 @@ class TestChunkedReader:
         if not isinstance(want, str):
             labels, prices = want
             try:
-                want = PriceSeries(np.array(labels, dtype=bytes), prices, mode)
+                want = PriceSeries(np.array(labels, dtype=bytes), prices)
             except ValueError as exc:  # the label order, which the oracle leaves unchecked
                 want = str(exc)
         with pytest.MonkeyPatch.context() as patch:
@@ -393,7 +388,7 @@ class TestChunkedReader:
 
     def test_a_line_longer_than_one_read_at_the_middle(self, cpus, forks, tmp_path, monkeypatch):
         # the file's middle byte lies in one label 70 kB before its line
-        # break, past the 64 KiB one read for that break takes
+        # break, many reads of the buffer the split line is read through
         monkeypatch.setattr(series, "_CHUNK_CHARS", 1000)
         labels = ([f"a{i:02d}" for i in range(20)] + ["b" + "x" * 140_000]
                   + [f"c{i:02d}" for i in range(20)])
@@ -401,6 +396,47 @@ class TestChunkedReader:
         assert p.timestamps.tolist() == [t.encode() for t in labels]
         assert p.prices.tolist() == [i + 0.5 for i in range(len(labels))]
         assert len(forks) == cpus - 1
+
+    @pytest.mark.parametrize("at", [0.0, 0.5, 1.0], ids=["first-byte", "inside", "line-break"])
+    def test_the_middle_in_a_line_longer_than_the_readers_buffer(
+            self, cpus, forks, tmp_path, monkeypatch, at):
+        # the file's middle byte lies at the first byte of a line longer than
+        # the buffer the split line is read through, inside it, or at its break
+        monkeypatch.setattr(series, "_CHUNK_CHARS", 1000)
+        before = [f"a{i:04d},{i}.5" for i in range(1000)]
+        long_row = "b" + "x" * io.DEFAULT_BUFFER_SIZE + ",0.25"
+        a, line = sum(len(row) + 1 for row in before), len(long_row) + 1
+        # the last line's length puts the middle of the data at byte `a + k`
+        k = round(at * (line - 1))
+        last_row = "c" * (a + 2 * k - line - len(",1.5\n")) + ",1.5"
+        rows = before + [long_row, last_row]
+        f = _rows_file(tmp_path, rows)
+        start = len("timestamp,close\n")
+        assert (start + f.stat().st_size) // 2 == start + a + k
+        p, one = load_prices(f), _one_cpu_load(f)
+        assert p.timestamps.tolist() == [row.partition(",")[0].encode() for row in rows]
+        assert p.timestamps.tobytes() == one.timestamps.tobytes()
+        assert p.prices.tobytes() == one.prices.tobytes()
+        assert len(forks) == cpus - 1
+
+    def test_a_lone_cr_file_is_read_here_whole(self, cpus, forks, tmp_path, monkeypatch):
+        # after a lone "\r" header, the text stream's tell() is a decoder
+        # cookie past 2**64, not a byte offset, so no middle can be found
+        monkeypatch.setattr(series, "_CHUNK_CHARS", 1000)
+        f = tmp_path / "p.csv"
+        f.write_bytes("".join(f"{row}\r" for row in ["timestamp,close"] + _ROWS).encode())
+        p, one = load_prices(f), _one_cpu_load(f)
+        assert len(p) == len(_ROWS)
+        assert p.timestamps.tobytes() == one.timestamps.tobytes()
+        assert p.prices.tobytes() == one.prices.tobytes()
+        assert forks == []
+
+
+def _one_cpu_load(path):
+    """load_prices(path) with os.sched_getaffinity reporting one CPU."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        return load_prices(path)
 
 
 @pytest.fixture
