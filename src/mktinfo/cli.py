@@ -21,8 +21,8 @@ import numpy as np
 
 from .information import profile_from_prices, profile_to_csv, profile_to_json
 from .scaling import DEFAULT_FIT_RANGE, DEFAULT_MAX_SCALE, estimate_hurst
-from .series import PRICE_MODES, _csv_header, _freeze, _json_text, _utf8_text, load_prices, \
-    write_prices
+from .series import PRICE_MODES, _csv_header, _freeze, _json_text, _real, _utf8_text, \
+    load_prices, write_prices
 from .simulate import NumericError, simulate_delampertized, simulate_fbm, \
     simulate_pseudo_periodic, to_price_series
 from .theory import DelampertizedParams, FbmParams, theory_curve
@@ -85,10 +85,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             DelampertizedParams(args.hurst, args.theta, sigma),
             args.n, args.dt, args.seed)
     else:
-        path = simulate_pseudo_periodic(args.beta, args.tau, args.n, args.seed)
         # unit-variance returns cannot compound into positive prices, so the
         # CLI applies a volatility scale (signs, hence information, unchanged)
         scale = 0.01 if args.sigma is None else args.sigma
+        _real(scale, "sigma must be positive and finite", 0.0, math.inf)
+        path = simulate_pseudo_periodic(args.beta, args.tau, args.n, args.seed)
         path = dataclasses.replace(path, values=_freeze(scale * path.values))
         run = {"sigma": scale, "n": args.n}
     header = {"model": args.model, **dataclasses.asdict(path.params), **run,

@@ -12,14 +12,14 @@ no-information null the estimator is asymptotically Gamma(2**(L-1),
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .series import IndicatorSeries, PriceSeries, _count, _csv_table, _freeze, _json_text, \
-    _real, to_indicators
+from .series import IndicatorSeries, PriceSeries, _count, _csv_table, _freeze, _held, \
+    _json_text, _real, to_indicators
 
 LN2 = math.log(2.0)
 
@@ -271,17 +271,52 @@ def significance_bound(n: int, lags: int, m: int, confidence: float) -> float:
     return scale * _unit_gamma_quantile(shape, confidence)
 
 
+def _m_values(values) -> tuple:
+    """`values` as a tuple of Python ints, checked positive, nonempty and distinct."""
+    values = tuple(_count(m, "m_values must be positive integers") for m in values)
+    if len(set(values)) != len(values) or not values:
+        raise ValueError("m_values must be nonempty and distinct")
+    return values
+
+
+def _grid(values, m_values: tuple, name: str) -> np.ndarray:
+    """`values` as a read-only float64 grid held by _held, checked 2-D, with
+    one row per order (at least one) and one column per m value."""
+    grid = np.asarray(values)
+    if grid.dtype.kind not in "iuf" or grid.ndim != 2 or grid.shape[0] < 1 \
+            or grid.shape[1] != len(m_values):
+        raise ValueError(f"{name} must be a 2-D grid of at least one row and one column "
+                         "per m value")
+    return _held(grid.astype(np.float64, copy=False), values)
+
+
 @dataclass(frozen=True)
 class EntropyProfile:
     """Word entropies H[order, m] for order = 1..L_max+1 (rows) and each m (columns).
 
-    Cells that cannot be estimated (series too short) hold NaN and n_obs 0.
+    n is the number of prices minus one.  L_max and n_obs, the window count
+    of each cell, are worked out from n and the grid: order L at horizon m
+    has n - L*m + 1 windows.  Cells that cannot be estimated (series too
+    short) hold NaN and n_obs 0.
     """
 
     m_values: tuple
-    L_max: int
+    n: int
     H: np.ndarray
-    n_obs: np.ndarray
+    L_max: int = field(init=False)
+    n_obs: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        m_values = _m_values(self.m_values)
+        n = _count(self.n, "n must be a positive integer")
+        H = _grid(self.H, m_values, "H")
+        object.__setattr__(self, "m_values", m_values)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "H", H)
+        object.__setattr__(self, "L_max", H.shape[0] - 1)
+        # in Python ints, so no order * m can wrap; each count is at most n
+        n_obs = [[max(n - order * m + 1, 0) for m in m_values] for order in range(1, len(H) + 1)]
+        object.__setattr__(self, "n_obs", _freeze(np.array(n_obs, dtype=np.int64)))
 
     def cell(self, order: int, m: int) -> float:
         return float(self.H[_cell_index(self, order, m)])
@@ -293,19 +328,32 @@ class InformationProfile:
 
     Rows index the word order: row ell-1 holds the order-ell information
     1 + H(order ell-1) - H(order ell) with the convention H(order 0) = 0, so
-    the first row is 1 - H(single indicator).  Partial information is the
-    first difference of rows (base case: first row of I itself).  Bounds are
-    null quantiles for orders >= 2; the order-1 cell has no integer-shape
-    null and is NaN.
+    the first row is 1 - H(single indicator).  L_max and the partial
+    information, the first difference of rows (base case: first row of I
+    itself; a difference with an absent cell is NaN), are worked out from
+    I.  Bounds, a grid of I's shape, are null quantiles for orders >= 2; the
+    order-1 cell has no integer-shape null and is NaN.
     """
 
     m_values: tuple
-    L_max: int
     n: int
     confidence: float
     I: np.ndarray
-    partial: np.ndarray
     bounds: np.ndarray
+    L_max: int = field(init=False)
+    partial: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        m_values = _m_values(self.m_values)
+        I = _grid(self.I, m_values, "I")
+        bounds = _grid(self.bounds, m_values, "bounds")
+        if bounds.shape != I.shape:
+            raise ValueError("bounds must have the shape of I")
+        object.__setattr__(self, "m_values", m_values)
+        object.__setattr__(self, "I", I)
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "L_max", I.shape[0] - 1)
+        object.__setattr__(self, "partial", _freeze(np.diff(I, axis=0, prepend=0.0)))
 
     def cell(self, order: int, m: int) -> float:
         return float(self.I[_cell_index(self, order, m)])
@@ -338,9 +386,7 @@ def information_profile(
     indicators = tuple(indicators)
     if not all(isinstance(j, IndicatorSeries) for j in indicators):
         raise ValueError("indicators must be IndicatorSeries")
-    m_values = tuple(j.m for j in indicators)
-    if len(set(m_values)) != len(m_values) or not m_values:
-        raise ValueError("m_values must be nonempty and distinct")
+    m_values = _m_values(j.m for j in indicators)
     # the price count minus one, which every series must imply
     price_steps = {len(j.bits) + j.m - 1 for j in indicators}
     if len(price_steps) > 1:
@@ -350,7 +396,6 @@ def information_profile(
     n_orders = L_max + 1
     shape = (n_orders, len(m_values))
     H = np.full(shape, np.nan)
-    n_obs = np.zeros(shape, dtype=np.int64)
     I = np.full(shape, np.nan)
     bounds = np.full(shape, np.nan)
 
@@ -358,7 +403,6 @@ def information_profile(
         for order, n_windows, counts, prefix in _marginal_counts(j.bits, j.m, n_orders):
             row = order - 1
             H[row, col] = _entropy_bits(counts, n_windows)
-            n_obs[row, col] = n_windows
             # order 1's prefix is the empty word, whose entropy is 0
             I[row, col] = 1.0 + _entropy_bits(prefix, n_windows) - H[row, col]
             if order > 1:
@@ -366,12 +410,8 @@ def information_profile(
                 # its null has dof = n - m*row = n_windows + m - 1 >= 1
                 bounds[row, col] = significance_bound(n, row, j.m, confidence)
 
-    # first differences down the orders; a difference with an absent cell is NaN
-    partial = np.diff(I, axis=0, prepend=0.0)
-
-    ep = EntropyProfile(m_values, L_max, _freeze(H), _freeze(n_obs))
-    ip = InformationProfile(m_values, L_max, n, confidence, _freeze(I),
-                            _freeze(partial), _freeze(bounds))
+    ep = EntropyProfile(m_values, n, _freeze(H))
+    ip = InformationProfile(m_values, n, confidence, _freeze(I), _freeze(bounds))
     return ep, ip
 
 

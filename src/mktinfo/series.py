@@ -361,10 +361,11 @@ def _parse_prices(stream: IO[str], mode: str, fd: int | None = None) -> PriceSer
     header = next((line for line in lines if not _is_skipped(line)), None)
     if header is None:
         raise ValueError("empty input")
-    columns = {name.strip().lower(): i for i, name in enumerate(next(csv.reader([header])))}
+    names = [name.strip().lower() for name in next(csv.reader([header]))]
+    columns = {name: i for i, name in enumerate(names)}
 
-    ts_col = next((columns[c] for c in _TIMESTAMP_COLUMNS if c in columns), None)
-    if ts_col is None:
+    ts_name = next((c for c in _TIMESTAMP_COLUMNS if c in columns), None)
+    if ts_name is None:
         raise ValueError("missing timestamp column")
     if mode == "close":
         needed = ("close",)
@@ -373,6 +374,11 @@ def _parse_prices(stream: IO[str], mode: str, fd: int | None = None) -> PriceSer
     for name in needed:
         if name not in columns:
             raise ValueError(f"missing required column {name!r} for mode {mode!r}")
+    # a column that is read must be one column; others may repeat
+    for name in (ts_name,) + needed:
+        if names.count(name) > 1:
+            raise ValueError(f"duplicate column {name!r}")
+    ts_col = columns[ts_name]
 
     fields = [(name, np.float64) for name in needed]
     usecols = (ts_col,) + tuple(columns[name] for name in needed)

@@ -143,6 +143,7 @@ def _circulant_sample(root: np.ndarray, n: int, rng: np.random.Generator) -> np.
 def simulate_fbm(params: FbmParams, n: int, dt: float = 1.0, seed: int = 0) -> SimulatedPath:
     """Exact sample of fBm at times dt, 2*dt, ..., n*dt."""
     n = _count(n, "n must be an integer >= 2", minimum=2)
+    seed = _count(seed, "seed must be a non-negative integer", minimum=0)
     root = _circulant_root(params, _real(dt, "dt must be positive and finite", 0.0, math.inf), n)
     values = _circulant_sample(root, n, np.random.default_rng(seed))
     np.cumsum(values, out=values)  # the increments, summed in place
@@ -153,6 +154,7 @@ def simulate_delampertized(params: DelampertizedParams, n: int, dt: float = 1.0,
                            seed: int = 0) -> SimulatedPath:
     """Exact sample of the stationary delampertized process on a uniform grid."""
     n = _count(n, "n must be an integer >= 2", minimum=2)
+    seed = _count(seed, "seed must be a non-negative integer", minimum=0)
     root = _circulant_root(params, _real(dt, "dt must be positive and finite", 0.0, math.inf), n)
     values = _circulant_sample(root, n, np.random.default_rng(seed))
     return SimulatedPath(params, dt, seed, _freeze(values))
@@ -166,6 +168,7 @@ def simulate_pseudo_periodic(beta: float, tau: int, n: int, seed: int = 0) -> Si
     """
     params = PseudoPeriodicParams(beta, tau)
     n = _count(n, "n must be an integer >= 1")
+    seed = _count(seed, "seed must be a non-negative integer", minimum=0)
     shocks = np.random.default_rng(seed).standard_normal(n)
     scale = float(np.sqrt(1.0 - params.beta ** 2))
     values = _lagged_recursion(shocks, params.beta, params.tau, scale)

@@ -26,14 +26,19 @@ def read_prices(text: str, mode: str = "close"):
     lines = [line for line in text.removeprefix("\ufeff").split("\n") if not _skipped(line)]
     if not lines:
         return "empty input"
-    columns = {name.strip().lower(): i for i, name in enumerate(next(csv.reader(lines[:1])))}
-    ts = next((columns[name] for name in TIMESTAMP_COLUMNS if name in columns), None)
-    if ts is None:
+    names = [name.strip().lower() for name in next(csv.reader(lines[:1]))]
+    columns = {name: i for i, name in enumerate(names)}
+    ts_name = next((name for name in TIMESTAMP_COLUMNS if name in columns), None)
+    if ts_name is None:
         return "missing timestamp column"
     legs = ["close"] if mode == "close" else ["high", "low"]
     for name in legs:
         if name not in columns:
             return f"missing required column {name!r} for mode {mode!r}"
+    for name in [ts_name] + legs:
+        if names.count(name) > 1:
+            return f"duplicate column {name!r}"
+    ts = columns[ts_name]
     labels, prices = [], []
     for row, line in enumerate(lines[1:], 1):
         try:

@@ -137,11 +137,24 @@ class TestSimulate:
         ("delampertized", "--theta", "inf"), ("delampertized", "--theta", "nan"),
         ("fbm", "--dt", "inf"), ("delampertized", "--dt", "inf"),
         ("fbm", "--sigma", "inf"), ("delampertized", "--sigma", "nan"),
-        ("fbm", "--p0", "inf"), ("pseudo-periodic", "--p0", "inf")])
+        ("fbm", "--p0", "inf"), ("pseudo-periodic", "--p0", "inf"),
+        ("pseudo-periodic", "--sigma", "nan"), ("pseudo-periodic", "--sigma", "inf"),
+        ("pseudo-periodic", "--sigma", "0"), ("pseudo-periodic", "--sigma", "-1")])
     def test_non_finite_parameter_is_data_error(self, capsys, model, option, value):
         code, out, err = run(capsys, "simulate", model, option, value, "--n", "50")
         assert code == 3 and out == ""
         assert err == f"error: {option[2:]} must be positive and finite\n"
+
+    @pytest.mark.parametrize("model", ["fbm", "delampertized", "pseudo-periodic"])
+    def test_negative_seed_is_data_error_before_any_draw(self, capsys, monkeypatch, model):
+        def draw(*args, **kwargs):
+            raise AssertionError("a path was drawn for a negative seed")
+
+        for name in ("_circulant_root", "_circulant_sample", "_lagged_recursion"):
+            monkeypatch.setattr(sim, name, draw)
+        monkeypatch.setattr(sim.np.random, "default_rng", draw)
+        assert run(capsys, "simulate", model, "--seed", "-1", "--n", "50") == (
+            3, "", "error: seed must be a non-negative integer\n")
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 """Word counts, entropy, market information, the null gamma bound, and profiles."""
 
+import itertools
 import json
 import math
 import time
@@ -14,6 +15,7 @@ import mktinfo.information as information
 from mktinfo.information import (
     MAX_L,
     EntropyProfile,
+    InformationProfile,
     empirical_entropy,
     entropy_rate_slope,
     gamma_quantile,
@@ -361,6 +363,22 @@ class TestInformationProfile:
         assert np.all(~np.isfinite(ep.H[6:, 0]))
         assert np.all(ep.n_obs[6:, 0] == 0)
         assert np.all(~np.isfinite(ip.I[6:, 0]))
+        # on every cell of a grid of lengths, horizons and depths, the n_obs
+        # the record works out is the counter's window count, and a cell too
+        # short to count has 0 and NaN entropy
+        rng = np.random.default_rng(16)
+        for n, m_values, L_max in itertools.product(
+                (13, 100, 4096), ((1,), (1, 2, 3), (2, 5)), (1, 3, 10, 14)):
+            prices = PriceSeries(range(n + 1), np.exp(np.cumsum(rng.normal(0, 0.01, n + 1))))
+            ep, _ = profile_from_prices(prices, L_max, m_values)
+            want = np.zeros((L_max + 1, len(m_values)), dtype=np.int64)
+            for col, m in enumerate(m_values):
+                bits = to_indicators(prices, m).bits
+                for order, n_windows, _, _ in information._marginal_counts(bits, m, L_max + 1):
+                    want[order - 1, col] = n_windows
+            assert ep.n_obs.dtype == np.int64 and not ep.n_obs.flags.writeable
+            assert ep.n_obs.tobytes() == want.tobytes(), (n, m_values, L_max)
+            assert np.array_equal(np.isnan(ep.H), want == 0), (n, m_values, L_max)
 
     def test_bounds_layout(self):
         rng = np.random.default_rng(12)
@@ -409,6 +427,67 @@ class TestInformationProfile:
         prices = PriceSeries(tuple(range(500)), np.exp(np.cumsum(rng.normal(0, 0.01, 500))))
         ep, ip = profile_from_prices(prices, L_max=3, m_values=(1, 2, 5))
         assert (1.0 - ep.H[0]).tobytes() == ip.I[0].tobytes()
+
+    @pytest.mark.parametrize("n_prices, L_max, m_values", [
+        (9, 6, (1, 2, 3)), (400, 5, (3, 1, 2)), (5, 3, (1,))])
+    def test_records_rebuilt_from_their_grids_are_the_same(self, n_prices, L_max, m_values):
+        rng = np.random.default_rng(n_prices)
+        prices = PriceSeries(range(n_prices), np.exp(np.cumsum(rng.normal(0, 0.01, n_prices))))
+        ep, ip = profile_from_prices(prices, L_max, m_values)
+        # writable copies, which the records copy and freeze
+        H, I, bounds = ep.H.copy(), ip.I.copy(), ip.bounds.copy()
+        ep2 = EntropyProfile(list(m_values), ep.n, H)
+        ip2 = InformationProfile(m_values, ip.n, ip.confidence, I, bounds)
+        H[:], I[:], bounds[:] = 0.5, 0.5, 0.5
+        assert ep2.m_values == ip2.m_values == m_values
+        assert ep2.n == ip2.n == n_prices - 1
+        assert ep2.L_max == ip2.L_max == ep.L_max == ip.L_max == L_max
+        for got, want in [(ep2.H, ep.H), (ep2.n_obs, ep.n_obs), (ip2.I, ip.I),
+                          (ip2.partial, ip.partial), (ip2.bounds, ip.bounds)]:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+        assert profile_to_json(ep2, ip2) == profile_to_json(ep, ip)
+        assert profile_to_csv(ep2, ip2) == profile_to_csv(ep, ip)
+
+    def test_what_the_records_work_out_cannot_be_given(self):
+        prices = PriceSeries(range(5), [1.0, 2.0, 1.5, 3.0, 2.0])
+        ep, ip = profile_from_prices(prices, L_max=3, m_values=(1,))
+        # a wrong L_max, n_obs or partial cannot be passed, and the grid's
+        # own rows are each a cell
+        with pytest.raises(TypeError):
+            InformationProfile((1,), 2, ip.n, ip.confidence, ip.I, ip.partial, ip.bounds)
+        with pytest.raises(TypeError):
+            InformationProfile((1,), ip.n, ip.confidence, ip.I, ip.bounds,
+                               partial=np.zeros_like(ip.I))
+        with pytest.raises(TypeError):
+            EntropyProfile((1,), ep.n, ep.H, n_obs=ep.n_obs)
+        ip2 = InformationProfile((1,), ip.n, ip.confidence, ip.I, ip.bounds)
+        assert ip2.cell(4, 1) == ip.cell(4, 1)
+        assert json.loads(profile_to_json(EntropyProfile((1,), ep.n, ep.H), ip2))["L_max"] == 3
+        # a horizon far past the series has no window at any order: no int64 product wraps
+        far = EntropyProfile((1, 2 ** 62), 10, np.ones((3, 2)))
+        assert far.n_obs.tolist() == [[10, 0], [9, 0], [8, 0]]
+
+    def test_a_grid_that_disagrees_is_a_value_error(self):
+        prices = PriceSeries(range(5), [1.0, 2.0, 1.5, 3.0, 2.0])
+        ep, ip = profile_from_prices(prices, L_max=3, m_values=(1,))
+        grid = "^{} must be a 2-D grid of at least one row and one column per m value$"
+        for H in (ep.H, ep.H[:, 0], np.zeros((0, 2)), np.array([["a", "b"]]),
+                  np.ones((4, 2), dtype=bool)):
+            with pytest.raises(ValueError, match=grid.format("H")):
+                EntropyProfile((1, 2), ep.n, H)
+        with pytest.raises(ValueError, match=grid.format("I")):
+            InformationProfile((1, 2), ip.n, ip.confidence, ip.I, ip.bounds)
+        with pytest.raises(ValueError, match=grid.format("bounds")):
+            InformationProfile((1,), ip.n, ip.confidence, ip.I, ip.bounds[:, 0])
+        with pytest.raises(ValueError, match="^bounds must have the shape of I$"):
+            InformationProfile((1,), ip.n, ip.confidence, ip.I, ip.bounds[:-1])
+        for m_values in ((1, 1), ()):
+            with pytest.raises(ValueError, match="^m_values must be nonempty and distinct$"):
+                EntropyProfile(m_values, ep.n, np.ones((4, len(m_values))))
+            with pytest.raises(ValueError, match="^m_values must be nonempty and distinct$"):
+                InformationProfile(m_values, ip.n, ip.confidence, np.ones((4, len(m_values))),
+                                   np.ones((4, len(m_values))))
 
     def test_price_count_disagreement(self):
         j = [bits_series(np.ones(8, dtype=np.uint8), m=1),
@@ -498,7 +577,7 @@ class TestEntropyRateSlope:
     def synthetic_profile(self, slope=0.9, intercept=0.2, L_max=6):
         orders = np.arange(1, L_max + 2, dtype=float)
         H = (intercept + slope * (orders - 1.0))[:, None]
-        return EntropyProfile((1,), L_max, H, np.ones_like(H, dtype=np.int64))
+        return EntropyProfile((1,), 100, H)
 
     def test_exact_linear(self):
         ep = self.synthetic_profile(slope=0.9)
@@ -508,7 +587,7 @@ class TestEntropyRateSlope:
         ep = self.synthetic_profile(slope=0.8)
         H = ep.H.copy()
         H[3, 0] = np.nan
-        ep2 = EntropyProfile((1,), ep.L_max, H, ep.n_obs)
+        ep2 = EntropyProfile((1,), ep.n, H)
         assert entropy_rate_slope(ep2, 1, range(1, 7)) == pytest.approx(0.8, abs=1e-12)
 
     def test_lags_past_l_max_are_skipped(self):
@@ -530,7 +609,7 @@ class TestEntropyRateSlope:
         rate = H[3] - H[2]
         assert H[2] - H[1] == pytest.approx(rate, abs=1e-12)
         assert abs(H[1] - H[0] - rate) > 0.05
-        ep = EntropyProfile((1,), 4, H[:, None], np.ones((5, 1), dtype=np.int64))
+        ep = EntropyProfile((1,), 100, H[:, None])
         assert entropy_rate_slope(ep, 1, [1, 2, 3]) == pytest.approx(rate, abs=1e-12)
 
 

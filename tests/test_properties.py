@@ -12,6 +12,7 @@ import scipy.stats
 from hypothesis import example, given, strategies as st
 
 from mktinfo.information import (
+    EntropyProfile,
     _entropy_bits,
     empirical_entropy,
     entropy_rate_slope,
@@ -301,6 +302,14 @@ COUNT_ARGUMENTS = {
         "n must be an integer >= 2", _bad(2), (np.int64(3), 3)),
     "simulate_pseudo_periodic-n": (lambda n: simulate_pseudo_periodic(0.5, 2, n, seed=1),
                                    "n must be an integer >= 1", _bad(1), (np.int64(2), 2)),
+    "simulate_fbm-seed": (lambda seed: simulate_fbm(FbmParams(0.6), 16, seed=seed),
+                          "seed must be a non-negative integer", _bad(0), (np.int64(3), 3)),
+    "simulate_delampertized-seed": (
+        lambda seed: simulate_delampertized(DelampertizedParams(0.6, 1.0), 16, seed=seed),
+        "seed must be a non-negative integer", _bad(0), (np.int64(3), 3)),
+    "simulate_pseudo_periodic-seed": (
+        lambda seed: simulate_pseudo_periodic(0.5, 2, 16, seed=seed),
+        "seed must be a non-negative integer", _bad(0), (np.int64(3), 3)),
     "estimate_hurst-scales": (lambda scales: estimate_hurst(_LOGP, scales),
                               "scales must be positive integers",
                               _in_list(_bad(1), 3) + [[1.5, 2.7, 3.2]],
@@ -321,6 +330,11 @@ COUNT_ARGUMENTS = {
         _in_list(_bad(1), 2, 3) + [[1.5, 2, 3], np.array([1.5, 2.0, 3.0]), ["1", "2", "3"],
                                    np.array(["1", "2", "3"]), np.array([True, True, True])],
         (np.array([1, 2, 3], dtype=np.int32), [1, 2, 3])),
+    "EntropyProfile-n": (lambda n: EntropyProfile(_EP.m_values, n, _EP.H),
+                         "n must be a positive integer", _bad(1), (np.int64(39), 39)),
+    "EntropyProfile-m_values": (lambda ms: EntropyProfile(ms, _EP.n, _EP.H[:, :2]),
+                                "m_values must be positive integers", _in_list(_bad(1), 2),
+                                ([np.int64(1), 2], [1, 2])),
     "EntropyProfile.cell-order": (lambda order: _EP.cell(order, 1),
                                   "order must be an integer in 1..5", _bad(1, 6), (np.int64(2), 2)),
     "InformationProfile.cell-order": (lambda order: _IP.cell(order, 2),

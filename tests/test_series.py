@@ -431,6 +431,40 @@ class TestChunkedReader:
         assert p.prices.tobytes() == one.prices.tobytes()
         assert forks == []
 
+    @pytest.mark.parametrize("header, mode, column", [
+        ("timestamp,close,Close", "close", "close"),
+        ("Timestamp,timestamp,close", "close", "timestamp"),
+        ("timestamp,high,low,HIGH", "midrange", "high"),
+        (" date ,time,DATE,close", "close", "date")])
+    def test_a_column_read_twice_is_an_error(self, cpus, forks, tmp_path, monkeypatch,
+                                             header, mode, column):
+        # which of the two was meant cannot be told, so neither is read
+        monkeypatch.setattr(series, "_CHUNK_CHARS", 16)
+        f = tmp_path / "p.csv"
+        f.write_text("".join(f"{row}\n" for row in [header, "1,5,7,9", "2,6,8,10"]))
+        message = f"duplicate column {column!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_prices(f, mode)
+        assert read_prices(f.read_text(), mode) == message
+        assert forks == []
+
+    @pytest.mark.parametrize("header, mode, prices", [
+        ("timestamp,close,volume,volume", "close", [5.0, 6.0]),
+        ("date,time,close", "close", [7.0, 8.0]),
+        ("timestamp,close,Close,high,low", "midrange", [9.5, 10.5])])
+    def test_a_column_not_read_may_repeat(self, cpus, forks, tmp_path, monkeypatch,
+                                          header, mode, prices):
+        monkeypatch.setattr(series, "_CHUNK_CHARS", 16)
+        rows = [f"{i},{5 + i},{7 + i},{9 + i},{10 + i}" for i in range(40)]
+        f = tmp_path / "p.csv"
+        f.write_text("".join(f"{row}\n" for row in [header] + rows))
+        p = load_prices(f, mode)
+        assert p.timestamps.tolist() == [str(i).encode() for i in range(40)]
+        assert p.prices[:2].tolist() == prices
+        _, want = read_prices(f.read_text(), mode)
+        assert p.prices.tobytes() == np.array(want).tobytes()
+        assert len(forks) == cpus - 1
+
 
 def _one_cpu_load(path):
     """load_prices(path) with os.sched_getaffinity reporting one CPU."""
