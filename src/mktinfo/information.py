@@ -279,6 +279,15 @@ def _m_values(values) -> tuple:
     return values
 
 
+def _profile_n(value) -> int:
+    """A profile's n, checked a positive integer that the int64 window
+    counts of EntropyProfile can hold."""
+    n = _count(value, "n must be a positive integer")
+    if n >= 2 ** 63:
+        raise ValueError("n must be below 2**63")
+    return n
+
+
 def _grid(values, m_values: tuple, name: str) -> np.ndarray:
     """`values` as a read-only float64 grid held by _held, checked 2-D, with
     one row per order (at least one) and one column per m value."""
@@ -308,7 +317,7 @@ class EntropyProfile:
 
     def __post_init__(self):
         m_values = _m_values(self.m_values)
-        n = _count(self.n, "n must be a positive integer")
+        n = _profile_n(self.n)
         H = _grid(self.H, m_values, "H")
         object.__setattr__(self, "m_values", m_values)
         object.__setattr__(self, "n", n)
@@ -345,11 +354,15 @@ class InformationProfile:
 
     def __post_init__(self):
         m_values = _m_values(self.m_values)
+        n = _profile_n(self.n)
+        confidence = _real(self.confidence, "confidence must be in (0, 1)", 0.0, 1.0)
         I = _grid(self.I, m_values, "I")
         bounds = _grid(self.bounds, m_values, "bounds")
         if bounds.shape != I.shape:
             raise ValueError("bounds must have the shape of I")
         object.__setattr__(self, "m_values", m_values)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "confidence", confidence)
         object.__setattr__(self, "I", I)
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "L_max", I.shape[0] - 1)

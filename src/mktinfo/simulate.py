@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
 
 import numpy as np
 
@@ -39,17 +38,12 @@ class PseudoPeriodicParams:
         object.__setattr__(self, "tau", _count(self.tau, "tau must be a positive integer"))
 
 
-ModelParams = Union[FbmParams, DelampertizedParams, PseudoPeriodicParams]
-
-
 @dataclass(frozen=True)
 class SimulatedPath:
     """A simulated series of the model whose parameters are `params`:
     log-prices for the Gaussian models, returns for the pseudo-periodic one."""
 
-    params: ModelParams
-    dt: float
-    seed: int
+    params: FbmParams | DelampertizedParams | PseudoPeriodicParams
     values: np.ndarray
 
     def __post_init__(self):
@@ -140,24 +134,27 @@ def _circulant_sample(root: np.ndarray, n: int, rng: np.random.Generator) -> np.
     return np.sqrt(2 * m) * x[:n]
 
 
-def simulate_fbm(params: FbmParams, n: int, dt: float = 1.0, seed: int = 0) -> SimulatedPath:
-    """Exact sample of fBm at times dt, 2*dt, ..., n*dt."""
+def _gaussian_values(params: FbmParams | DelampertizedParams, n: int, dt: float,
+                     seed: int) -> np.ndarray:
+    """First n values of one exact draw of the sequence `_autocovariance`
+    describes; each input is checked before the root is built."""
     n = _count(n, "n must be an integer >= 2", minimum=2)
     seed = _count(seed, "seed must be a non-negative integer", minimum=0)
     root = _circulant_root(params, _real(dt, "dt must be positive and finite", 0.0, math.inf), n)
-    values = _circulant_sample(root, n, np.random.default_rng(seed))
+    return _circulant_sample(root, n, np.random.default_rng(seed))
+
+
+def simulate_fbm(params: FbmParams, n: int, dt: float = 1.0, seed: int = 0) -> SimulatedPath:
+    """Exact sample of fBm at times dt, 2*dt, ..., n*dt."""
+    values = _gaussian_values(params, n, dt, seed)
     np.cumsum(values, out=values)  # the increments, summed in place
-    return SimulatedPath(params, dt, seed, _freeze(values))
+    return SimulatedPath(params, _freeze(values))
 
 
 def simulate_delampertized(params: DelampertizedParams, n: int, dt: float = 1.0,
                            seed: int = 0) -> SimulatedPath:
     """Exact sample of the stationary delampertized process on a uniform grid."""
-    n = _count(n, "n must be an integer >= 2", minimum=2)
-    seed = _count(seed, "seed must be a non-negative integer", minimum=0)
-    root = _circulant_root(params, _real(dt, "dt must be positive and finite", 0.0, math.inf), n)
-    values = _circulant_sample(root, n, np.random.default_rng(seed))
-    return SimulatedPath(params, dt, seed, _freeze(values))
+    return SimulatedPath(params, _freeze(_gaussian_values(params, n, dt, seed)))
 
 
 def simulate_pseudo_periodic(beta: float, tau: int, n: int, seed: int = 0) -> SimulatedPath:
@@ -172,7 +169,7 @@ def simulate_pseudo_periodic(beta: float, tau: int, n: int, seed: int = 0) -> Si
     shocks = np.random.default_rng(seed).standard_normal(n)
     scale = float(np.sqrt(1.0 - params.beta ** 2))
     values = _lagged_recursion(shocks, params.beta, params.tau, scale)
-    return SimulatedPath(params, 1.0, seed, _freeze(values))
+    return SimulatedPath(params, _freeze(values))
 
 
 def _lagged_recursion(shocks: np.ndarray, feedback: float, lag: int,

@@ -222,10 +222,10 @@ def theory_curve(model: str, param_grid: Sequence[float],
                  fixed: Mapping[str, float] | None = None) -> TheoryCurve:
     """Evaluate the closed-form information on a grid.
 
-    model 'fbm': grid of Hurst values, no fixed parameters needed.
+    model 'fbm': grid of Hurst values; fixed must be empty.
     model 'delampertized': grid of Hurst values with fixed {'theta', 'm'}
-    (m defaults to 1), or a grid of m*theta values when fixed contains
-    'hurst'.
+    (m defaults to 1), or a grid of m*theta values when fixed is {'hurst'}.
+    A key of fixed that the curve does not read raises ValueError.
     """
     fixed = dict(fixed or {})
     by_m_theta = model == "delampertized" and "hurst" in fixed
@@ -234,16 +234,22 @@ def theory_curve(model: str, param_grid: Sequence[float],
     message, high = (("m_theta must be positive and finite", math.inf) if by_m_theta
                      else ("hurst must lie in (0, 1)", 1.0))
     grid = np.asarray(_real(list(param_grid), message, 0.0, high))
+    reads = {"fbm": (), "delampertized": ("hurst",) if by_m_theta else ("theta", "m")}.get(model)
+    if reads is None:
+        raise ValueError(f"model must be 'fbm' or 'delampertized', got {model!r}")
+    for key in fixed:
+        if key not in reads:
+            raise ValueError(f"the {model} curve over {'m*theta' if by_m_theta else 'Hurst'} "
+                             f"values reads {', '.join(map(repr, reads)) or 'no key'} of "
+                             f"fixed, not {key!r}")
     if model == "fbm":
         ordinate = np.array([info_fbm(h) for h in grid])
     elif by_m_theta:
         ordinate = np.array([info_from_rho(rho_delampertized(fixed["hurst"], x)) for x in grid])
-    elif model == "delampertized":
+    else:
         if "theta" not in fixed:
             raise ValueError("delampertized curve needs 'theta' (or 'hurst') in fixed")
         m_theta = _m_theta(fixed.get("m", 1.0), fixed["theta"])
         fixed["m"] = float(fixed.get("m", 1.0))
         ordinate = np.array([info_from_rho(rho_delampertized(h, m_theta)) for h in grid])
-    else:
-        raise ValueError(f"model must be 'fbm' or 'delampertized', got {model!r}")
     return TheoryCurve(model, _freeze(grid), _freeze(ordinate), fixed)

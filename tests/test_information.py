@@ -489,6 +489,18 @@ class TestInformationProfile:
                 InformationProfile(m_values, ip.n, ip.confidence, np.ones((4, len(m_values))),
                                    np.ones((4, len(m_values))))
 
+    def test_n_is_held_by_an_int64_window_count(self):
+        # order 1 at m = 1 has n windows, so n = 2**63 would wrap n_obs
+        grid = np.ones((2, 1))
+        ep = EntropyProfile((1,), 2 ** 63 - 1, grid)
+        assert ep.n == 2 ** 63 - 1 and ep.n_obs.tolist() == [[2 ** 63 - 1], [2 ** 63 - 2]]
+        assert InformationProfile((1,), 2 ** 63 - 1, 0.95, grid, grid).n == 2 ** 63 - 1
+        for n in (2 ** 63, np.uint64(2 ** 63), 10 ** 30):
+            with pytest.raises(ValueError, match=r"^n must be below 2\*\*63$"):
+                EntropyProfile((1,), n, grid)
+            with pytest.raises(ValueError, match=r"^n must be below 2\*\*63$"):
+                InformationProfile((1,), n, 0.95, grid, grid)
+
     def test_price_count_disagreement(self):
         j = [bits_series(np.ones(8, dtype=np.uint8), m=1),
              bits_series(np.ones(6, dtype=np.uint8), m=2)]

@@ -13,6 +13,7 @@ from hypothesis import example, given, strategies as st
 
 from mktinfo.information import (
     EntropyProfile,
+    InformationProfile,
     _entropy_bits,
     empirical_entropy,
     entropy_rate_slope,
@@ -179,7 +180,7 @@ def test_markov_entropy_curve_concave(order, data):
 
 @given(st.lists(st.floats(-0.9, 3.0), min_size=1, max_size=40))
 def test_pseudo_periodic_prices_compound(returns):
-    path = SimulatedPath(PseudoPeriodicParams(0.5, 2), 1.0, 0, np.asarray(returns))
+    path = SimulatedPath(PseudoPeriodicParams(0.5, 2), np.asarray(returns))
     prices = to_price_series(path, p0=10.0)
     assert len(prices) == len(returns) + 1
     assert np.all(prices.prices > 0.0)
@@ -332,6 +333,10 @@ COUNT_ARGUMENTS = {
         (np.array([1, 2, 3], dtype=np.int32), [1, 2, 3])),
     "EntropyProfile-n": (lambda n: EntropyProfile(_EP.m_values, n, _EP.H),
                          "n must be a positive integer", _bad(1), (np.int64(39), 39)),
+    "InformationProfile-n": (lambda n: InformationProfile(_IP.m_values, n, _IP.confidence,
+                                                          _IP.I, _IP.bounds),
+                             "n must be a positive integer", _bad(1, -5, 2.5, "x"),
+                             (np.int64(39), 39)),
     "EntropyProfile-m_values": (lambda ms: EntropyProfile(ms, _EP.n, _EP.H[:, :2]),
                                 "m_values must be positive integers", _in_list(_bad(1), 2),
                                 ([np.int64(1), 2], [1, 2])),
@@ -514,6 +519,9 @@ REAL_ARGUMENTS = {
     "information_profile-confidence": (
         lambda c: information_profile([IndicatorSeries(1, _BITS)], 2, c),
         "confidence must be in (0, 1)", _outside(*_UNIT), (np.float64(0.3), 0.3)),
+    "InformationProfile-confidence": (
+        lambda c: InformationProfile(_IP.m_values, _IP.n, c, _IP.I, _IP.bounds),
+        "confidence must be in (0, 1)", _outside(*_UNIT), (np.float64(0.3), 0.3)),
     "PseudoPeriodicParams-beta": (lambda b: simulate_pseudo_periodic(b, 2, 16, seed=1).values,
                                   "beta must lie in (-1, 1)", _outside(-1.0, 1.0),
                                   (np.float64(-0.3), -0.3)),
@@ -550,7 +558,7 @@ REAL_ARGUMENTS = {
                             _outside(0.0, math.inf, closed=True, like=[1.0, 2.0, 4.0])
                             + [[1.0, 2.0, math.inf]],
                             (np.array([0.0, 2.0, 4.0]), [0.0, 2.0, 4.0])),
-    "SimulatedPath-values": (lambda v: SimulatedPath(FbmParams(0.5), 1.0, 0, v).values,
+    "SimulatedPath-values": (lambda v: SimulatedPath(FbmParams(0.5), v).values,
                              "values must be finite",
                              _outside(-math.inf, math.inf, like=[1.0, 2.0]),
                              (np.array([1.0, 2.0]), [1.0, 2.0])),

@@ -133,7 +133,7 @@ class TestParams:
                             (partial(simulate_delampertized, DelampertizedParams(0.6, 1.0)), 2),
                             (partial(simulate_pseudo_periodic, 0.5, 2), 1)):
             path = simulate(n=n)
-            assert path.seed == 0 and len(path.values) == n
+            assert len(path.values) == n
             assert path.values.tobytes() == simulate(n=n, seed=0).values.tobytes()
             assert path.values.tobytes() != simulate(n=n, seed=1).values.tobytes()
 
@@ -157,7 +157,7 @@ class TestParams:
 class TestSimulatedPath:
     def test_caller_array_stays_writable(self):
         values = np.zeros(3)
-        path = SimulatedPath(FbmParams(0.5), 1.0, 0, values)
+        path = SimulatedPath(FbmParams(0.5), values)
         values[0] = 1.0
         assert path.values.tolist() == [0.0, 0.0, 0.0]
         assert not path.values.flags.writeable
@@ -165,7 +165,7 @@ class TestSimulatedPath:
     def test_read_only_array_is_held_without_a_copy(self):
         values = np.zeros(3)
         values.flags.writeable = False
-        assert SimulatedPath(FbmParams(0.5), 1.0, 0, values).values is values
+        assert SimulatedPath(FbmParams(0.5), values).values is values
 
 
 class TestFgnPieces:
@@ -330,7 +330,7 @@ class TestColdPathInPlace:
 
     def test_pseudo_periodic_prices_bit_identical_to_out_of_place(self):
         path = simulate_pseudo_periodic(-0.9, 5, 100_000, seed=7)
-        path = SimulatedPath(path.params, path.dt, path.seed, 0.01 * path.values)
+        path = SimulatedPath(path.params, 0.01 * path.values)
         want = out_of_place_prices(path, 50.0)
         assert to_price_series(path, 50.0).prices.tobytes() == want.tobytes()
 
@@ -395,7 +395,6 @@ class TestSimulateFbm:
         p = FbmParams(0.4)
         path = simulate_fbm(p, 16, dt=2.0, seed=9)
         assert path.params is p
-        assert path.dt == 2.0 and path.seed == 9
         assert path.values.shape == (16,)
         assert not path.values.flags.writeable
 
@@ -504,7 +503,6 @@ class TestSimulatePseudoPeriodic:
                     np.testing.assert_array_equal(got, want, err_msg=f"{tau} {feedback} {scale}")
         path = simulate_pseudo_periodic(-0.9, 5, 60, seed=17)
         assert path.params == PseudoPeriodicParams(-0.9, 5)
-        assert path.dt == 1.0 and path.seed == 17
 
     @pytest.mark.parametrize("beta, tau, n", [(0.6, 1, 9_000), (-0.9, 5, 10_000),
                                               (0.9999, 5, 100_000), (-0.9999, 5, 100_000),
@@ -556,14 +554,14 @@ class TestToPriceSeries:
         assert prices.timestamps.dtype == np.int64
 
     def test_pseudo_periodic_compounding(self):
-        p = SimulatedPath(PseudoPeriodicParams(0.5, 2), 1.0, 0, np.array([0.1, -0.05, 0.02]))
+        p = SimulatedPath(PseudoPeriodicParams(0.5, 2), np.array([0.1, -0.05, 0.02]))
         prices = to_price_series(p, p0=100.0)
         assert len(prices) == 4
         np.testing.assert_allclose(prices.prices,
                                    [100.0, 110.0, 104.5, 104.5 * 1.02], rtol=1e-14)
 
     def test_pseudo_periodic_rejects_ruin(self):
-        p = SimulatedPath(PseudoPeriodicParams(0.5, 2), 1.0, 0, np.array([0.1, -1.0, 0.02]))
+        p = SimulatedPath(PseudoPeriodicParams(0.5, 2), np.array([0.1, -1.0, 0.02]))
         with pytest.raises(ValueError, match="non-positive at step 2"):
             to_price_series(p)
 
@@ -576,12 +574,12 @@ class TestToPriceSeries:
         # exp(-800) and 0.5**1100 underflow to 0, 1e400 overflows; no return reaches -1
         params = {"fbm": FbmParams(0.5), "delampertized": DelampertizedParams(0.5, 1.0),
                   "pseudo_periodic": PseudoPeriodicParams(0.5, 2)}[model]
-        p = SimulatedPath(params, 1.0, 0, np.array(values))
+        p = SimulatedPath(params, np.array(values))
         with pytest.raises(ValueError, match=f"^{kind} range too wide"):
             to_price_series(p)
 
     def test_log_price_overflow_guard(self):
-        p = SimulatedPath(FbmParams(0.5), 1.0, 0, np.array([0.0, 800.0]))
+        p = SimulatedPath(FbmParams(0.5), np.array([0.0, 800.0]))
         with pytest.raises(ValueError, match="log-price range too wide"):
             to_price_series(p)
 

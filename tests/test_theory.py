@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import sys
 
 import mpmath
@@ -320,6 +321,17 @@ class TestTheoryCurve:
     def test_missing_theta(self):
         with pytest.raises(ValueError, match="needs 'theta'"):
             theory_curve("delampertized", [0.2, 0.5])
+
+    @pytest.mark.parametrize("model, grid, fixed, message", [
+        ("fbm", [0.5], {"theta": 1.0},
+         "the fbm curve over Hurst values reads no key of fixed, not 'theta'"),
+        ("delampertized", [0.5], {"theta": 1.0, "hurst": 0.3},
+         "the delampertized curve over m*theta values reads 'hurst' of fixed, not 'theta'"),
+        ("delampertized", [0.5], {"theta": 1.0, "foo": 2.0},
+         "the delampertized curve over Hurst values reads 'theta', 'm' of fixed, not 'foo'")])
+    def test_a_fixed_key_the_curve_does_not_read(self, model, grid, fixed, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            theory_curve(model, grid, fixed)
 
     def test_unknown_model(self):
         message = "^model must be 'fbm' or 'delampertized', got 'garch'$"
