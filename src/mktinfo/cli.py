@@ -19,10 +19,11 @@ import sys
 
 import numpy as np
 
+from ._common import _csv_header, _freeze, _json_text, _real
+from .csvio import PRICE_MODES, _utf8_text, write_prices
 from .information import profile_from_prices, profile_to_csv, profile_to_json
 from .scaling import DEFAULT_FIT_RANGE, DEFAULT_MAX_SCALE, estimate_hurst
-from .series import PRICE_MODES, _csv_header, _freeze, _json_text, _real, _utf8_text, \
-    load_prices, write_prices
+from .series import load_prices
 from .simulate import NumericError, simulate_delampertized, simulate_fbm, \
     simulate_pseudo_periodic, to_price_series
 from .theory import DelampertizedParams, FbmParams, theory_curve

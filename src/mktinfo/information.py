@@ -18,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .series import IndicatorSeries, PriceSeries, _count, _csv_table, _freeze, _held, \
-    _json_text, _real, to_indicators
+from ._common import _count, _csv_table, _freeze, _held, _json_text, _real
+from .series import IndicatorSeries, PriceSeries, to_indicators
 
 LN2 = math.log(2.0)
 

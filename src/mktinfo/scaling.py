@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .series import _count, _csv_table, _freeze, _held, _json_text, _real
+from ._common import _count, _csv_table, _freeze, _held, _json_text, _real
 
 DEFAULT_MAX_SCALE = 20
 DEFAULT_FIT_RANGE = (1, 5)

@@ -18,7 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .series import PriceSeries, _count, _freeze, _held, _real
+from ._common import _count, _freeze, _held, _real
+from .series import PriceSeries
 from .theory import DelampertizedParams, FbmParams, delampertized_autocovariance
 
 

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .series import _csv_table, _freeze, _held, _json_text, _real
+from ._common import _csv_table, _freeze, _held, _json_text, _real
 
 _RHO_EPS = 1e-15
 

@@ -1,4 +1,4 @@
-"""A reference reader of price CSV text, written apart from mktinfo.series.
+"""A reference reader of price CSV text, written apart from mktinfo.csvio.
 
 The csv module splits each line into fields and float() reads each price,
 one line at a time.  Used by the suite as the oracle for load_prices: same

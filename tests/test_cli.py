@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mktinfo.cli as cli
-import mktinfo.series as series
+import mktinfo.csvio as csvio
 import mktinfo.simulate as sim
 from mktinfo.information import profile_from_prices, profile_to_json
 from mktinfo.scaling import estimate_hurst
@@ -762,7 +762,7 @@ class TestEndToEnd:
         n = 60_000
         code, out, _ = run(capsys, "simulate", "fbm", "--hurst", "0.7", "--sigma", "0.001",
                            "--n", str(n), "--seed", "9")
-        assert code == 0 and len(out) > 2 * series._CHUNK_CHARS
+        assert code == 0 and len(out) > 2 * csvio._CHUNK_CHARS
         prices = to_price_series(simulate_fbm(FbmParams(0.7, 0.001), n, 1.0, 9))
         rows = "".join(f"{i},{v!r}\n" for i, v in enumerate(prices.prices.tolist()))
         assert out.partition("\n")[2] == "timestamp,close\n" + rows
@@ -862,3 +862,19 @@ def test_import_defers_what_one_call_needs():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_each_function_the_benchmark_traces_is_one_object(monkeypatch):
+    # perfbench's tracer looks each traced function up in the module it names
+    # and patches every mktinfo module binding that object; a function moved
+    # away, or bound to a second object, would go untraced and its per-layer
+    # metric read 0 with no error
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    from spans import TRACED
+
+    modules = {name: module for name, module in sys.modules.items()
+               if name == "mktinfo" or name.startswith("mktinfo.")}
+    for module, name in TRACED:
+        traced = getattr(modules[module], name)
+        for other in modules.values():
+            assert vars(other).get(name, traced) is traced, (module, name, other.__name__)

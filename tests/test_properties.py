@@ -11,6 +11,7 @@ import pytest
 import scipy.stats
 from hypothesis import example, given, strategies as st
 
+from mktinfo.csvio import write_prices
 from mktinfo.information import (
     EntropyProfile,
     InformationProfile,
@@ -24,8 +25,8 @@ from mktinfo.information import (
     significance_bound,
 )
 from mktinfo.scaling import LogLogCurve, estimate_hurst, fit_loglog, structure_function
-from mktinfo.series import IndicatorSeries, PriceSeries, compute_returns, \
-    load_prices, write_prices, _timestamp_keys
+from mktinfo.series import IndicatorSeries, PriceSeries, compute_returns, load_prices, \
+    _timestamp_keys
 from mktinfo.simulate import SimulatedPath, simulate_delampertized, simulate_fbm, \
     simulate_pseudo_periodic, to_price_series
 from mktinfo.simulate import PseudoPeriodicParams

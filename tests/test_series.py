@@ -15,21 +15,23 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-import mktinfo.series as series
+import mktinfo.csvio as csvio
+from mktinfo._common import _json_text
+from mktinfo.csvio import (
+    write_prices,
+    _BLOCK_ROWS,
+    _CHUNK_CHARS,
+    _in_two,
+    _may_fork,
+    _utf8_text,
+)
 from mktinfo.series import (
     IndicatorSeries,
     PriceSeries,
     compute_returns,
     load_prices,
     to_indicators,
-    write_prices,
-    _BLOCK_ROWS,
-    _CHUNK_CHARS,
-    _json_text,
-    _in_two,
-    _may_fork,
     _timestamp_keys,
-    _utf8_text,
 )
 from price_oracle import read_prices
 
@@ -377,7 +379,7 @@ class TestChunkedReader:
             except ValueError as exc:  # the label order, which the oracle leaves unchecked
                 want = str(exc)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(series, "_CHUNK_CHARS", chunk_chars)
+            patch.setattr(csvio, "_CHUNK_CHARS", chunk_chars)
             if isinstance(want, str):
                 with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
                     load_prices(source, mode)
@@ -389,7 +391,7 @@ class TestChunkedReader:
     def test_a_line_longer_than_one_read_at_the_middle(self, cpus, forks, tmp_path, monkeypatch):
         # the file's middle byte lies in one label 70 kB before its line
         # break, many reads of the buffer the split line is read through
-        monkeypatch.setattr(series, "_CHUNK_CHARS", 1000)
+        monkeypatch.setattr(csvio, "_CHUNK_CHARS", 1000)
         labels = ([f"a{i:02d}" for i in range(20)] + ["b" + "x" * 140_000]
                   + [f"c{i:02d}" for i in range(20)])
         p = load_prices(_rows_file(tmp_path, [f"{t},{i}.5" for i, t in enumerate(labels)]))
@@ -402,7 +404,7 @@ class TestChunkedReader:
             self, cpus, forks, tmp_path, monkeypatch, at):
         # the file's middle byte lies at the first byte of a line longer than
         # the buffer the split line is read through, inside it, or at its break
-        monkeypatch.setattr(series, "_CHUNK_CHARS", 1000)
+        monkeypatch.setattr(csvio, "_CHUNK_CHARS", 1000)
         before = [f"a{i:04d},{i}.5" for i in range(1000)]
         long_row = "b" + "x" * io.DEFAULT_BUFFER_SIZE + ",0.25"
         a, line = sum(len(row) + 1 for row in before), len(long_row) + 1
@@ -422,7 +424,7 @@ class TestChunkedReader:
     def test_a_lone_cr_file_is_read_here_whole(self, cpus, forks, tmp_path, monkeypatch):
         # after a lone "\r" header, the text stream's tell() is a decoder
         # cookie past 2**64, not a byte offset, so no middle can be found
-        monkeypatch.setattr(series, "_CHUNK_CHARS", 1000)
+        monkeypatch.setattr(csvio, "_CHUNK_CHARS", 1000)
         f = tmp_path / "p.csv"
         f.write_bytes("".join(f"{row}\r" for row in ["timestamp,close"] + _ROWS).encode())
         p, one = load_prices(f), _one_cpu_load(f)
@@ -439,7 +441,7 @@ class TestChunkedReader:
     def test_a_column_read_twice_is_an_error(self, cpus, forks, tmp_path, monkeypatch,
                                              header, mode, column):
         # which of the two was meant cannot be told, so neither is read
-        monkeypatch.setattr(series, "_CHUNK_CHARS", 16)
+        monkeypatch.setattr(csvio, "_CHUNK_CHARS", 16)
         f = tmp_path / "p.csv"
         f.write_text("".join(f"{row}\n" for row in [header, "1,5,7,9", "2,6,8,10"]))
         message = f"duplicate column {column!r}"
@@ -454,7 +456,7 @@ class TestChunkedReader:
         ("timestamp,close,Close,high,low", "midrange", [9.5, 10.5])])
     def test_a_column_not_read_may_repeat(self, cpus, forks, tmp_path, monkeypatch,
                                           header, mode, prices):
-        monkeypatch.setattr(series, "_CHUNK_CHARS", 16)
+        monkeypatch.setattr(csvio, "_CHUNK_CHARS", 16)
         rows = [f"{i},{5 + i},{7 + i},{9 + i},{10 + i}" for i in range(40)]
         f = tmp_path / "p.csv"
         f.write_text("".join(f"{row}\n" for row in [header] + rows))
@@ -526,7 +528,7 @@ class TestWorker:
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
         """Each part of _ROWS' 24 kB is many reader chunks."""
-        monkeypatch.setattr(series, "_CHUNK_CHARS", 1000)
+        monkeypatch.setattr(csvio, "_CHUNK_CHARS", 1000)
 
     def test_both_results_and_the_workers_error_after_this_half(self, cpus, forks):
         assert _in_two(lambda: os.getpid(), lambda: os.getpid(), fork=True)[1] == forks[0]
@@ -710,6 +712,36 @@ class TestLabels:
             return
         assert keys.dtype == np.float64 and _nan_as_one(keys) == _nan_as_one(want)
 
+    @pytest.mark.parametrize("edits", [
+        {}, {-1: "65540.5"}, {3: "3.5"}, {_BLOCK_ROWS + 7: "9223372036854775808"},
+        {-1: "x"}, {0: "-0", -1: "65540.5"}],
+        ids=["integers", "decimal-in-last-block", "decimal-in-first-block",
+             "two-to-the-63-mid-series", "late-text", "minus-zero-then-late-decimal"])
+    def test_keys_over_many_blocks_are_each_labels_int_else_float_else_bytes(self, edits):
+        # a label late in the text decides the rule for every earlier block
+        labels = [str(i) for i in range(4 * _BLOCK_ROWS + 5)]
+        for i, label in edits.items():
+            labels[i] = label
+        raw = np.array([t.encode() for t in labels])
+        want = labels
+        for parse in (int, float):
+            with contextlib.suppress(ValueError):
+                want = [parse(t) for t in labels]
+                if parse is float or all(-2 ** 63 <= i < 2 ** 63 for i in want):
+                    break
+        else:
+            want = raw.tolist()
+        keys = _timestamp_keys(raw)
+        # compared by ==, so that -0.0 and 0.0 agree
+        assert keys.dtype.kind == {int: "i", float: "f", bytes: "S"}[type(want[0])]
+        assert keys.tolist() == want
+        row = next((i + 2 for i in range(len(want) - 1) if not want[i] < want[i + 1]), None)
+        if row is None:
+            PriceSeries(raw, np.ones(len(raw)))
+        else:
+            with pytest.raises(ValueError, match=f"^non-monotone timestamps at row {row}$"):
+                PriceSeries(raw, np.ones(len(raw)))
+
     def test_non_ascii_labels_round_trip(self):
         text = "timestamp,close\né,5.0\n日本,6.0\n"
         p = load_prices(io.StringIO(text))
@@ -737,8 +769,8 @@ class TestLabels:
         labels = [f"a{i:05d}" for i in range(100)] + ["é1", "é2", "日本"]
         rows = [f"{t},{i + 1}.5\n" for i, t in enumerate(labels)]
         ascii_rows, other_rows = "".join(rows[:100]), "".join(rows[100:])
-        monkeypatch.setattr(series, "_CHUNK_CHARS", len(ascii_rows))
-        assert list(series._chunks(io.StringIO(ascii_rows + other_rows))) == [ascii_rows,
+        monkeypatch.setattr(csvio, "_CHUNK_CHARS", len(ascii_rows))
+        assert list(csvio._chunks(io.StringIO(ascii_rows + other_rows))) == [ascii_rows,
                                                                               other_rows]
         text = "timestamp,close\n" + ascii_rows + other_rows
         p = load_prices(io.StringIO(text))
