@@ -5,6 +5,7 @@ whose words information.py counts.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ from typing import IO, Union
 import numpy as np
 
 from ._common import _count, _freeze, _held, _real
-from .csvio import PRICE_MODES, _BLOCK_ROWS, _parse_prices, _utf8_text
+from .csvio import PRICE_MODES, _BLOCK_ROWS, _parse_prices, _utf8_text, write_prices
 
 
 def _label_array(labels) -> np.ndarray:
@@ -37,25 +38,13 @@ def _timestamp_keys(labels: np.ndarray) -> np.ndarray:
     bytes, else as float64 when every label is a number by float(), else the
     UTF-8 text itself, whose byte order is code-point order.  Floats that
     strictly increase imply integers that do, so the exact int64 reading
-    only ever accepts more.  Each label is cast once: a block at a time, as
-    int64 up to the first block int64 cannot hold and as float64 from there."""
+    only ever accepts more."""
     if labels.dtype.kind in "iu":
         return labels
-    keys = np.empty(len(labels), np.int64)
-    for start in range(0, len(labels), _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        try:
-            keys[block] = labels[block]
-        except (ValueError, OverflowError):
-            if keys.dtype == np.float64:
-                return labels
-            # exact: int64 to float64 rounds each integer as float() of its text does
-            keys = keys.astype(np.float64)
-            try:
-                keys[block] = labels[block]
-            except (ValueError, OverflowError):
-                return labels
-    return keys
+    for dtype in (np.int64, np.float64):
+        with contextlib.suppress(ValueError, OverflowError):
+            return labels.astype(dtype)
+    return labels
 
 
 @dataclass(frozen=True)

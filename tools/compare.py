@@ -2,13 +2,13 @@
 each end-to-end metric.
 
     python3 tools/compare.py PARENT_ROOT CHANGE_ROOT [--pairs 10] [--seconds S]
-        [--workload NAME ...] [--small] [--seed 0]
+        [--workload NAME ...] [--small]
 
 Both sides run this checkout's perfbench/run.py and BENCHMARK.json, each
 against a copy of its own tree's src/, made in a temporary directory that
 is removed, with every process the runs started, before this exits.  For
 each workload (default: every one BENCHMARK.json names), pair i runs both
-sides with seed SEED + i, the parent first in even pairs and the change
+sides with seed i, the parent first in even pairs and the change
 first in odd ones; --seconds (default: BENCHMARK.json's run_seconds) and
 --small are passed to every run.
 
@@ -101,9 +101,8 @@ def compare(workload: str, side_dirs: dict, specs: list, args) -> bool:
     values = {side: {spec["name"]: [] for spec in specs} for side in SIDES}
     totals = {side: {"correct": True, "attempted": 0, "failed": 0} for side in SIDES}
     for i in range(args.pairs):
-        seed = args.seed + i
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            result = run(side_dirs[side], workload, seed, args)
+            result = run(side_dirs[side], workload, i, args)
             if result is None:
                 return False
             totals[side]["correct"] &= result["correct"] is True
@@ -116,7 +115,7 @@ def compare(workload: str, side_dirs: dict, specs: list, args) -> bool:
                 file=sys.stderr, flush=True)
 
     print(f"{workload}: {args.pairs} pairs, --seconds {args.seconds:g}, seeds "
-          f"{args.seed}-{args.seed + args.pairs - 1}{', --small' if args.small else ''}")
+          f"0-{args.pairs - 1}{', --small' if args.small else ''}")
     for side in SIDES:
         t = totals[side]
         print(f"  {side}: correct {str(t['correct']).lower()}, attempted {t['attempted']},"
@@ -143,7 +142,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
     parser.add_argument("--workload", action="append", choices=workloads)
     parser.add_argument("--small", action="store_true")
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2: quartiles need two values")
