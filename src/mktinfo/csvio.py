@@ -1,6 +1,8 @@
 """Price CSV text in and out: the reader behind load_prices, whose forked
-worker may parse a file's second half, and write_prices, which it reads back."""
+worker may parse a file's second half, the per-user cache of the arrays it
+parsed from each file, and write_prices, which it reads back."""
 
+import contextlib
 import csv
 import functools
 import io
@@ -14,6 +16,7 @@ import threading
 from typing import IO
 
 import numpy as np
+from numpy.lib import format as npy
 
 from ._common import _freeze
 
@@ -36,6 +39,16 @@ _SPACE_AFTER_NEWLINE = re.compile(r"\n\s")
 
 # a byte that is not UTF-8, read by _utf8_text, is a lone surrogate
 _SURROGATE = re.compile("[\ud800-\udfff]")
+
+# The parsed-file cache keeps at most this many bytes of entries: the oldest
+# used are deleted past it, and an entry larger is not stored.
+_CACHE_BYTES = 2 << 30
+
+# Named in every entry's key: a change to what an entry holds changes it.
+_CACHE_FORMAT = b"mktinfo parsed prices: labels then prices, npy 1.0"
+
+# A file is hashed this many bytes at a time.
+_HASH_BYTES = 1 << 20
 
 
 def _may_fork() -> bool:
@@ -269,6 +282,134 @@ def _chunk_rows(read, chunk: str) -> tuple[np.ndarray, np.ndarray]:
     if len(valid) < len(block):
         raise _RowError("invalid UTF-8", len(valid))
     return labels, prices
+
+
+def _read_file(fh: IO[str], mode: str, build):
+    """build(labels, prices), the arrays of the price file open as `fh`,
+    which nothing has read yet; an error of the parse or of build is the load's.
+
+    A regular file whose arrays build accepted is kept in the per-user cache
+    directory, keyed by its bytes, and a later load of the same bytes reads
+    that entry in place of a parse, checked by build as a parse is.  The
+    entry is stored only when the file's size and times did not change from
+    its hash to the end of its parse.  A cache that cannot be used, a missing
+    or bad entry and a failed store all leave the parse's result.
+    """
+    fd = fh.fileno()
+    entry = None
+    with contextlib.suppress(OSError, ValueError):
+        entry, stamp = _cache_entry(fd, mode)
+    if entry is not None:
+        with contextlib.suppress(OSError, ValueError):
+            return build(*_read_entry(entry))
+    labels, prices = _parse_prices(fh, mode, fd)
+    result = build(labels, prices)
+    if entry is not None and _stamp(os.fstat(fd)) == stamp:
+        with contextlib.suppress(OSError, ValueError):
+            _store_entry(entry, labels, prices)
+    return result
+
+
+def _stamp(info: os.stat_result) -> tuple:
+    """What changes when a file is written: its size, its mtime and its ctime."""
+    return info.st_size, info.st_mtime_ns, info.st_ctime_ns
+
+
+def _cache_dir() -> str | None:
+    """The cache directory, $XDG_CACHE_HOME/mktinfo or ~/.cache/mktinfo,
+    made with mode 0700 if missing; None for one another user owns or may
+    write to, which could hold entries this process never stored."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # unset, empty or relative: not used, as XDG says
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    if not os.path.isabs(base):  # no home directory either
+        return None
+    path = os.path.join(base, "mktinfo")
+    os.makedirs(path, mode=0o700, exist_ok=True)
+    info = os.stat(path)
+    if info.st_mode & 0o022 or (hasattr(os, "getuid") and info.st_uid != os.getuid()):
+        return None
+    return path
+
+
+def _cache_entry(fd: int, mode: str) -> tuple:
+    """(path, stamp): the cache entry of the file `fd` read in `mode`, and the
+    file's stamp, taken before its bytes are hashed; (None, None) for a file
+    that is not regular, or when there is no cache directory to use."""
+    stamp = os.fstat(fd)
+    directory = _cache_dir() if stat.S_ISREG(stamp.st_mode) else None
+    if directory is None:
+        return None, None
+    # here: only a cached load needs it, and it maps OpenSSL's library (3.4 MB)
+    import hashlib
+    # this module's source is in the key: an edited reader reads no entry an older one stored
+    with open(__file__, "rb") as source:
+        reader = hashlib.sha256(source.read()).digest()
+    key = hashlib.sha256()
+    for part in (_CACHE_FORMAT, mode.encode(), np.__version__.encode(), reader):
+        key.update(len(part).to_bytes(8, "little") + part)
+    offset = 0
+    # read by os.pread, which leaves the file's offset at its start for the parse
+    while block := os.pread(fd, _HASH_BYTES, offset):
+        key.update(block)
+        offset += len(block)
+    return os.path.join(directory, key.hexdigest() + ".prices"), _stamp(stamp)
+
+
+def _read_entry(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only (labels, prices) a cache entry holds, and its mtime set
+    to now; ValueError unless they are `S` labels and float64 prices, as a
+    parse gives.  Their lengths, like the rest, are checked by the series
+    built from them."""
+    with open(path, "rb") as fh:
+        labels, prices = _entry_array(fh), _entry_array(fh)
+    if labels.dtype.kind != "S" or prices.dtype != np.float64:
+        raise ValueError("cache entry holds other arrays")
+    os.utime(path)
+    return _freeze(labels), _freeze(prices)
+
+
+def _entry_array(fh: IO[bytes]) -> np.ndarray:
+    """The next 1-D array npy.write_array wrote to `fh`, read only once the
+    file is known to hold every byte its header claims, so a bad header
+    allocates nothing."""
+    if npy.read_magic(fh) != (1, 0):
+        raise ValueError("cache entry is not npy 1.0")
+    shape, _, dtype = npy.read_array_header_1_0(fh)
+    if len(shape) != 1 or dtype.hasobject:
+        raise ValueError("cache entry holds other arrays")
+    if shape[0] * dtype.itemsize > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ValueError("cache entry is cut short")
+    return np.fromfile(fh, dtype, shape[0])
+
+
+def _store_entry(path: str, labels: np.ndarray, prices: np.ndarray) -> None:
+    """Write the arrays to the cache entry `path`, written under a temporary
+    name and renamed into place, then delete the least recently used entries
+    until the directory holds at most _CACHE_BYTES; arrays larger are not stored."""
+    if labels.nbytes + prices.nbytes > _CACHE_BYTES:
+        return
+    # a name no other process or thread writes at the same time
+    temporary = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(temporary, "wb") as fh:
+            for arr in (labels, prices):
+                npy.write_array(fh, arr, version=(1, 0), allow_pickle=False)
+        os.replace(temporary, path)
+    finally:  # left behind only when the write or the rename failed
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(temporary)
+    with os.scandir(os.path.dirname(path)) as found:
+        entries = sorted((f.stat().st_mtime_ns, f.stat().st_size, f.path)
+                         for f in found if f.is_file(follow_symlinks=False))
+    total = sum(size for _, size, _ in entries)
+    for _, size, old in entries:
+        if total <= _CACHE_BYTES:
+            break
+        # another load may have deleted it first
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(old)
+        total -= size
 
 
 # the characters str.strip() removes that are ASCII; bytes.strip() keeps \x1c-\x1f

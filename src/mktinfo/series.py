@@ -14,7 +14,7 @@ from typing import IO, Union
 import numpy as np
 
 from ._common import _count, _freeze, _held, _real
-from .csvio import PRICE_MODES, _BLOCK_ROWS, _parse_prices, _utf8_text, write_prices
+from .csvio import PRICE_MODES, _BLOCK_ROWS, _parse_prices, _read_file, _utf8_text, write_prices
 
 
 def _label_array(labels) -> np.ndarray:
@@ -117,13 +117,16 @@ def load_prices(source: Union[str, os.PathLike, IO[str]], mode: str = "close") -
     columns are ignored.  Rows must keep input order with strictly
     increasing timestamps and positive prices; errors name the data row,
     counting from 1 and leaving out the header, comment and blank lines.
+    The arrays parsed from the path of a regular file are kept in the
+    per-user cache directory, and a later load of the same bytes reads them
+    back instead of parsing, with the same result (README, "Input format").
     """
     if mode not in PRICE_MODES:
         raise ValueError(f"unknown price mode {mode!r}")
     if hasattr(source, "read"):
         return PriceSeries(*_parse_prices(source, mode))
     with _utf8_text(open(source, "rb")) as fh:
-        return PriceSeries(*_parse_prices(fh, mode, fh.fileno()))
+        return _read_file(fh, mode, PriceSeries)
 
 
 def _horizon(p: PriceSeries, m: int) -> int:

@@ -853,12 +853,12 @@ def test_every_option_value_exits_cleanly(small_price_file):
 
 
 def test_import_defers_what_one_call_needs():
-    # scipy is never imported by the package, and statistics and signal
-    # only inside the one function that needs each: a command that runs
-    # neither pays no import for them
+    # scipy is never imported by the package, and statistics, signal and
+    # hashlib only inside the one function that needs each: a command that
+    # runs none of them pays no import for them
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     probe = ("import sys, mktinfo.cli; "
-             "print(sorted({'scipy', 'statistics', 'signal'} & set(sys.modules)))")
+             "print(sorted({'scipy', 'statistics', 'signal', 'hashlib'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout == "[]\n"

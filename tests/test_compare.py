@@ -64,3 +64,25 @@ def test_a_tree_against_itself(tmp_path):
     for spec in bench["end_to_end"]:
         assert sum(line.startswith(f"  {spec['name']} ") for line in lines) == 1, spec["name"]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_side_is_a_directory_or_a_revision(compare, tmp_path):
+    # a repository of its own, so the test needs no history of this checkout
+    repo = tmp_path / "repo"
+    (repo / "src" / "mktinfo").mkdir(parents=True)
+    (repo / "src" / "mktinfo" / "__init__.py").write_text("first = True\n")
+    (repo / "README.md").write_text("not copied\n")
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(git[:3] + ["init", "-q"], check=True)
+    subprocess.run(git + ["add", "-A"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "first"], check=True)
+    (repo / "src" / "mktinfo" / "__init__.py").write_text("first = False\n")
+
+    compare.copy_src("HEAD", str(tmp_path / "rev"), str(repo))
+    assert sorted(p.name for p in (tmp_path / "rev").iterdir()) == ["src"]
+    assert (tmp_path / "rev" / "src" / "mktinfo" / "__init__.py").read_text() == "first = True\n"
+    compare.copy_src(str(repo), str(tmp_path / "dir"), str(repo))
+    assert (tmp_path / "dir" / "src" / "mktinfo" / "__init__.py").read_text() == "first = False\n"
+    for tree in ("no-such-revision", str(tmp_path / "rev" / "src")):
+        with pytest.raises(ValueError, match="no src/mktinfo|neither a directory nor a revision"):
+            compare.copy_src(tree, str(tmp_path / "bad"), str(repo))

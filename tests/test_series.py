@@ -4,6 +4,7 @@ import contextlib
 import io
 import os
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -648,6 +649,207 @@ class TestWorker:
         assert_reaped(forks)
         assert stream.getvalue().count("\n") == 1 + blocks * _BLOCK_ROWS
         assert written(p).startswith(stream.getvalue())
+
+
+class TestParsedFileCache:
+    """A regular file's parsed arrays are kept in the cache directory, keyed by
+    the file's bytes, and read back in place of a parse: same arrays, same
+    errors, and a cache that cannot be used or holds a bad entry leaves the
+    parse's result."""
+
+    @pytest.fixture
+    def cache(self, tmp_path, monkeypatch):
+        """The cache directory, turned on under the test's own XDG_CACHE_HOME."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        return tmp_path / "xdg" / "mktinfo"
+
+    @staticmethod
+    def entries(cache):
+        return sorted(cache.iterdir()) if cache.exists() else []
+
+    @staticmethod
+    def hit(path, mode="close"):
+        """load_prices(path, mode) with the parser made to fail: only an entry can give it."""
+        def no_parse(*args):
+            raise AssertionError("parsed, not read from the cache")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(csvio, "_parse_prices", no_parse)
+            return load_prices(path, mode)
+
+    @staticmethod
+    def assert_same(got, want):
+        for a, b in ((got.timestamps, want.timestamps), (got.prices, want.prices)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_price_text())
+    def test_a_hit_is_the_parse_and_an_error_is_stored_never(self, tmp_path, text_mode_bytes):
+        text, mode, _ = text_mode_bytes
+        source = tmp_path / "p.csv"
+        source.write_bytes(text.encode("utf-8", "surrogateescape"))
+        try:
+            want = load_prices(source, mode)  # the suite's cache is off
+        except ValueError as exc:
+            want = str(exc)
+        with pytest.MonkeyPatch.context() as patch:
+            cache = tmp_path / "xdg"
+            shutil.rmtree(cache, ignore_errors=True)
+            patch.setenv("XDG_CACHE_HOME", str(cache))
+            if isinstance(want, str):
+                for _ in range(2):
+                    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                        load_prices(source, mode)
+                assert self.entries(cache / "mktinfo") == []
+            else:
+                self.assert_same(load_prices(source, mode), want)
+                assert len(self.entries(cache / "mktinfo")) == 1
+                self.assert_same(self.hit(source, mode), want)
+
+    def test_each_mode_and_each_byte_has_its_own_entry(self, cache, tmp_path):
+        f = tmp_path / "p.csv"
+        f.write_text("time,close,high,low\n1,5,6,4\n2,7,10,5\n")
+        assert load_prices(f).prices.tolist() == [5.0, 7.0]
+        assert load_prices(f, "midrange").prices.tolist() == [5.0, 7.5]
+        assert self.hit(f, "midrange").prices.tolist() == [5.0, 7.5]
+        f.write_text("time,close,high,low\n1,5,6,4\n2,8,10,5\n")
+        assert load_prices(f).prices.tolist() == [5.0, 8.0]
+        assert len(self.entries(cache)) == 3
+        assert self.hit(f).prices.tolist() == [5.0, 8.0]
+
+    @pytest.mark.parametrize("text, message", [
+        ("time,close\n1,5\n2,oops\n", "unparseable price at row 2"),
+        ("time,close\n1,5\n1,6\n", "non-monotone timestamps at row 2"),
+        ("time,open\n1,5\n2,6\n", "missing required column 'close' for mode 'close'"),
+    ])
+    def test_a_failed_load_stores_nothing_and_fails_again(self, cache, tmp_path, text, message):
+        f = tmp_path / "p.csv"
+        f.write_text(text)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                load_prices(f)
+        assert self.entries(cache) == []
+
+    def test_a_file_changed_while_parsed_is_not_stored(self, cache, tmp_path, monkeypatch):
+        f = tmp_path / "p.csv"
+        f.write_text("time,close\n1,5\n2,6\n")
+        parse = csvio._parse_prices
+
+        def then_touched(*args):
+            result = parse(*args)
+            os.utime(f, ns=(0, 0))
+            return result
+
+        monkeypatch.setattr(csvio, "_parse_prices", then_touched)
+        assert load_prices(f).prices.tolist() == [5.0, 6.0]
+        assert self.entries(cache) == []
+
+    @pytest.mark.parametrize("spoil", [
+        lambda entry: entry[:-3],  # cut short
+        lambda entry: entry + b"\0",  # trailing bytes
+        lambda entry: b"",
+        lambda entry: b"garbage" * 40,
+        # a header that claims 10**12 labels allocates nothing, and one
+        # array of no dimension is not read
+        lambda entry: entry.replace(b"(2,), }" + b" " * 12, b"(1000000000000,), }", 1),
+        lambda entry: entry.replace(b"(2,), }", b"(), }  ", 1),
+        # labels or prices of another dtype, or of another length
+        lambda entry: entry.replace(b"|S1", b"|i1"),
+        lambda entry: entry.replace(b"<f8", b">f8"),
+        lambda entry: b"(1,)".join(entry.rsplit(b"(2,)", 1))[:-8],
+        # well formed, but not what build accepts: prices of 0
+        lambda entry: entry[:-16] + bytes(16),
+    ])
+    def test_a_bad_entry_is_parsed_again_and_replaced(self, cache, tmp_path, spoil):
+        f = tmp_path / "p.csv"
+        f.write_text("time,close\n1,5\n2,6\n")
+        want = load_prices(f)
+        [entry] = self.entries(cache)
+        entry.write_bytes(spoil(entry.read_bytes()))
+        self.assert_same(load_prices(f), want)
+        self.assert_same(self.hit(f), want)
+
+    @pytest.mark.parametrize("setup", ["under-a-file", "shared", "relative"])
+    def test_an_unusable_directory_leaves_the_parse(self, tmp_path, monkeypatch, setup):
+        f = tmp_path / "p.csv"
+        f.write_text("time,close\n1,5\n2,6\n")
+        xdg = tmp_path / "xdg"
+        home = tmp_path / "home"
+        monkeypatch.setenv("HOME", str(home))
+        if setup == "under-a-file":
+            xdg.write_text("")
+            monkeypatch.setenv("XDG_CACHE_HOME", str(xdg / "cache"))
+        elif setup == "shared":
+            (xdg / "mktinfo").mkdir(parents=True)
+            (xdg / "mktinfo").chmod(0o777)
+            monkeypatch.setenv("XDG_CACHE_HOME", str(xdg))
+        else:  # a relative XDG_CACHE_HOME is ignored: ~/.cache is used
+            monkeypatch.setenv("XDG_CACHE_HOME", "xdg")
+        assert load_prices(f).prices.tolist() == [5.0, 6.0]
+        assert load_prices(f).prices.tolist() == [5.0, 6.0]
+        stored = self.entries(home / ".cache" / "mktinfo")
+        assert len(stored) == (setup == "relative")
+        if setup == "shared":
+            assert self.entries(xdg / "mktinfo") == []
+
+    def test_the_directory_is_made_private(self, cache, tmp_path):
+        f = tmp_path / "p.csv"
+        f.write_text("time,close\n1,5\n2,6\n")
+        load_prices(f)
+        assert cache.stat().st_mode & 0o777 == 0o700
+
+    def test_the_byte_cap_evicts_the_least_recently_used(self, cache, tmp_path, monkeypatch):
+        files = {}
+        for name in "abc":
+            files[name] = tmp_path / f"{name}.csv"
+            files[name].write_text(f"time,close\n1,5\n2,{ord(name)}\n")
+        stored = {}
+        for name in "ab":
+            before = set(self.entries(cache))
+            load_prices(files[name])
+            [stored[name]] = set(self.entries(cache)) - before
+        # a is used before b, long ago
+        os.utime(stored["a"], ns=(10**9, 10**9))
+        os.utime(stored["b"], ns=(2 * 10**9, 2 * 10**9))
+        size = stored["a"].stat().st_size
+        monkeypatch.setattr(csvio, "_CACHE_BYTES", 2 * size + size // 2)
+        self.hit(files["a"])  # a is now the last used
+        assert stored["a"].stat().st_mtime_ns > 2 * 10**9
+        load_prices(files["c"])
+        assert len(self.entries(cache)) == 2
+        assert stored["a"].exists() and not stored["b"].exists()
+        self.hit(files["c"])
+
+    def test_an_entry_larger_than_the_cap_is_not_written(self, cache, tmp_path, monkeypatch):
+        def no_write(*args, **kwargs):
+            raise AssertionError("written, though larger than the cap")
+
+        monkeypatch.setattr(csvio, "_CACHE_BYTES", 8)
+        monkeypatch.setattr(csvio.npy, "write_array", no_write)
+        f = tmp_path / "p.csv"
+        f.write_text("time,close\n1,5\n2,6\n")
+        assert load_prices(f).prices.tolist() == [5.0, 6.0]
+        assert self.entries(cache) == []
+
+    def test_streams_pipes_and_stdin_are_never_stored(self, cache, tmp_path):
+        f = _rows_file(tmp_path, _ROWS)
+        assert len(load_prices(io.StringIO(f.read_text()))) == len(_ROWS)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        writer = subprocess.Popen(["sh", "-c", f'cat "{f}" > "{fifo}"'])
+        try:
+            assert len(load_prices(fifo)) == len(_ROWS)
+        finally:
+            writer.kill()  # if the fifo was never opened to be read
+            writer.wait(30)
+        # the CLI's stdin is a stream, even when it is a regular file
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(csvio.__file__)))
+        with open(f, "rb") as stdin:
+            done = subprocess.run([sys.executable, "-m", "mktinfo", "hurst", "-"], stdin=stdin,
+                                  env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert self.entries(cache) == []
 
 
 class TestJsonText:

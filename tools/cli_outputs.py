@@ -9,11 +9,18 @@ relative.  A run named NAME leaves NAME.stdout, and NAME.status holding its
 exit code and then its stderr; files it writes with -o stay in OUT_DIR.  To
 compare two trees, run the script on each into two directories and
 `diff -r` them.
+
+Every run shares one parsed-file cache, in an empty temporary directory
+outside OUT_DIR that is removed at the end, and each `analyze` and `hurst`
+run is made twice: NAME parses its file and stores what loads, and
+NAME-again, whose -o file is again-FILE, reads it back from the cache.  A
+tree without the cache parses twice.
 """
 
 import os
 import subprocess
 import sys
+import tempfile
 
 N = "200000"
 SIMULATIONS = {
@@ -25,7 +32,16 @@ SIMULATIONS = {
 
 
 def runs():
-    """(name, arguments) of each run, in order; later runs read earlier files."""
+    """(name, arguments) of each run, in order; later runs read earlier
+    files, and each run that loads prices is followed by its repeat."""
+    for name, args in _first_runs():
+        yield name, args
+        if args[0] in ("analyze", "hurst"):
+            yield f"{name}-again", [f"again-{arg}" if flag == "-o" else arg
+                                    for flag, arg in zip([None] + args, args)]
+
+
+def _first_runs():
     for model, args in SIMULATIONS.items():
         yield f"simulate-{model}", ["simulate", *args, "--n", N, "-o", f"{model}.csv"]
     for model in SIMULATIONS:
@@ -56,14 +72,15 @@ def main(argv):
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "duplicate-close.csv"), "w") as fh:
         fh.write("timestamp,close,Close\n0,1.0,1.0\n1,2.0,2.0\n")
-    env = {**os.environ, "PYTHONPATH": src}
-    for name, args in runs():
-        done = subprocess.run([sys.executable, "-m", "mktinfo", *args], cwd=out, env=env,
-                              capture_output=True)
-        with open(os.path.join(out, f"{name}.stdout"), "wb") as fh:
-            fh.write(done.stdout)
-        with open(os.path.join(out, f"{name}.status"), "wb") as fh:
-            fh.write(b"exit %d\n" % done.returncode + done.stderr)
+    with tempfile.TemporaryDirectory(prefix="mktinfo-cache-") as cache:
+        env = {**os.environ, "PYTHONPATH": src, "XDG_CACHE_HOME": cache}
+        for name, args in runs():
+            done = subprocess.run([sys.executable, "-m", "mktinfo", *args], cwd=out, env=env,
+                                  capture_output=True)
+            with open(os.path.join(out, f"{name}.stdout"), "wb") as fh:
+                fh.write(done.stdout)
+            with open(os.path.join(out, f"{name}.status"), "wb") as fh:
+                fh.write(b"exit %d\n" % done.returncode + done.stderr)
 
 
 if __name__ == "__main__":

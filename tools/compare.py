@@ -1,16 +1,18 @@
 """Run the benchmark on two source trees in alternating pairs and compare
 each end-to-end metric.
 
-    python3 tools/compare.py PARENT_ROOT CHANGE_ROOT [--pairs 10] [--seconds S]
+    python3 tools/compare.py PARENT CHANGE [--pairs 10] [--seconds S]
         [--workload NAME ...] [--small]
 
-Both sides run this checkout's perfbench/run.py and BENCHMARK.json, each
-against a copy of its own tree's src/, made in a temporary directory that
-is removed, with every process the runs started, before this exits.  For
-each workload (default: every one BENCHMARK.json names), pair i runs both
-sides with seed i, the parent first in even pairs and the change
-first in odd ones; --seconds (default: BENCHMARK.json's run_seconds) and
---small are passed to every run.
+PARENT and CHANGE each name a source tree: the root of a checkout, or a
+git revision of this checkout, such as HEAD~1.  Both sides run this
+checkout's perfbench/run.py and BENCHMARK.json, each against a copy of its
+own tree's src/ (a revision's is extracted by `git archive`), made in a
+temporary directory that is removed, with every process the runs started,
+before this exits.  For each workload (default: every one BENCHMARK.json
+names), pair i runs both sides with seed i, the parent first in even pairs
+and the change first in odd ones; --seconds (default: BENCHMARK.json's
+run_seconds) and --small are passed to every run.
 
 Per workload it prints each side's `correct`, `attempted` and `failed`
 over its runs, then per end-to-end metric each side's median and
@@ -131,13 +133,34 @@ def compare(workload: str, side_dirs: dict, specs: list, args) -> bool:
     return all(t["correct"] for t in totals.values())
 
 
+def copy_src(tree: str, dest: str, repo: str = CHECKOUT) -> None:
+    """Copy the src/ of `tree` into `dest`: a directory holding
+    src/mktinfo, or else a revision of the git checkout `repo`, extracted
+    by `git archive`; ValueError when `tree` is neither."""
+    if os.path.isdir(tree):
+        if not os.path.isfile(os.path.join(tree, "src", "mktinfo", "__init__.py")):
+            raise ValueError(f"{tree} has no src/mktinfo")
+        shutil.copytree(os.path.join(tree, "src"), os.path.join(dest, "src"),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        return
+    archive = subprocess.run(["git", "-C", repo, "archive", "--format=tar", tree, "src"],
+                             capture_output=True)
+    if archive.returncode != 0:
+        raise ValueError(f"{tree} is neither a directory nor a revision with src/:"
+                         f" {archive.stderr.decode(errors='replace').strip()}")
+    os.makedirs(dest)
+    subprocess.run(["tar", "-x", "-C", dest], input=archive.stdout, check=True)
+    if not os.path.isfile(os.path.join(dest, "src", "mktinfo", "__init__.py")):
+        raise ValueError(f"revision {tree} has no src/mktinfo")
+
+
 def main(argv=None) -> int:
     with open(os.path.join(CHECKOUT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     workloads = [w["name"] for w in bench["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent_root")
-    parser.add_argument("change_root")
+    parser.add_argument("parent", help="a checkout's root, or a git revision of this one")
+    parser.add_argument("change", help="a checkout's root, or a git revision of this one")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
     parser.add_argument("--workload", action="append", choices=workloads)
@@ -145,17 +168,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2: quartiles need two values")
-    roots = dict(zip(SIDES, (args.parent_root, args.change_root)))
-    for side, root in roots.items():
-        if not os.path.isfile(os.path.join(root, "src", "mktinfo", "__init__.py")):
-            parser.error(f"{side} root {root} has no src/mktinfo")
+    trees = dict(zip(SIDES, (args.parent, args.change)))
 
     with tempfile.TemporaryDirectory(prefix="mktinfo-compare-") as tmp:
         side_dirs = {}
-        for side, root in roots.items():
+        for side, tree in trees.items():
             side_dirs[side] = os.path.join(tmp, side)
-            shutil.copytree(os.path.join(root, "src"), os.path.join(side_dirs[side], "src"),
-                            ignore=shutil.ignore_patterns("__pycache__"))
+            try:
+                copy_src(tree, side_dirs[side])
+            except ValueError as exc:
+                parser.error(f"{side}: {exc}")
         ok = True
         for workload in args.workload or workloads:
             ok = compare(workload, side_dirs, bench["end_to_end"], args) and ok
