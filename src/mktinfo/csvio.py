@@ -16,7 +16,6 @@ import threading
 from typing import IO
 
 import numpy as np
-from numpy.lib import format as npy
 
 from ._common import _freeze
 
@@ -44,11 +43,10 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 # used are deleted past it, and an entry larger is not stored.
 _CACHE_BYTES = 2 << 30
 
-# Named in every entry's key: a change to what an entry holds changes it.
-_CACHE_FORMAT = b"mktinfo parsed prices: labels then prices, npy 1.0"
-
-# A file is hashed this many bytes at a time.
-_HASH_BYTES = 1 << 20
+# A file is hashed this many bytes at a time, read into one buffer: less
+# than glibc's first mmap threshold (128 KiB), so malloc takes it from the
+# heap and freeing it does not raise that threshold for the parse after it.
+_HASH_BYTES = 1 << 16
 
 
 def _may_fork() -> bool:
@@ -342,45 +340,40 @@ def _cache_entry(fd: int, mode: str) -> tuple:
         return None, None
     # here: only a cached load needs it, and it maps OpenSSL's library (3.4 MB)
     import hashlib
-    # this module's source is in the key: an edited reader reads no entry an older one stored
+    # this module's source is in the key: an edited reader, or entry format,
+    # reads no entry an older one stored
     with open(__file__, "rb") as source:
         reader = hashlib.sha256(source.read()).digest()
     key = hashlib.sha256()
-    for part in (_CACHE_FORMAT, mode.encode(), np.__version__.encode(), reader):
+    for part in (mode.encode(), np.__version__.encode(), reader):
         key.update(len(part).to_bytes(8, "little") + part)
-    offset = 0
-    # read by os.pread, which leaves the file's offset at its start for the parse
-    while block := os.pread(fd, _HASH_BYTES, offset):
-        key.update(block)
-        offset += len(block)
+    buffer = memoryview(bytearray(_HASH_BYTES))
+    # read from its start, where the parse begins too; os.pread, which would
+    # leave the offset alone, is missing on Windows
+    with open(fd, "rb", buffering=0, closefd=False) as raw:
+        try:
+            while size := raw.readinto(buffer):
+                key.update(buffer[:size])
+        finally:
+            raw.seek(0)
     return os.path.join(directory, key.hexdigest() + ".prices"), _stamp(stamp)
 
 
 def _read_entry(path: str) -> tuple[np.ndarray, np.ndarray]:
     """The read-only (labels, prices) a cache entry holds, and its mtime set
-    to now; ValueError unless they are `S` labels and float64 prices, as a
-    parse gives.  Their lengths, like the rest, are checked by the series
-    built from them."""
+    to now.  An entry is its row count and label width, each 8 bytes little
+    endian, then the labels as `S` text of that width and the prices as
+    little-endian float64; ValueError unless its size is what that header
+    gives, so a bad header allocates nothing.  The arrays, like a parse's,
+    are checked by the series built from them."""
     with open(path, "rb") as fh:
-        labels, prices = _entry_array(fh), _entry_array(fh)
-    if labels.dtype.kind != "S" or prices.dtype != np.float64:
-        raise ValueError("cache entry holds other arrays")
+        header = fh.read(16)
+        rows, width = int.from_bytes(header[:8], "little"), int.from_bytes(header[8:], "little")
+        if len(header) < 16 or os.fstat(fh.fileno()).st_size != 16 + rows * (width + 8):
+            raise ValueError("cache entry is not one a store wrote")
+        labels, prices = np.fromfile(fh, f"S{width}", rows), np.fromfile(fh, "<f8", rows)
     os.utime(path)
     return _freeze(labels), _freeze(prices)
-
-
-def _entry_array(fh: IO[bytes]) -> np.ndarray:
-    """The next 1-D array npy.write_array wrote to `fh`, read only once the
-    file is known to hold every byte its header claims, so a bad header
-    allocates nothing."""
-    if npy.read_magic(fh) != (1, 0):
-        raise ValueError("cache entry is not npy 1.0")
-    shape, _, dtype = npy.read_array_header_1_0(fh)
-    if len(shape) != 1 or dtype.hasobject:
-        raise ValueError("cache entry holds other arrays")
-    if shape[0] * dtype.itemsize > os.fstat(fh.fileno()).st_size - fh.tell():
-        raise ValueError("cache entry is cut short")
-    return np.fromfile(fh, dtype, shape[0])
 
 
 def _store_entry(path: str, labels: np.ndarray, prices: np.ndarray) -> None:
@@ -393,8 +386,9 @@ def _store_entry(path: str, labels: np.ndarray, prices: np.ndarray) -> None:
     temporary = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         with open(temporary, "wb") as fh:
-            for arr in (labels, prices):
-                npy.write_array(fh, arr, version=(1, 0), allow_pickle=False)
+            fh.write(len(prices).to_bytes(8, "little") + labels.itemsize.to_bytes(8, "little"))
+            labels.tofile(fh)
+            prices.astype("<f8", copy=False).tofile(fh)
         os.replace(temporary, path)
     finally:  # left behind only when the write or the rename failed
         with contextlib.suppress(FileNotFoundError):

@@ -1,7 +1,6 @@
 """One hypothesis profile for the whole suite: derandomised, so a run is
 repeatable, and with no deadline, since timings on a shared machine vary.
-The parsed-file cache, off for every test unless it turns it on.  And the
-`cpus` fixture, which runs a test on one CPU and on two."""
+And the `cpus` fixture, which runs a test on one CPU and on two."""
 
 import os
 
@@ -20,16 +19,3 @@ def cpus(request, monkeypatch):
     of a file read, whatever machine the suite runs on."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
     return request.param
-
-
-@pytest.fixture(scope="session", autouse=True)
-def no_parse_cache(tmp_path_factory):
-    """Every file a test loads is parsed, in its process and in any command
-    it runs: XDG_CACHE_HOME names a path under a regular file, where no
-    cache directory can be made.  A test of the cache sets it to a
-    directory of its own."""
-    blocker = tmp_path_factory.mktemp("cache") / "a-file"
-    blocker.touch()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("XDG_CACHE_HOME", str(blocker / "cache"))
-        yield

@@ -707,7 +707,8 @@ class TestParsedFileCache:
                 assert len(self.entries(cache / "mktinfo")) == 1
                 self.assert_same(self.hit(source, mode), want)
 
-    def test_each_mode_and_each_byte_has_its_own_entry(self, cache, tmp_path):
+    def test_each_mode_and_each_byte_has_its_own_entry(self, cache, tmp_path, monkeypatch):
+        monkeypatch.setattr(csvio, "_HASH_BYTES", 4)  # a file of many reads
         f = tmp_path / "p.csv"
         f.write_text("time,close,high,low\n1,5,6,4\n2,7,10,5\n")
         assert load_prices(f).prices.tolist() == [5.0, 7.0]
@@ -749,15 +750,14 @@ class TestParsedFileCache:
         lambda entry: entry[:-3],  # cut short
         lambda entry: entry + b"\0",  # trailing bytes
         lambda entry: b"",
+        lambda entry: entry[:10],  # part of a header
         lambda entry: b"garbage" * 40,
-        # a header that claims 10**12 labels allocates nothing, and one
-        # array of no dimension is not read
-        lambda entry: entry.replace(b"(2,), }" + b" " * 12, b"(1000000000000,), }", 1),
-        lambda entry: entry.replace(b"(2,), }", b"(), }  ", 1),
-        # labels or prices of another dtype, or of another length
-        lambda entry: entry.replace(b"|S1", b"|i1"),
-        lambda entry: entry.replace(b"<f8", b">f8"),
-        lambda entry: b"(1,)".join(entry.rsplit(b"(2,)", 1))[:-8],
+        # a header that claims 10**12 rows allocates nothing
+        lambda entry: (10**12).to_bytes(8, "little") + entry[8:],
+        # labels of width 0, in an entry of the size that gives
+        lambda entry: entry[:8] + bytes(8) + entry[-16:],
+        # one row of width 10 fills the same bytes as two of width 1
+        lambda entry: (1).to_bytes(8, "little") + (10).to_bytes(8, "little") + entry[16:],
         # well formed, but not what build accepts: prices of 0
         lambda entry: entry[:-16] + bytes(16),
     ])
@@ -826,7 +826,7 @@ class TestParsedFileCache:
             raise AssertionError("written, though larger than the cap")
 
         monkeypatch.setattr(csvio, "_CACHE_BYTES", 8)
-        monkeypatch.setattr(csvio.npy, "write_array", no_write)
+        monkeypatch.setattr(os, "replace", no_write)
         f = tmp_path / "p.csv"
         f.write_text("time,close\n1,5\n2,6\n")
         assert load_prices(f).prices.tolist() == [5.0, 6.0]

@@ -9,10 +9,12 @@ git revision of this checkout, such as HEAD~1.  Both sides run this
 checkout's perfbench/run.py and BENCHMARK.json, each against a copy of its
 own tree's src/ (a revision's is extracted by `git archive`), made in a
 temporary directory that is removed, with every process the runs started,
-before this exits.  For each workload (default: every one BENCHMARK.json
-names), pair i runs both sides with seed i, the parent first in even pairs
-and the change first in odd ones; --seconds (default: BENCHMARK.json's
-run_seconds) and --small are passed to every run.
+before this exits.  Each run starts with an empty parsed-file cache
+(XDG_CACHE_HOME) of its own in that directory.  For each workload
+(default: every one BENCHMARK.json names), pair i runs both sides with
+seed i, the parent first in even pairs and the change first in odd ones;
+--seconds (default: BENCHMARK.json's run_seconds) and --small are passed
+to every run.
 
 Per workload it prints each side's `correct`, `attempted` and `failed`
 over its runs, then per end-to-end metric each side's median and
@@ -79,16 +81,19 @@ def run(side_dir: str, workload: str, seed: int, args) -> dict | None:
            "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"]
     if args.small:
         cmd.append("--small")
-    proc = subprocess.Popen(cmd, cwd=side_dir, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            text=True, start_new_session=True)
-    try:
-        out, err = proc.communicate()
-    finally:
+    # a parsed-file cache of its own, empty: no run reads what another stored
+    with tempfile.TemporaryDirectory(prefix="cache-", dir=side_dir) as cache:
+        proc = subprocess.Popen(cmd, cwd=side_dir, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True, start_new_session=True,
+                                env={**os.environ, "XDG_CACHE_HOME": cache})
         try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        proc.wait()
+            out, err = proc.communicate()
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
     lines = out.strip().splitlines()
     try:
         return json.loads(lines[-1])
