@@ -1,5 +1,6 @@
 """tools/compare.py: its verdicts on fixed numbers, and one small run."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -86,3 +87,25 @@ def test_a_side_is_a_directory_or_a_revision(compare, tmp_path):
     for tree in ("no-such-revision", str(tmp_path / "rev" / "src")):
         with pytest.raises(ValueError, match="no src/mktinfo|neither a directory nor a revision"):
             compare.copy_src(tree, str(tmp_path / "bad"), str(repo))
+
+
+def test_each_run_has_an_empty_parse_cache_of_its_own(compare, tmp_path, monkeypatch):
+    # a stand-in for perfbench/run.py that reports the cache directory it
+    # was given and what it held, and leaves an entry there
+    checkout = tmp_path / "checkout"
+    (checkout / "perfbench").mkdir(parents=True)
+    (checkout / "perfbench" / "run.py").write_text(
+        "import json, os\n"
+        "cache = os.environ['XDG_CACHE_HOME']\n"
+        "held = os.listdir(cache)\n"
+        "open(os.path.join(cache, 'entry'), 'w').close()\n"
+        "print(json.dumps({'cache': cache, 'held': held}))\n")
+    monkeypatch.setattr(compare, "CHECKOUT", str(checkout))
+    side = tmp_path / "side"
+    side.mkdir()
+    args = argparse.Namespace(seconds=1.0, small=True)
+    first, second = (compare.run(str(side), "four-panel", seed, args) for seed in (0, 1))
+    assert first["held"] == second["held"] == []
+    assert first["cache"] != second["cache"]
+    assert all(Path(r["cache"]).parent == side and not Path(r["cache"]).exists()
+               for r in (first, second))
