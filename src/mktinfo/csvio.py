@@ -1,10 +1,9 @@
-"""Price CSV text in and out: the reader behind load_prices, whose forked
-worker may parse a file's second half, the per-user cache of the arrays it
-parsed from each file, and write_prices, which it reads back."""
+"""Price CSV text in and out: the reader behind load_prices, the per-user
+cache of the arrays it parsed from each file, and write_prices, whose forked
+worker may format the second half of the rows it writes."""
 
 import contextlib
 import csv
-import functools
 import io
 import itertools
 import os
@@ -146,31 +145,14 @@ def _chunks(stream: IO[str]):
         yield rest
 
 
-class _FileRange(io.RawIOBase):
-    """Bytes `start` to `stop` of the open file `fd`, read by os.pread, which
-    leaves the file's own offset alone."""
-
-    def __init__(self, fd: int, start: int, stop: int):
-        self.fd, self.pos, self.stop = fd, start, stop
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        data = os.pread(self.fd, min(len(buffer), self.stop - self.pos), self.pos)
-        buffer[:len(data)] = data
-        self.pos += len(data)
-        return len(data)
-
-
 class _RowError(ValueError):
     """args (what, index): the data row at `index`, from 0, of a chunk is bad;
     the reader names it by its row in the whole text."""
 
 
-def _parse_prices(stream: IO[str], mode: str, fd: int | None = None) -> tuple:
-    """The read-only (labels, prices) arrays in `stream`; `fd`, when given, is
-    the file the stream reads from its start, and lets a worker read its second half."""
+def _parse_prices(stream: IO[str], mode: str) -> tuple:
+    """The read-only (labels, prices) arrays in `stream`; a bad row raises
+    ValueError naming it by its row in the whole text."""
     # one byte-order mark, which UTF-8 text may start with, is dropped
     lines = itertools.chain([stream.readline().removeprefix("\ufeff")], iter(stream.readline, ""))
     header = next((line for line in lines if not _is_skipped(line)), None)
@@ -203,56 +185,21 @@ def _parse_prices(stream: IO[str], mode: str, fd: int | None = None) -> tuple:
                           delimiter=",", quotechar='"', comments=None, usecols=usecols,
                           ndmin=1)
 
-    # the data in chunks of whole lines.  With a regular file and a second
-    # CPU, the lines up to the first line break past the file's middle are
-    # parsed here and the rest by a worker, which reads them from the file
-    # itself; its bad row is numbered after every row of this process's part
-    first, second, fork = _chunks(stream), iter(()), False
-    if fd is not None and stat.S_ISREG(os.fstat(fd).st_mode) and _may_fork():
-        start, stop = stream.tell(), os.fstat(fd).st_size
-        # tested first: after a lone "\r" line break tell() is a decoder
-        # cookie past 2**64, not an offset, and the file is read here whole
-        if stop - start > _CHUNK_CHARS:
-            middle = (start + stop) // 2
-            cut = middle + len(io.BufferedReader(_FileRange(fd, middle, stop)).readline())
-            fork = cut < stop
-        if fork:
-            first, second = (_chunks(_utf8_text(io.BufferedReader(_FileRange(fd, *span))))
-                             for span in ((start, cut), (cut, stop)))
-
-    def first_part() -> tuple[list, list]:
-        labels, prices, bad = _chunk_table(read, first)
-        if bad:
-            raise ValueError(f"{bad[0]} at row {bad[1] + 1}")
-        return labels, prices
-
-    (labels, prices), (more_labels, more_prices, bad) = _in_two(
-        first_part, functools.partial(_chunk_table, read, second), fork)
-    if bad:
-        raise ValueError(f"{bad[0]} at row {sum(map(len, prices)) + bad[1] + 1}")
-    labels += more_labels
-    prices += more_prices
+    labels, prices = [], []
+    for chunk in _chunks(stream):
+        try:
+            chunk_labels, chunk_prices = _chunk_rows(read, chunk)
+        except _RowError as exc:
+            what, index = exc.args
+            raise ValueError(f"{what} at row {sum(map(len, prices)) + index + 1}") from None
+        labels.append(chunk_labels)
+        prices.append(chunk_prices)
 
     if sum(map(len, prices)) < 2:
         raise ValueError("price series needs at least 2 rows")
     # rebound, so the per-chunk arrays are freed before the series is checked
     labels, prices = _freeze(np.concatenate(labels)), _freeze(np.concatenate(prices))
     return labels, prices
-
-
-def _chunk_table(read, chunks: list) -> tuple[list, list, tuple | None]:
-    """The labels and prices of each chunk of whole lines, up to the first bad
-    row, and that row as (what is wrong, its index among these rows), or None."""
-    labels, prices = [], []
-    for chunk in chunks:
-        try:
-            chunk_labels, chunk_prices = _chunk_rows(read, chunk)
-        except _RowError as exc:
-            what, index = exc.args
-            return labels, prices, (what, sum(map(len, prices)) + index)
-        labels.append(chunk_labels)
-        prices.append(chunk_prices)
-    return labels, prices, None
 
 
 def _chunk_rows(read, chunk: str) -> tuple[np.ndarray, np.ndarray]:
@@ -300,7 +247,7 @@ def _read_file(fh: IO[str], mode: str, build):
     if entry is not None:
         with contextlib.suppress(OSError, ValueError):
             return build(*_read_entry(entry))
-    labels, prices = _parse_prices(fh, mode, fd)
+    labels, prices = _parse_prices(fh, mode)
     result = build(labels, prices)
     if entry is not None and _stamp(os.fstat(fd)) == stamp:
         with contextlib.suppress(OSError, ValueError):

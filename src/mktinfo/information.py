@@ -26,6 +26,8 @@ LN2 = math.log(2.0)
 # Deepest supported lag count, so the longest word has MAX_L + 1 letters: its
 # code fits in the uint32 that _word_codes builds, and the significance
 # bound's Gamma shape 2**(MAX_L - 1) still takes only tens of milliseconds.
+# A larger shape is refused: the Poisson sum's arrays grow like its square
+# root, to about 0.7 GiB at lags 40.
 MAX_L = 30
 
 
@@ -242,13 +244,15 @@ def _unit_gamma_quantile(shape: int, p: float) -> float:
 
 
 def gamma_quantile(shape: int, scale: float, p: float) -> float:
-    """Quantile of Gamma(shape, scale) for integer shape >= 1.
+    """Quantile of Gamma(shape, scale) for integer shape in 1..2**(MAX_L - 1).
 
     The quantile scales exactly with `scale`, so it is scale times the
     unit-scale quantile, found from the finite (Erlang) survival sum
     exp(-y) * sum_{j<shape} y**j/j! without any incomplete-gamma machinery.
     """
     shape = _count(shape, "shape must be an integer >= 1")
+    if shape > 2 ** (MAX_L - 1):
+        raise ValueError(f"shape must be at most 2**{MAX_L - 1}")
     scale = _real(scale, "scale must be positive and finite", 0.0, math.inf)
     p = _real(p, "quantile level must be in (0, 1)", 0.0, 1.0)
     return scale * _unit_gamma_quantile(shape, p)
@@ -259,10 +263,13 @@ def significance_bound(n: int, lags: int, m: int, confidence: float) -> float:
 
     n is the number of prices minus one.  The null distribution of the
     order-(lags+1) information estimate is Gamma(2**(lags-1),
-    1/((n - m*lags) ln 2)); the bound is its `confidence` quantile.
+    1/((n - m*lags) ln 2)); the bound is its `confidence` quantile.  lags
+    is at most MAX_L, as in a profile.
     """
     n = _count(n, "n must be a positive integer")
     lags = _count(lags, "lags must be a positive integer")
+    if lags > MAX_L:
+        raise ValueError(f"lags must be at most {MAX_L}")
     m = _count(m, "m must be a positive integer")
     confidence = _real(confidence, "confidence must be in (0, 1)", 0.0, 1.0)
     dof = _count(n - m * lags, "degrees of freedom exhausted")
@@ -461,8 +468,15 @@ def entropy_rate_slope(profile: EntropyProfile, m: int, lags: Sequence[int]) -> 
     return float(slope)
 
 
+def _check_pair(ep: EntropyProfile, ip: InformationProfile) -> None:
+    """Raise unless ep and ip describe one series: the same m_values, n and L_max."""
+    if ep.m_values != ip.m_values or ep.n != ip.n or ep.L_max != ip.L_max:
+        raise ValueError("the entropy and information profiles differ in m_values, n or L_max")
+
+
 def profile_to_json(ep: EntropyProfile, ip: InformationProfile) -> str:
     """Serialize a profile pair to a JSON object with null for absent cells."""
+    _check_pair(ep, ip)
     return _json_text({"m_values": ep.m_values, "L_max": ep.L_max, "H": ep.H, "I": ip.I,
                        "partial": ip.partial, "bounds": ip.bounds,
                        "confidence": ip.confidence, "n": ip.n})
@@ -470,6 +484,7 @@ def profile_to_json(ep: EntropyProfile, ip: InformationProfile) -> str:
 
 def profile_to_csv(ep: EntropyProfile, ip: InformationProfile) -> str:
     """Long-format CSV: one row per (order L, m) cell, blank for absent values."""
+    _check_pair(ep, ip)
     header = {"n": ip.n, "confidence": ip.confidence, "m_values": ",".join(map(str, ep.m_values))}
     orders = np.arange(1, ep.L_max + 2)
     return _csv_table(header, {"L": np.repeat(orders, len(ep.m_values)),

@@ -13,9 +13,9 @@ settings.load_profile("suite")
 
 @pytest.fixture(params=[1, 2], ids=["one-cpu", "two-cpus"])
 def cpus(request, monkeypatch):
-    """The number of CPUs os.sched_getaffinity reports for the test: on one,
-    CSV text is read and written in this process; on two, a forked worker
-    formats the second half of the blocks written and parses the second part
-    of a file read, whatever machine the suite runs on."""
+    """The number of CPUs os.sched_getaffinity reports for the test.  It
+    reaches only write_prices: on one, CSV text is written in this process;
+    on two, a forked worker formats the second half of the blocks, whatever
+    machine the suite runs on.  A file is read in this process either way."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
     return request.param

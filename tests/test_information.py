@@ -272,6 +272,13 @@ class TestGammaQuantile:
         gamma_quantile(2 ** 29, 1.0, 0.95)
         assert time.perf_counter() - start < 0.5
 
+    def test_shape_past_the_deepest_order_raises(self):
+        # the deepest profile's shape is the largest taken: the quantile
+        # search's arrays grow like the shape's square root
+        assert gamma_quantile(2 ** (MAX_L - 1), 1.0, 0.5) > 0.0
+        with pytest.raises(ValueError, match=rf"^shape must be at most 2\*\*{MAX_L - 1}$"):
+            gamma_quantile(2 ** (MAX_L - 1) + 1, 1.0, 0.5)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="shape must be an integer >= 1"):
             gamma_quantile(0, 1.0, 0.5)
@@ -304,6 +311,14 @@ class TestSignificanceBound:
     def test_dof_exhausted(self):
         with pytest.raises(ValueError, match="degrees of freedom exhausted"):
             significance_bound(10, 5, 2, 0.95)
+
+    def test_lags_past_the_deepest_order_raise(self):
+        # as information_profile's L_max, whatever n allows
+        assert significance_bound(100, MAX_L, 1, 0.95) > 0.0
+        with pytest.raises(ValueError, match=f"^lags must be at most {MAX_L}$"):
+            significance_bound(100, MAX_L + 1, 1, 0.95)
+        with pytest.raises(ValueError, match=f"^lags must be at most {MAX_L}$"):
+            significance_bound(100, 40, 1, 0.95)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="lags"):
@@ -644,6 +659,24 @@ class TestSerialization:
         assert doc["bounds"][0] == [None, None]
         assert doc["n"] == 59
         assert doc["H"][0][0] == pytest.approx(ep.cell(1, 1), rel=1e-15)
+
+    def test_a_pair_of_two_series_raises(self, profile):
+        ep, ip = profile
+        prices = PriceSeries(tuple(range(60)), np.linspace(1.0, 2.0, 60))
+        other_ep, other_ip = profile_from_prices(prices, L_max=5, m_values=(1,))
+        wider, _ = profile_from_prices(prices, L_max=3, m_values=(1, 2))
+        longer = EntropyProfile(ep.m_values, ep.n + 1, ep.H)
+        mismatched = [(ep, other_ip), (other_ep, ip), (longer, ip),
+                      (EntropyProfile((1, 3), ep.n, ep.H), ip),
+                      (EntropyProfile((1,), ep.n, ep.H[:, :1]), InformationProfile(
+                          (1,), ip.n, ip.confidence, ip.I[:2, :1], ip.bounds[:2, :1]))]
+        for write in (profile_to_json, profile_to_csv):
+            for pair in mismatched:
+                with pytest.raises(ValueError, match="^the entropy and information profiles "
+                                                     "differ in m_values, n or L_max$"):
+                    write(*pair)
+            # the same m_values, n and L_max pair, whatever prices gave the grids
+            assert write(wider, ip)
 
     def test_csv_layout(self, profile):
         ep, ip = profile
